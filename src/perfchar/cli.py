@@ -20,14 +20,15 @@ Exit codes: 0 success, 1 analysis or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .exceptions import InvalidDataError, ParameterError, PerfcharError, SchemaError
+from .exceptions import InvalidDataError, ParameterError, PerfcharError, RowError, SchemaError
 from .hwmodel import (
     load_platform_spec,
     node_peak_flops,
@@ -41,9 +42,12 @@ from .ingest import (
     detect_weak_links,
     parse_pairwise_bandwidth,
     parse_runs,
+    read_rows,
 )
-from .metrics import compare_platforms, energy_metrics
+from .metrics import compare_platforms, energy_terms, per_joule_unit
 from .microbench import (
+    TRIAD_SCALAR_Q,
+    TRIAD_WARMUP_PASSES,
     TriadConfig,
     run_fma_kernel,
     run_stream_triad,
@@ -302,8 +306,8 @@ def _cmd_bench_mem(args) -> int:
                 "elements": args.elements,
                 "repetitions": args.reps,
                 "pinning": args.pin,
-                "triad_q": 3.0,
-                "warmup_passes": 2,
+                "triad_q": TRIAD_SCALAR_Q,
+                "warmup_passes": TRIAD_WARMUP_PASSES,
             },
         )
     return 0
@@ -329,44 +333,45 @@ def _cmd_bench_flops(args) -> int:
     return 0
 
 
+KERNEL_POINT_COLUMNS = ("intensity", "flops", "loads", "stores", "access_bytes", "gflops", "time_share_pct")
+
+
 def _load_kernel_points(path: str | Path) -> list[KernelPoint]:
-    """Kernel points from CSV: either an intensity column or raw counter totals.
+    """Kernel points from CSV or JSON: either an intensity column or raw counter totals.
 
     Columns: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
     ``access_bytes``, default 8) from which intensity is derived. Optional
-    ``gflops`` and ``time_share_pct`` annotate the point.
+    ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
+    listing every line that is not a valid point.
     """
-    points = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(ln for ln in handle if not ln.lstrip().startswith("#"))
-        names = reader.fieldnames or []
-        has_intensity = "intensity" in names
-        has_counters = all(c in names for c in ("flops", "loads", "stores"))
-        if "label" not in names or not (has_intensity or has_counters):
-            raise SchemaError(
-                f"{path}: kernel points need 'label' plus 'intensity' or 'flops,loads,stores'"
-            )
-        for row in reader:
-            if has_intensity and row.get("intensity"):
-                intensity = float(row["intensity"])
-            else:
+    points, failures = [], []
+    for line, values in read_rows(path, ("label",), optional=KERNEL_POINT_COLUMNS):
+        label, intensity, flops, loads, stores, access_bytes, measured, share = values
+        try:
+            if intensity:
+                value = float(intensity)
+            elif flops or loads or stores:
                 sample = CounterSample(
-                    flops=float(row["flops"]),
-                    loads=float(row["loads"]),
-                    stores=float(row["stores"]),
-                    access_bytes=int(row.get("access_bytes") or 8),
+                    flops=float(flops),
+                    loads=float(loads),
+                    stores=float(stores),
+                    access_bytes=int(access_bytes or 8),
                 )
-                intensity = arithmetic_intensity(sample)
-            measured = row.get("gflops") or None
-            share = row.get("time_share_pct") or None
+                value = arithmetic_intensity(sample)
+            else:
+                raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
             points.append(
                 KernelPoint(
-                    label=row["label"],
-                    intensity=intensity,
+                    label=label,
+                    intensity=value,
                     measured_perf=float(measured) if measured else None,
                     time_share=float(share) / 100.0 if share else None,
                 )
             )
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+    if failures:
+        raise RowError(failures)
     if not points:
         raise SchemaError(f"{path}: no kernel points")
     return points
@@ -490,18 +495,21 @@ def _speedup_points(members: list[RunRecord], model: str) -> list[tuple[float, f
     return [(k[0], base / st.mean) for k, st in sorted(by_nodes.items())]
 
 
+SHARE_COLUMNS = ("procs", "lb_share_pct", "com_share_pct")
+
+
 def _parse_share_file(path: str | Path, fields: tuple[str, ...]):
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(ln for ln in handle if not ln.lstrip().startswith("#"))
-        needed = ("procs", "lb_share_pct", "com_share_pct")
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in needed):
-            raise SchemaError(f"{path}: share files need columns {needed}")
-        for row in reader:
-            key = tuple(row.get(f, "") for f in fields)
-            groups.setdefault(key, []).append(
-                (float(row["procs"]), float(row["lb_share_pct"]), float(row["com_share_pct"]))
-            )
+    failures = []
+    for line, (procs, lb, com, *key) in read_rows(path, SHARE_COLUMNS, optional=fields):
+        try:
+            point = (float(procs), float(lb), float(com))
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+            continue
+        groups.setdefault(tuple(key), []).append(point)
+    if failures:
+        raise RowError(failures)
     if not groups:
         raise SchemaError(f"{path}: no share rows")
     return dict(sorted(groups.items()))
@@ -580,28 +588,41 @@ def _cmd_analyze_scaling(args) -> int:
     return 0
 
 
+def _write_table(header: list[str], columns: list[list[str]]) -> None:
+    """Print columns of cell text under a header, cells separated by two spaces.
+
+    A function of its own so that the text is freed before a data file is built.
+    """
+    sys.stdout.write("\n".join(["  ".join(header), *map("  ".join, zip(*columns)), ""]))
+
+
 def _cmd_analyze_energy(args) -> int:
     _analysis_config(data=[args.input], out=args.out)
-    records = parse_runs(args.input)
-    rows = []
-    for r in sorted(records, key=lambda r: (r.app, r.platform, r.compiler, r.nodes, r.timestamp)):
-        em = energy_metrics(r)
-        rows.append(
-            (
-                r.app, r.platform, r.compiler, r.nodes, r.time,
-                "" if em is None else em.e2s_kj,
-                "" if em is None else em.edp_kjs,
-                "" if em is None or em.work_per_joule is None else em.work_per_joule.value,
-                "" if em is None or em.work_per_joule is None else em.work_per_joule.unit,
-            )
-        )
+    records = sorted(
+        parse_runs(args.input), key=lambda r: (r.app, r.platform, r.compiler, r.nodes, r.timestamp)
+    )
+    has_energy = [r.energy is not None for r in records]
+    has_rate = [e and r.app_metric is not None and r.app_metric.is_rate()
+                for r, e in zip(records, has_energy)]
+    time = [r.time for r in records]
+    e2s, edp, work = energy_terms(
+        np.array([r.energy if e else np.nan for r, e in zip(records, has_energy)]),
+        np.array(time),
+        np.array([r.app_metric.value if w else np.nan for r, w in zip(records, has_rate)]),
+    )
+    derived = [(e2s.tolist(), has_energy), (edp.tolist(), has_energy), (work.tolist(), has_rate)]
+    labels = [[getattr(r, field) for r in records] for field in ("app", "platform", "compiler")]
+    nodes = [r.nodes for r in records]
+    units = [per_joule_unit(r.app_metric.unit) if w else "" for r, w in zip(records, has_rate)]
+    g6 = "{:.6g}".format
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",
               "work_per_joule", "work_unit"]
-    print("  ".join(header))
-    for row in rows:
-        print("  ".join(f"{v:.6g}" if isinstance(v, float) else str(v) for v in row))
+    _write_table(header, [*labels, list(map(str, nodes)), list(map(g6, time)),
+                          *([g6(v) if p else "" for v, p in zip(*d)] for d in derived), units])
     if args.out:
-        emit_plot_data(rows, args.out, header=header)
+        columns = [*labels, nodes, time, *([v if p else "" for v, p in zip(*d)] for d in derived),
+                   units]
+        emit_plot_data(zip(*columns), args.out, header=header)
         write_sidecar_metadata(args.out, {"command": "analyze energy"})
     return 0
 

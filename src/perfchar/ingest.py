@@ -93,10 +93,12 @@ class RunRecord:
             raise ParameterError("nodes must be >= 1")
         if self.ranks_per_node < 1:
             raise ParameterError("ranks_per_node must be >= 1")
-        if not self.time > 0:
-            raise ParameterError("time must be > 0")
-        if self.energy is not None and not self.energy > 0:
-            raise ParameterError("energy must be > 0 when present")
+        if not 0 < self.time < math.inf:
+            raise ParameterError("time must be finite and > 0")
+        if self.energy is not None and not 0 < self.energy < math.inf:
+            raise ParameterError("energy must be finite and > 0 when present")
+        if self.app_metric is not None and not math.isfinite(self.app_metric.value):
+            raise ParameterError("app_metric value must be finite")
         if self.timestamp:
             _validate_iso8601(self.timestamp)
 
@@ -126,11 +128,16 @@ def _validate_iso8601(text: str) -> None:
         raise ParameterError(f"timestamp {text!r} is not ISO-8601") from exc
 
 
-def _read_rows(source: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()):
-    """Yield (line_number, row_dict) from a CSV or JSON file, validating the header."""
+def read_rows(source: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()):
+    """Yield (line_number, values) from a CSV or JSON file, validating the header.
+
+    ``values`` lists one string per name in ``columns`` then ``optional``, in
+    that order; an optional column the file lacks reads as "".
+    """
     path = Path(source)
     text = path.read_text(encoding="utf-8")
     stripped = text.lstrip()
+    names = (*columns, *optional)
     if path.suffix.lower() == ".json" or stripped.startswith("["):
         try:
             entries = json.loads(text)
@@ -144,7 +151,7 @@ def _read_rows(source: str | Path, columns: tuple[str, ...], optional: tuple[str
             missing = [c for c in columns if c not in entry]
             if missing:
                 raise SchemaError(f"{path}: entry {i} lacks mandatory fields {missing}")
-            yield i, {k: ("" if entry.get(k) is None else str(entry[k])) for k in (*columns, *optional) if k in entry}
+            yield i, ["" if entry.get(k) is None else str(entry[k]) for k in names]
         return
 
     # Comment lines (leading '#') are tolerated so fixtures can carry notes;
@@ -154,37 +161,42 @@ def _read_rows(source: str | Path, columns: tuple[str, ...], optional: tuple[str
         for number, line in enumerate(text.splitlines(), start=1)
         if not line.lstrip().startswith("#")
     ]
-    reader = csv.DictReader(line for _, line in kept)
-    if reader.fieldnames is None:
+    reader = csv.reader(line for _, line in kept)
+    header = next(reader, None)
+    if header is None:
         raise SchemaError(f"{path}: empty file, header row is mandatory")
-    missing = [c for c in columns if c not in reader.fieldnames]
+    missing = [c for c in columns if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
+    # A repeated column name reads its last occurrence; an absent optional
+    # column reads the "" appended after each row's last field.
+    width = len(header)
+    position = {name: i for i, name in enumerate(header)}
+    indices = [position.get(name, width) for name in names]
+    lacks_optional = width in indices
     for row in reader:
+        if not row:
+            continue
+        if len(row) != width:
+            row = row[:width] + [""] * (width - len(row))
+        if lacks_optional:
+            row.append("")
         original_line = kept[min(reader.line_num, len(kept)) - 1][0]
-        yield original_line, {k: (v or "").strip() for k, v in row.items() if k is not None}
+        yield original_line, [row[i].strip() for i in indices]
 
 
 def parse_runs(source: str | Path) -> list[RunRecord]:
     """Load and validate run records; raises RowError listing every bad line."""
     records: list[RunRecord] = []
     failures: list[tuple[int, str]] = []
-    for line, row in _read_rows(source, RUNS_COLUMNS):
+    for line, values in read_rows(source, RUNS_COLUMNS):
+        platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = values
         try:
-            energy = float(row["energy_j"]) if row.get("energy_j") else None
-            metric = AppMetric.from_text(row["app_metric"]) if row.get("app_metric") else None
+            energy = float(energy_j) if energy_j else None
+            metric = AppMetric.from_text(app_metric) if app_metric else None
             records.append(
-                RunRecord(
-                    platform=row["platform"],
-                    app=row["app"],
-                    compiler=row["compiler"],
-                    nodes=int(row["nodes"]),
-                    ranks_per_node=int(row["ranks_per_node"]),
-                    time=float(row["time_s"]),
-                    energy=energy,
-                    app_metric=metric,
-                    timestamp=row.get("timestamp", ""),
-                )
+                RunRecord(platform, app, compiler, int(nodes), int(ranks), float(time_s),
+                          energy, metric, timestamp)
             )
         except (ParameterError, ValueError) as exc:
             failures.append((line, str(exc)))
@@ -304,6 +316,13 @@ class PairwiseBandwidthMatrix:
         return float(self.bandwidth[self.node_ids.index(a), self.node_ids.index(b)])
 
 
+def _check_pair(a: str, b: str, bw: float) -> None:
+    if a == b:
+        raise ParameterError(f"self-pair {a!r} is not a network measurement")
+    if not 0 < bw < math.inf:
+        raise ParameterError(f"bandwidth for pair ({a}, {b}) must be finite and > 0")
+
+
 def build_pairwise_matrix(
     entries: Iterable[tuple[str, str, float]], message_size: int
 ) -> PairwiseBandwidthMatrix:
@@ -311,10 +330,7 @@ def build_pairwise_matrix(
     directed: dict[tuple[str, str], float] = {}
     nodes: set[str] = set()
     for a, b, bw in entries:
-        if a == b:
-            raise ParameterError(f"self-pair {a!r} is not a network measurement")
-        if not bw > 0:
-            raise ParameterError(f"bandwidth for pair ({a}, {b}) must be > 0")
+        _check_pair(a, b, bw)
         directed[(a, b)] = bw
         nodes.update((a, b))
     node_ids = tuple(sorted(nodes))
@@ -344,43 +360,55 @@ def build_pairwise_matrix(
     return PairwiseBandwidthMatrix(node_ids, matrix, message_size, tuple(warnings_list))
 
 
-def parse_pairwise_sweep(source: str | Path) -> dict[int, PairwiseBandwidthMatrix]:
-    """Parse a pairwise bandwidth file into one matrix per message size."""
+def _pairwise_entries(source: str | Path) -> dict[int, list[tuple[str, str, float]]]:
+    """Read and validate every pairwise row, grouped by message size."""
     by_size: dict[int, list[tuple[str, str, float]]] = {}
     failures: list[tuple[int, str]] = []
-    for line, row in _read_rows(source, PAIRWISE_COLUMNS, optional=("unit",)):
+    for line, (a, b, msg_bytes, bandwidth, unit) in read_rows(
+        source, PAIRWISE_COLUMNS, optional=("unit",)
+    ):
         try:
-            size = int(row["msg_bytes"])
-            bw = float(row["bandwidth_gbs"])
-            unit = row.get("unit", "").strip() or "GB/s"
+            size = int(msg_bytes)
+            bw = float(bandwidth)
+            unit = unit.strip() or "GB/s"
             if unit.lower() in ("mb/s", "mbs"):
                 bw /= 1000.0
             elif unit.lower() not in ("gb/s", "gbs"):
                 raise ValueError(f"unknown bandwidth unit {unit!r}")
-            by_size.setdefault(size, []).append((row["node_a"], row["node_b"], bw))
+            _check_pair(a, b, bw)
+            by_size.setdefault(size, []).append((a, b, bw))
         except ValueError as exc:
             failures.append((line, str(exc)))
     if failures:
         raise RowError(failures)
-    return {size: build_pairwise_matrix(entries, size) for size, entries in sorted(by_size.items())}
+    return by_size
+
+
+def parse_pairwise_sweep(source: str | Path) -> dict[int, PairwiseBandwidthMatrix]:
+    """Parse a pairwise bandwidth file into one matrix per message size."""
+    by_size = sorted(_pairwise_entries(source).items())
+    return {size: build_pairwise_matrix(entries, size) for size, entries in by_size}
 
 
 def parse_pairwise_bandwidth(
     source: str | Path, message_size: int | None = None
 ) -> PairwiseBandwidthMatrix:
-    """Parse one matrix; a multi-size file needs an explicit message_size."""
-    sweep = parse_pairwise_sweep(source)
-    if not sweep:
+    """Parse one matrix; a multi-size file needs an explicit message_size.
+
+    Rows of every size are validated; only the selected size is assembled.
+    """
+    by_size = _pairwise_entries(source)
+    if not by_size:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
     if message_size is None:
-        if len(sweep) > 1:
+        if len(by_size) > 1:
             raise SchemaError(
-                f"{source}: contains {len(sweep)} message sizes {sorted(sweep)}; pick one"
+                f"{source}: contains {len(by_size)} message sizes {sorted(by_size)}; pick one"
             )
-        return next(iter(sweep.values()))
-    if message_size not in sweep:
+        (message_size,) = by_size
+    elif message_size not in by_size:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    return sweep[message_size]
+    return build_pairwise_matrix(by_size[message_size], message_size)
 
 
 def detect_weak_links(

@@ -75,6 +75,22 @@ def weak_efficiency(metric1: float, metric_i: float, i: int, *, unit: str) -> Ef
     return EfficiencyPoint(units=i, unit=unit, speedup=speedup, efficiency=speedup / i)
 
 
+def energy_terms(energy_j, time_s, rate=None):
+    """E2S (kJ), EDP (kJ s) and work per joule (None without a rate).
+
+    Scalars and numpy arrays give bit-identical values: each step is one
+    correctly rounded IEEE operation.
+    """
+    e2s_kj = energy_j / 1000.0
+    work = None if rate is None else rate * time_s / energy_j
+    return e2s_kj, e2s_kj * time_s, work
+
+
+def per_joule_unit(rate_unit: str) -> str:
+    """Unit of a rate metric integrated over time per joule, e.g. MLUP/s -> MLUP/J."""
+    return rate_unit[: -len("/s")] + "/J"
+
+
 def energy_metrics(record: RunRecord, init_fraction: float | None = None) -> EnergyMetrics | None:
     """Energy metrics of one run, or None when the record carries no energy.
 
@@ -83,13 +99,10 @@ def energy_metrics(record: RunRecord, init_fraction: float | None = None) -> Ene
     """
     if record.energy is None:
         return None
-    e2s_kj = record.energy / 1000.0
-    edp_kjs = e2s_kj * record.time
-    work = None
-    if record.app_metric is not None and record.app_metric.is_rate():
-        value = record.app_metric.value * record.time / record.energy
-        unit = record.app_metric.unit[: -len("/s")] + "/J"
-        work = AppMetric(value, unit)
+    metric = record.app_metric
+    rate = metric.value if metric is not None and metric.is_rate() else None
+    e2s_kj, edp_kjs, value = energy_terms(record.energy, record.time, rate)
+    work = None if value is None else AppMetric(value, per_joule_unit(metric.unit))
     return EnergyMetrics(
         e2s_kj=e2s_kj, edp_kjs=edp_kjs, work_per_joule=work, init_fraction=init_fraction
     )

@@ -59,10 +59,30 @@ def _row_sort_key(row: Sequence):
     return tuple(key)
 
 
+def _column_keys(column: tuple) -> list:
+    """Keys that order one column as _row_sort_key does; mixed columns go cell by cell."""
+    types = set(map(type, column))
+    if types == {str}:
+        return list(column)
+    if types <= {int, float}:
+        return list(map(float, column))
+    return [_row_sort_key((value,))[0] for value in column]
+
+
+def _column_text(column: tuple) -> list[str]:
+    """format_value of each cell of one column."""
+    types = set(map(type, column))
+    if types == {str}:
+        return list(column)
+    if types == {float}:
+        return list(map(float.__repr__, column))
+    return list(map(format_value, column))
+
+
 def emit_plot_data(
     rows: Iterable[Sequence], path: str | Path, header: Sequence[str]
 ) -> Path:
-    """Write plot data as CSV: one header row, rows sorted by x then the rest."""
+    """Write plot data as CSV: a header, then rows in _row_sort_key order via format_value."""
     rows = [tuple(r) for r in rows]
     if not rows:
         raise ParameterError("refusing to emit an empty series")
@@ -70,10 +90,13 @@ def emit_plot_data(
     for row in rows:
         if len(row) != width:
             raise ParameterError(f"row {row!r} does not match header width {width}")
-    lines = [",".join(header)]
-    for row in sorted(rows, key=_row_sort_key):
-        lines.append(",".join(format_value(v) for v in row))
-    return atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = list(zip(*rows))
+    # A stable sort of row indices by per-column keys orders rows as
+    # sorted(rows, key=_row_sort_key) does, ties included.
+    order = sorted(range(len(rows)), key=list(zip(*map(_column_keys, columns))).__getitem__)
+    cells = list(zip(*map(_column_text, columns)))
+    lines = [",".join(header), *(",".join(cells[i]) for i in order), ""]
+    return atomic_write_text(path, "\n".join(lines))
 
 
 def write_sidecar_metadata(data_path: str | Path, payload: dict) -> Path:

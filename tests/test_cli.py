@@ -8,9 +8,22 @@ from perfchar.exceptions import ParameterError
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
 
+RUNS_HEADER = "platform,app,compiler,nodes,ranks_per_node,time_s,energy_j,app_metric,timestamp"
+
+
 def read_csv(path):
     with open(path, newline="") as handle:
         return list(csv.DictReader(handle))
+
+
+def assert_one_error_line(capsys, kind, *fragments):
+    """Exit 1 was reported as exactly one CLI error line, not a traceback."""
+    err = capsys.readouterr().err
+    assert err.startswith(f"perfchar: error: {kind}:")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err
 
 
 class TestDispatch:
@@ -96,6 +109,23 @@ class TestAnalyzeEnergy:
             assert float(lbc[key]["work_per_joule"]) == pytest.approx(expected, abs=0.01)
             assert lbc[key]["work_unit"] == "MLUP/J"
 
+    @pytest.mark.parametrize("column", ["time_s", "energy_j", "app_metric"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_value_is_row_error(self, column, value, tmp_path, capsys):
+        cells = {"time_s": "10.0", "energy_j": "5000.0", "app_metric": "100.0 MLUP/s"}
+        cells[column] = f"{value} MLUP/s" if column == "app_metric" else value
+        runs = tmp_path / "runs.csv"
+        runs.write_text(
+            f"{RUNS_HEADER}\n"
+            "p,a,c,1,1,10.0,5000.0,100.0 MLUP/s,2020-01-01T00:00:00Z\n"
+            f"p,a,c,2,1,{cells['time_s']},{cells['energy_j']},{cells['app_metric']},"
+            "2020-01-01T00:10:00Z\n"
+        )
+        out = tmp_path / "energy.csv"
+        assert main(["analyze", "energy", "--in", str(runs), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:")
+        assert not out.exists()
+
     def test_sidecar_written(self, fixtures_dir, tmp_path):
         out = tmp_path / "energy.csv"
         main(["analyze", "energy", "--in", str(fixtures_dir / "energy_node_runs.csv"),
@@ -160,6 +190,19 @@ class TestAnalyzeScaling:
         curves = read_csv(out_dir / "mpi_share_curves.csv")
         assert {r["series"] for r in curves} == {"lb", "com"}
 
+    def test_non_numeric_share_is_row_error(self, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text(
+            "# note\n"
+            "platform,app,compiler,procs,lb_share_pct,com_share_pct\n"
+            "p,a,c,16,5.0,20.0\n"
+            "p,a,c,abc,6.0,20.0\n"
+        )
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--in", str(shares),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "RowError", "line 4:", "abc")
+
     def test_projection_grid_override(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "proj"
         main(
@@ -186,6 +229,43 @@ class TestAnalyzeNetwork:
         medians = read_csv(out_dir / "node_medians.csv")
         assert len(medians) == 8
         assert "1 weak link(s)" in capsys.readouterr().out
+
+    def write_two_sizes(self, tmp_path, *extra_rows):
+        """Complete 4096 B rows over four nodes; 65536 B rows lack (n2, n3)."""
+        lines = ["node_a,node_b,msg_bytes,bandwidth_gbs"]
+        for size in (4096, 65536):
+            for i in range(4):
+                for j in range(i + 1, 4):
+                    if not (size == 65536 and (i, j) == (2, 3)):
+                        lines.append(f"n{i},n{j},{size},10.0")
+        source = tmp_path / "sweep.csv"
+        source.write_text("\n".join([*lines, *extra_rows]) + "\n")
+        return source
+
+    def test_incomplete_other_size_does_not_matter(self, tmp_path, capsys):
+        source = self.write_two_sizes(tmp_path)
+        code = main(["analyze", "network", "--in", str(source), "--message-size", "4096",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert "4 nodes at message size 4096" in capsys.readouterr().out
+        code = main(["analyze", "network", "--in", str(source), "--message-size", "65536",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "IncompleteMatrixError", "(n2, n3)")
+
+    @pytest.mark.parametrize(
+        "row", ["n1,n2,65536,abc", "n1,n2,65536,10.0,furlong/s", "n1,n1,65536,10.0",
+                "n1,n2,65536,0", "n1,n2,65536,inf"],
+    )
+    def test_bad_row_at_other_size_still_fails(self, tmp_path, capsys, row):
+        source = self.write_two_sizes(tmp_path, row)
+        if row.count(",") == 4:
+            text = source.read_text().replace("bandwidth_gbs\n", "bandwidth_gbs,unit\n", 1)
+            source.write_text(text)
+        code = main(["analyze", "network", "--in", str(source), "--message-size", "4096",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "RowError", "line 13:")
 
     def test_clean_matrix_writes_header_only(self, tmp_path):
         source = tmp_path / "clean.csv"
@@ -240,6 +320,16 @@ class TestAnalyzeRoofline:
         (row,) = read_csv(out_dir / "roofline_points.csv")
         assert float(row["intensity"]) == pytest.approx(0.09, rel=1e-12)
         assert row["bound"] == "memory-bound"
+
+    def test_non_numeric_intensity_is_row_error(self, tmp_path, capsys):
+        points = tmp_path / "points.csv"
+        points.write_text("label,intensity\nassembly,0.09\n# note\nsolver,abc\n")
+        code = main(
+            ["analyze", "roofline", "--flops-gflops", "32.0", "--bandwidth-gbs", "228.62",
+             "--points", str(points), "--out-dir", str(tmp_path / "roof")]
+        )
+        assert code == 1
+        assert_one_error_line(capsys, "RowError", "line 4:", "abc")
 
     def test_needs_peaks(self, tmp_path):
         assert main(["analyze", "roofline", "--out-dir", str(tmp_path / "r")]) == 1

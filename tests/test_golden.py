@@ -1,0 +1,119 @@
+"""Byte-for-byte output of the analysis subcommands on the fixtures.
+
+Each case runs one subcommand and compares SHA-256 digests of its stdout and
+of every data file it writes (sidecars carry timestamps and are skipped) with
+digests recorded before the ingest and emission paths were made column-wise.
+A digest changes when any output byte changes, so a deliberate change to an
+output format must re-record the affected digests here.
+"""
+
+import hashlib
+
+import pytest
+
+from perfchar.cli import main
+
+CASES = {
+    "energy": (
+        ["analyze", "energy", "--in", "{fx}/energy_node_runs.csv", "--out", "{out}/energy.csv"],
+        {
+            "stdout":
+                "5db8c9568f03fee69cc49d7f743ee0db6ebf5b2faa9dcdb2447ff533621ab04b",
+            "energy.csv":
+                "ff44b7fd4f0b5deeec9995ef98ab7cbbfdd137e5bbde00fe19113d13c8634212",
+        },
+    ),
+    "energy-no-energy": (
+        ["analyze", "energy", "--in", "{fx}/gustafson_runs.csv", "--out", "{out}/energy.csv"],
+        {
+            "stdout":
+                "f6ab26a76e87151b6cfa36ec99c9e226b9bda64358016c0d86ed2809481453f8",
+            "energy.csv":
+                "799c512a5733ba01deb8fa439bd95a438c623c3f20eb989e208000cb15f02be8",
+        },
+    ),
+    "compare-time": (
+        ["report", "compare", "--in", "{fx}/energy_node_runs.csv", "--out", "{out}/compare.csv"],
+        {
+            "stdout":
+                "ac1a33d7dd3bc71f59c93ee93f10a71ece9ef83ba60e8efc6bfe61a976899b7f",
+            "compare.csv":
+                "4c6c0bd3ee20ed14d1ef59a0aa6c55214e6d0a0fc18c3e8da119afd8b5229cf8",
+        },
+    ),
+    "compare-rate": (
+        ["report", "compare", "--metric", "rate", "--in", "{fx}/energy_node_runs.csv",
+         "--out", "{out}/compare.csv"],
+        {
+            "stdout":
+                "028705cc1fb89d626e61fb5951b4963c85f17c8b062e45576f20bc4c3073f64a",
+            "compare.csv":
+                "c29bf8e0da80455a56f893ef12435444c37737cdcb7c325679c5a934345fae92",
+        },
+    ),
+    "scaling-amdahl": (
+        ["analyze", "scaling", "--model", "amdahl", "--in", "{fx}/amdahl_runs.csv",
+         "--out-dir", "{out}", "--gnuplot"],
+        {
+            "stdout":
+                "ad36032d949bbd2d7cf0891be1be0d08c343138877ee795d4cf11d9530a64af3",
+            "scaling.gp":
+                "a5c121ae5b8f858c79e0de3ac1f6e5e12975dd4762b966b3c493c77ae9d6255f",
+            "scaling_fits.csv":
+                "b2e15cb1a48cac26c496fbc2dc9fcb66cd59ab5fffc135c84a2126338dd606cc",
+            "scaling_projection.csv":
+                "ce094a4b7027799a38b49be9f211ebb6c28dc24d866733b2bc1774dcff69508f",
+        },
+    ),
+    "scaling-gustafson": (
+        ["analyze", "scaling", "--model", "gustafson", "--in", "{fx}/gustafson_runs.csv",
+         "--out-dir", "{out}"],
+        {
+            "stdout":
+                "39f1df9c7b3cc2c4724fc5afba971e6e88a357ccf1eab4308b603e9621061636",
+            "scaling_fits.csv":
+                "eaa16f1b26e082ba6846e36f1fbedf9257c3597de4683dc8443bfea404afb276",
+            "scaling_projection.csv":
+                "2277c36e6219afe9e488a960fdbca145e19ae4ecd7ae67e6474e76122cccc0d4",
+        },
+    ),
+    "scaling-mpi-shares": (
+        ["analyze", "scaling", "--model", "mpi-shares", "--in", "{fx}/mpi_shares.csv",
+         "--out-dir", "{out}"],
+        {
+            "stdout":
+                "b26ec436f435342e2c063d0a5ff7b52cebcf1960105d7ca2ba4fa9e24d6cfa43",
+            "mpi_share_curves.csv":
+                "b3fefadd87a44cfba266d64ed1abe188c87d80aa2fef321045abfbc765be1403",
+            "mpi_share_fits.csv":
+                "551c14cc42c5288700ac118419d4b0be5b5aad2dedb64f4f350196cc30c415d8",
+        },
+    ),
+    "network": (
+        ["analyze", "network", "--in", "{fx}/pairwise_8node.csv", "--out-dir", "{out}"],
+        {
+            "stdout":
+                "2c4ba78cbd8c6f1585f880b5b9bd2088fb8f0fd0a4c42f8ebaa85878738321f3",
+            "node_medians.csv":
+                "0e0d9674d1915fe436851ae87ce272a7728d7ec1d6351f438e3d22194fc55f11",
+            "weak_links.csv":
+                "bcc75ca989a01aede5ee40a17c76c92af01917710d50dd1cb57aa1156be1e592",
+        },
+    ),
+}
+
+
+def digests(argv, fixtures_dir, out, capsys) -> dict:
+    argv = [a.format(fx=fixtures_dir, out=out) for a in argv]
+    assert main(argv) == 0
+    result = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for path in sorted(out.iterdir()):
+        if not path.name.endswith(".meta.json"):
+            result[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return result
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_outputs_match_recorded_digests(name, fixtures_dir, tmp_path, capsys):
+    argv, expected = CASES[name]
+    assert digests(argv, fixtures_dir, tmp_path, capsys) == expected

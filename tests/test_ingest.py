@@ -1,7 +1,10 @@
+import csv
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfchar import (
     AppMetric,
@@ -19,7 +22,7 @@ from perfchar.exceptions import (
     RowError,
     SchemaError,
 )
-from perfchar.ingest import build_pairwise_matrix, parse_pairwise_sweep
+from perfchar.ingest import build_pairwise_matrix, parse_pairwise_sweep, read_rows
 
 RUNS_HEADER = "platform,app,compiler,nodes,ranks_per_node,time_s,energy_j,app_metric,timestamp"
 
@@ -112,6 +115,14 @@ class TestParseRuns:
         (rec,) = parse_runs(path)
         assert rec.nodes == 2
         assert rec.app_metric.value == 100.0
+
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    @pytest.mark.parametrize("field", ["time", "energy", "app_metric"])
+    def test_non_finite_record_rejected(self, field, value):
+        fields = {"time": 10.0, "energy": 500.0, "app_metric": AppMetric(1.0, "MLUP/s")}
+        fields[field] = AppMetric(value, "MLUP/s") if field == "app_metric" else value
+        with pytest.raises(ParameterError):
+            record(**fields)
 
     def test_bad_timestamp(self, tmp_path):
         path = write_runs(tmp_path, "p,a,c,1,1,10,,,yesterday")
@@ -239,6 +250,15 @@ class TestPairwiseMatrix:
         assert sorted(sweep) == [4096, 8192]
         assert parse_pairwise_bandwidth(path, message_size=8192).pair_value("n1", "n2") == 10.5
 
+    def test_only_selected_size_is_assembled(self, tmp_path):
+        # n3 appears only at 8192 B, so that matrix lacks (n2, n3) and (n1, n3).
+        path = write_pairwise(tmp_path, "n1,n2,4096,9.5", "n1,n2,8192,10.5", "n3,n1,8192,10.0")
+        assert parse_pairwise_bandwidth(path, message_size=4096).node_ids == ("n1", "n2")
+        with pytest.raises(IncompleteMatrixError):
+            parse_pairwise_bandwidth(path, message_size=8192)
+        with pytest.raises(IncompleteMatrixError):
+            parse_pairwise_sweep(path)
+
     def test_json_pairwise_input(self, tmp_path):
         path = tmp_path / "pairs.json"
         path.write_text(
@@ -300,3 +320,48 @@ class TestWeakLinks:
     def test_self_pair_rejected(self):
         with pytest.raises(ParameterError):
             build_pairwise_matrix([("a", "a", 5.0)], 4096)
+
+
+def dict_reader_rows(text, columns, optional=()):
+    """The row reader as first written, on csv.DictReader: the reference for read_rows."""
+    kept = [
+        (number, line)
+        for number, line in enumerate(text.splitlines(), start=1)
+        if not line.lstrip().startswith("#")
+    ]
+    reader = csv.DictReader(line for _, line in kept)
+    for row in reader:
+        row = {k: (v or "").strip() for k, v in row.items() if k is not None}
+        yield kept[min(reader.line_num, len(kept)) - 1][0], [
+            row.get(name, "") for name in (*columns, *optional)
+        ]
+
+
+csv_fields = st.sampled_from(["a", " b ", "", "1.5", '"q,x"', '"two\nlines"', "c\td"])
+csv_lines = st.one_of(
+    st.lists(csv_fields, min_size=1, max_size=6).map(",".join),
+    st.sampled_from(["", "# note", "  # indented note", "   "]),
+)
+
+
+class TestReadRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        header=st.permutations(["x", "y", "z", "u"]).flatmap(
+            lambda names: st.integers(2, 4).map(lambda n: names[:n])
+        ),
+        lines=st.lists(csv_lines, max_size=8),
+    )
+    def test_matches_dict_reader(self, tmp_path_factory, header, lines):
+        text = "\n".join(["# leading note", ",".join(header), *lines]) + "\n"
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        path.write_text(text)
+        columns, optional = tuple(header[:2]), ("u", "y", "w")
+        assert list(read_rows(path, columns, optional)) == list(
+            dict_reader_rows(text, columns, optional)
+        )
+
+    def test_duplicate_column_reads_last(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text("x,y,x\n1,2,3\n")
+        assert list(read_rows(path, ("x", "y"))) == [(2, ["3", "2"])]

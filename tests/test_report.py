@@ -1,11 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perfchar import AmdahlFit, fit_mpi_shares, project
 from perfchar.exceptions import ParameterError
 from perfchar.report import (
+    _row_sort_key,
     atomic_write_text,
     emit_plot_data,
     format_value,
@@ -73,6 +77,55 @@ class TestEmitPlotData:
         com = {float(r["share_pct"]) for r in parsed if r["series"] == "com"}
         assert lb == sorted(lb) and lb[0] < lb[-1]
         assert len(com) == 1  # constant series
+
+
+def reference_plot_data(rows, header) -> str:
+    """Row-at-a-time emission: the definition emit_plot_data must match."""
+    lines = [",".join(header)]
+    for row in sorted((tuple(r) for r in rows), key=_row_sort_key):
+        lines.append(",".join(format_value(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+cells = st.one_of(
+    st.text(alphabet="abc-", max_size=3),
+    st.just(""),
+    st.none(),
+    st.integers(-5, 5),
+    finite,
+    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    st.integers(-5, 5).map(np.int64),
+    finite.map(np.float64),
+    st.booleans(),
+    st.booleans().map(np.bool_),
+)
+# Each column draws from one generator so that plain-typed columns, which
+# take the column-wise path, are common; mixed columns come from ``cells``.
+columns = st.one_of(
+    st.just(cells),
+    st.just(st.text(alphabet="ab", max_size=2)),
+    st.just(st.integers(-3, 3)),
+    st.just(st.sampled_from([0.5, 1.0, 2.0, -0.0, 0.0])),
+    st.just(st.one_of(st.integers(-3, 3), st.sampled_from([1.0, 0.5]))),
+)
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 4))
+    kinds = [draw(columns) for _ in range(width)]
+    n = draw(st.integers(1, 12))
+    return [tuple(draw(kind) for kind in kinds) for _ in range(n)]
+
+
+class TestEmitMatchesReference:
+    @settings(max_examples=300, deadline=None)
+    @given(tables())
+    def test_bytes_equal_row_at_a_time_emission(self, tmp_path_factory, rows):
+        header = [f"c{i}" for i in range(len(rows[0]))]
+        path = emit_plot_data(rows, tmp_path_factory.mktemp("emit") / "out.csv", header)
+        assert path.read_bytes() == reference_plot_data(rows, header).encode()
 
 
 class TestAtomicWrite:
