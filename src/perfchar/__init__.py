@@ -63,6 +63,7 @@ from .scalefit import (
     eval_amdahl,
     eval_gustafson,
     fit_amdahl,
+    fit_amdahl_many,
     fit_gustafson,
     fit_mpi_shares,
     project,

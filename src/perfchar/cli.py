@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
@@ -69,13 +69,16 @@ from .roofline import (
 )
 from .scalefit import (
     critical_units,
-    fit_amdahl,
+    fit_amdahl_many,
     fit_gustafson,
     fit_mpi_shares,
     project,
 )
 
 DEFAULT_PROJECTION = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
+
+#: RunRecord fields that analyze scaling --group may name.
+RUN_FIELDS = tuple(f.name for f in dataclass_fields(RunRecord))
 
 REPORT_FORMATS = ("text", "csv", "all")
 
@@ -518,7 +521,10 @@ def _parse_share_file(path: str | Path, fields: tuple[str, ...]):
 def _cmd_analyze_scaling(args) -> int:
     _analysis_config(data=[args.input], out_dir=args.out_dir)
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
-    p_list = [float(p) for p in args.project.split(",") if p.strip()]
+    try:
+        p_list = [float(p) for p in args.project.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"bad projection list {args.project!r}") from exc
     out_dir = Path(args.out_dir)
 
     if args.model == "mpi-shares":
@@ -555,22 +561,42 @@ def _cmd_analyze_scaling(args) -> int:
         write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
         return 0
 
+    unknown = [f for f in fields if f not in RUN_FIELDS]
+    if unknown:
+        raise ParameterError(
+            f"unknown --group field(s) {', '.join(unknown)}; valid: {', '.join(RUN_FIELDS)}"
+        )
     records = parse_runs(args.input)
-    groups = _group_records(records, fields)
+    # Speedups are built group by group up to the first group that fails;
+    # its error is raised after the groups before it are reported. Amdahl
+    # fits come back as results or errors, Gustafson fits are made lazily, so
+    # a group whose fit fails also stops the report at that group.
+    labels, points, failure = [], [], None
+    for key, members in _group_records(records, fields).items():
+        try:
+            points.append(_speedup_points(members, args.model))
+        except PerfcharError as exc:
+            failure = exc
+            break
+        labels.append("/".join(str(k) for k in key))
+    if args.model == "amdahl":
+        fits = fit_amdahl_many(points, unit="nodes")
+    else:
+        fits = (fit_gustafson(pts, unit="nodes") for pts in points)
     fit_rows, proj_rows = [], []
-    for key, members in groups.items():
-        label = "/".join(str(k) for k in key)
-        points = _speedup_points(members, args.model)
+    for label, fit in zip(labels, fits):
+        if isinstance(fit, PerfcharError):
+            raise fit
         if args.model == "amdahl":
-            fit = fit_amdahl(points, unit="nodes")
             fit_rows.append((label, "amdahl", fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}, b = {fit.b:.4f} +- {fit.sigma_b:.4f}")
         else:
-            fit = fit_gustafson(points, unit="nodes")
             fit_rows.append((label, "gustafson", fit.a, fit.sigma_a, "", "", fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}")
         for point in project(fit, p_list):
             proj_rows.append((label, point.units, point.speedup, point.efficiency))
+    if failure is not None:
+        raise failure
 
     fits_path = out_dir / "scaling_fits.csv"
     emit_plot_data(

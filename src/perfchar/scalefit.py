@@ -9,7 +9,9 @@ Three models cover the measured regimes:
   ``a*p + b`` (percent) while the communication share stays constant at ``c``.
 
 The strong-scaling fit is a damped Gauss-Newton (Levenberg-Marquardt style)
-loop with analytic partial derivatives. Speedup measurements carry roughly
+loop with analytic partial derivatives. ``fit_amdahl_many`` runs it on many
+groups together, as stacked arrays, and each group's result is bit-identical
+to fitting it alone with ``fit_amdahl``. Speedup measurements carry roughly
 constant *relative* error, so residuals are weighted by 1/s by default; with
 that weighting the reported 1-sigma uncertainties (covariance at the optimum,
 scaled by reduced chi-square) are calibrated. The weak-scaling and share
@@ -31,6 +33,7 @@ from .exceptions import (
     ConvergenceError,
     InvalidDataError,
     ParameterError,
+    PerfcharError,
     UnderdeterminedError,
 )
 
@@ -138,13 +141,118 @@ def eval_gustafson(a: float, p: float) -> float:
     return (1.0 - a) + a * p
 
 
-def _amdahl_model(a: float, b: float, p: np.ndarray) -> np.ndarray:
-    return 1.0 / ((1.0 - a) + a / p) + b
+_DIAG = np.arange(2)  # index of the diagonal of a 2x2 matrix
+_DAMPING_TRIES = 40  # rejected damping levels after which a fit is at a local optimum
 
 
-def _amdahl_jacobian(a: float, p: np.ndarray) -> np.ndarray:
+def _weighted_residuals(a, b, p, s, w) -> np.ndarray:
+    """w * (s - model) for G groups: a, b of shape (G, 1); p, s, w of shape (G, n)."""
+    return w * (s - (1.0 / ((1.0 - a) + a / p) + b))
+
+
+def _ssr(a, b, p, s, w) -> np.ndarray:
+    return np.sum(_weighted_residuals(a, b, p, s, w) ** 2, axis=1)
+
+
+def _weighted_jacobian(a, p, w, ramp) -> np.ndarray:
+    """(G, n, 2) partial derivatives by a and b, each row times its weight.
+
+    ``ramp`` is 1 - 1/p, which does not change while a group is fitted.
+    """
     denom = (1.0 - a) + a / p
-    return np.column_stack([(1.0 - 1.0 / p) / denom**2, np.ones_like(p)])
+    return np.stack((w * (ramp / denom**2), w), axis=2)
+
+
+def _stacked(routine, *stacks) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a numpy.linalg routine to a stack of matrices; also say which were singular.
+
+    numpy raises for the whole stack when one matrix is singular. Then each
+    matrix is taken alone, so one group never changes another's result, and
+    a singular one gives NaN.
+    """
+    try:
+        return routine(*stacks), np.zeros(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    results, singular = [], []
+    for args in zip(*stacks):
+        try:
+            results.append(routine(*args))
+            singular.append(False)
+        except np.linalg.LinAlgError:
+            results.append(np.full_like(args[-1], np.nan))
+            singular.append(True)
+    return np.array(results), np.array(singular)
+
+
+def _levenberg_marquardt(p, s, w, initial, max_iter, tol):
+    """Damped Gauss-Newton on G groups of n points at once; p, s, w are (G, n).
+
+    Every group takes the steps, damping changes and exits it would take if
+    fitted alone, through the same floating-point operations. Returns a, b,
+    the weighted SSR and a converged mask, each of shape (G,).
+    """
+    count = len(p)
+    a0, b0 = initial
+    a = np.full(count, min(max(a0, A_LOWER_BOUND), 1.0), dtype=float)
+    b = np.full(count, b0, dtype=float)
+    lam = np.full(count, 1e-3)
+    ssr = _ssr(a[:, None], b[:, None], p, s, w)
+    ramp = 1.0 - 1.0 / p
+    converged = np.zeros(count, dtype=bool)
+    live = np.arange(count)  # groups still iterating
+    for _ in range(max_iter):
+        if not live.size:
+            break
+        a_live, p_live, w_live = a[live, None], p[live], w[live]
+        jac = _weighted_jacobian(a_live, p_live, w_live, ramp[live])
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        grad = jt @ _weighted_residuals(a_live, b[live, None], p_live, s[live], w_live)[:, :, None]
+        scale = np.zeros_like(jtj)
+        scale[:, _DIAG, _DIAG] = jtj[:, _DIAG, _DIAG]
+        step = np.empty((live.size, 2, 1))
+        improvement = np.empty(live.size)
+        todo = np.arange(live.size)  # positions in live still looking for a step that helps
+        for _ in range(_DAMPING_TRIES):
+            g = live[todo]
+            # A singular system gives a NaN step, which is rejected like any
+            # step that does not lower the SSR: lam grows tenfold.
+            trial = _stacked(np.linalg.solve, jtj[todo] + lam[g, None, None] * scale[todo],
+                             grad[todo])[0]
+            a_new = np.minimum(np.maximum(a[g] + trial[:, 0, 0], A_LOWER_BOUND), 1.0)
+            b_new = b[g] + trial[:, 1, 0]
+            ssr_new = _ssr(a_new[:, None], b_new[:, None], p[g], s[g], w[g])
+            better = ssr_new <= ssr[g]
+            lam[g] = np.where(better, np.maximum(lam[g] / 10.0, 1e-12), lam[g] * 10.0)
+            kept, at = g[better], todo[better]
+            improvement[at] = ssr[kept] - ssr_new[better]
+            a[kept], b[kept], ssr[kept] = a_new[better], b_new[better], ssr_new[better]
+            step[at] = trial[better]
+            todo = todo[~better]
+            if not todo.size:
+                break
+        # Groups left in todo found no damping level that improves the fit:
+        # they are at a local optimum. The others stop on a small step or gain.
+        moved = np.ones(live.size, dtype=bool)
+        moved[todo] = False
+        stop = ~moved
+        taken = step[moved]
+        norm = np.sqrt(taken.transpose(0, 2, 1) @ taken)[:, 0, 0]
+        stop[moved] = (norm < tol) | (improvement[moved] < tol * (1.0 + ssr[live[moved]]))
+        converged[live[stop]] = True
+        live = live[~stop]
+    return a, b, ssr, converged
+
+
+def _amdahl_sigmas(a, p, w, ssr) -> tuple[np.ndarray, np.ndarray]:
+    """1-sigma uncertainties from the covariance at the optimum, scaled by reduced chi-square."""
+    jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
+    inverse, singular = _stacked(np.linalg.inv, jac.transpose(0, 2, 1) @ jac)
+    cov = (ssr / (p.shape[1] - 2))[:, None, None] * inverse
+    sigma = np.sqrt(np.maximum(cov[:, _DIAG, _DIAG], 0.0))
+    sigma[singular] = math.inf
+    return sigma[:, 0], sigma[:, 1]
 
 
 def fit_amdahl(
@@ -163,78 +271,72 @@ def fit_amdahl(
     UnderdeterminedError below three distinct p values and ConvergenceError
     (carrying the best iterate) if the loop exhausts ``max_iter``.
     """
-    pts = sorted(points)
-    p = np.array([q for q, _ in pts], dtype=float)
-    s = np.array([v for _, v in pts], dtype=float)
-    if len(set(p.tolist())) < 3:
-        raise UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")
-    if np.any(p < 1):
-        raise ParameterError("unit counts must be >= 1")
-    if np.any(s <= 0):
-        raise ParameterError("speedups must be positive")
-    if weighting == "relative":
-        w = 1.0 / s
-    elif weighting == "absolute":
-        w = np.ones_like(s)
-    else:
-        raise ParameterError(f"weighting must be 'relative' or 'absolute', got {weighting!r}")
+    (result,) = fit_amdahl_many(
+        [points], weighting=weighting, initial=initial, max_iter=max_iter, tol=tol, unit=unit
+    )
+    if isinstance(result, PerfcharError):
+        raise result
+    return result
 
-    def ssr_at(a: float, b: float) -> float:
-        return float(np.sum((w * (s - _amdahl_model(a, b, p))) ** 2))
 
-    a, b = initial
-    a = min(max(a, A_LOWER_BOUND), 1.0)
-    lam = 1e-3
-    ssr = ssr_at(a, b)
-    converged = False
-    for _ in range(max_iter):
-        jac = w[:, None] * _amdahl_jacobian(a, p)
-        resid = w * (s - _amdahl_model(a, b, p))
-        jtj = jac.T @ jac
-        grad = jac.T @ resid
-        step = None
-        for _ in range(40):
-            damped = jtj + lam * np.diag(np.diag(jtj))
+def fit_amdahl_many(
+    groups: Iterable[Iterable[tuple[float, float]]],
+    *,
+    weighting: str = "relative",
+    initial: tuple[float, float] = (0.9, 0.0),
+    max_iter: int = 200,
+    tol: float = 1e-13,
+    unit: str = "units",
+) -> list[AmdahlFit | PerfcharError]:
+    """Fit the strong-scaling model to each of many lists of (p, speedup) points.
+
+    Returns, in input order, one AmdahlFit per group, or the error that
+    fit_amdahl raises for that group. Groups with the same number of points
+    are fitted together, as stacked arrays; each group's result is
+    bit-identical to fitting it alone.
+    """
+    groups = [sorted(points) for points in groups]
+    results: list[AmdahlFit | PerfcharError] = [None] * len(groups)
+    sizes: dict[int, list[int]] = {}
+    for i, pts in enumerate(groups):
+        sizes.setdefault(len(pts), []).append(i)
+    for n, index in sorted(sizes.items()):
+        ps = np.array([groups[i] for i in index], dtype=float).reshape(len(index), n, 2)
+        p, s = ps[:, :, 0].copy(), ps[:, :, 1].copy()
+        low, nonpositive = np.any(p < 1, axis=1), np.any(s <= 0, axis=1)
+        valid = []
+        for k, (i, row) in enumerate(zip(index, p.tolist())):
+            if len(set(row)) < 3:
+                results[i] = UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")
+            elif low[k]:
+                results[i] = ParameterError("unit counts must be >= 1")
+            elif nonpositive[k]:
+                results[i] = ParameterError("speedups must be positive")
+            elif weighting not in ("relative", "absolute"):
+                results[i] = ParameterError(
+                    f"weighting must be 'relative' or 'absolute', got {weighting!r}"
+                )
+            else:
+                valid.append(k)
+        if not valid:
+            continue
+        p, s = p[valid], s[valid]
+        w = 1.0 / s if weighting == "relative" else np.ones_like(s)
+        a, b, ssr, converged = _levenberg_marquardt(p, s, w, initial, max_iter, tol)
+        sigma_a, sigma_b = _amdahl_sigmas(a, p, w, ssr)
+        for i, *values, ok in zip(
+            [index[k] for k in valid], a.tolist(), b.tolist(), sigma_a.tolist(),
+            sigma_b.tolist(), ssr.tolist(), converged.tolist(),
+        ):
             try:
-                step = np.linalg.solve(damped, grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
+                fit = AmdahlFit(*values, unit=unit)
+            except ParameterError as exc:
+                results[i] = exc
                 continue
-            a_new = min(max(a + step[0], A_LOWER_BOUND), 1.0)
-            b_new = b + step[1]
-            ssr_new = ssr_at(a_new, b_new)
-            if ssr_new <= ssr:
-                improvement = ssr - ssr_new
-                a, b, ssr = a_new, b_new, ssr_new
-                lam = max(lam / 10.0, 1e-12)
-                break
-            lam *= 10.0
-        else:
-            # No damping level improves the fit: we are at a local optimum.
-            converged = True
-            break
-        if float(np.linalg.norm(step)) < tol or improvement < tol * (1.0 + ssr):
-            converged = True
-            break
-
-    sigma_a, sigma_b = _amdahl_uncertainties(a, p, w, ssr)
-    fit = AmdahlFit(a=a, b=b, sigma_a=sigma_a, sigma_b=sigma_b, residual=ssr, unit=unit)
-    if not converged:
-        raise ConvergenceError(
-            f"strong-scaling fit did not converge within {max_iter} iterations", best_fit=fit
-        )
-    return fit
-
-
-def _amdahl_uncertainties(a: float, p: np.ndarray, w: np.ndarray, ssr: float) -> tuple[float, float]:
-    jac = w[:, None] * _amdahl_jacobian(a, p)
-    dof = len(p) - 2
-    scale = ssr / dof if dof > 0 else 0.0
-    try:
-        cov = scale * np.linalg.inv(jac.T @ jac)
-    except np.linalg.LinAlgError:
-        return math.inf, math.inf
-    return math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))
+            results[i] = fit if ok else ConvergenceError(
+                f"strong-scaling fit did not converge within {max_iter} iterations", best_fit=fit
+            )
+    return results
 
 
 def fit_gustafson(points: Iterable[tuple[float, float]], *, unit: str = "units") -> GustafsonFit:

@@ -214,6 +214,43 @@ class TestAnalyzeScaling:
         # Baseline projection: speedup 1 + b with the fitted (near-zero) overhead.
         assert float(row["speedup"]) == pytest.approx(1.0, abs=1e-5)
 
+    @pytest.mark.parametrize("model", ["amdahl", "gustafson"])
+    def test_unknown_group_field_is_parameter_error(self, model, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "scaling", "--model", model,
+                     "--in", str(fixtures_dir / "gustafson_runs.csv"),
+                     "--group", "app,nosuchfield", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "nosuchfield", "platform, app, compiler")
+
+    def test_non_numeric_projection_is_parameter_error(self, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "scaling", "--model", "amdahl",
+                     "--in", str(fixtures_dir / "amdahl_runs.csv"),
+                     "--project", "0,abc", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "0,abc")
+
+    def test_failing_group_reports_the_groups_before_it(self, tmp_path, capsys):
+        # In sorted order a3 is the third group and has two node counts; a4,
+        # which could be fitted, comes after it and is not reported.
+        rows = [
+            f"tx2,{app},gnu,{nodes},64,{time},,,"
+            for app, times in (("a1", (100.0, 52.0, 28.0)), ("a2", (200.0, 104.0, 57.0, 33.0)),
+                               ("a3", (100.0, 55.0)), ("a4", (100.0, 55.0, 30.0)))
+            for nodes, time in zip((1, 2, 4, 8), times)
+        ]
+        runs = tmp_path / "runs.csv"
+        runs.write_text("\n".join([RUNS_HEADER, *rows, ""]))
+        code = main(["analyze", "scaling", "--model", "amdahl", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == (
+            "a1/tx2/gnu: a = 0.9600 +- 0.0000, b = -0.0000 +- 0.0000\n"
+            "a2/tx2/gnu: a = 0.9541 +- 0.0007, b = 0.0018 +- 0.0036\n"
+        )
+        assert captured.err.startswith("perfchar: error: UnderdeterminedError:")
+        assert captured.err.count("\n") == 1
+
 
 class TestAnalyzeNetwork:
     def test_weak_link_detection(self, fixtures_dir, tmp_path, capsys):

@@ -65,6 +65,20 @@ CASES = {
                 "ce094a4b7027799a38b49be9f211ebb6c28dc24d866733b2bc1774dcff69508f",
         },
     ),
+    # 40 groups of 3-8 points; recorded with the one-group-at-a-time fit,
+    # before the strong-scaling groups were fitted together.
+    "scaling-amdahl-groups": (
+        ["analyze", "scaling", "--model", "amdahl", "--in", "{fx}/amdahl_groups_runs.csv",
+         "--out-dir", "{out}"],
+        {
+            "stdout":
+                "c5bf596017382b9eefb1fc8f72c427e731f18e222d9ac935086ab9991538f26a",
+            "scaling_fits.csv":
+                "e69b1278810225b2a256f1206378cff2f1704c67df0fbb03dd3b2766a93964a5",
+            "scaling_projection.csv":
+                "ca4238ad474ce7651555a251b93dcacba59165380c3e952d0279627f6bb7d94f",
+        },
+    ),
     "scaling-gustafson": (
         ["analyze", "scaling", "--model", "gustafson", "--in", "{fx}/gustafson_runs.csv",
          "--out-dir", "{out}"],

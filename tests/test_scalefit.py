@@ -1,6 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from amdahl_reference import fit_amdahl_reference
 from perfchar import (
     AmdahlFit,
     GustafsonFit,
@@ -9,6 +14,7 @@ from perfchar import (
     eval_amdahl,
     eval_gustafson,
     fit_amdahl,
+    fit_amdahl_many,
     fit_gustafson,
     fit_mpi_shares,
     project,
@@ -19,8 +25,10 @@ from perfchar.exceptions import (
     ConvergenceError,
     InvalidDataError,
     ParameterError,
+    PerfcharError,
     UnderdeterminedError,
 )
+from perfchar.scalefit import _stacked
 from refdata import AMDAHL_PARAM_ROWS, GUSTAFSON_PARAM_ROWS
 
 SIX_POINT_GRID = (1, 2, 4, 8, 16, 32)
@@ -272,3 +280,100 @@ class TestPublishedParameterRecovery:
         fit = fit_amdahl(amdahl_points(a_true, b_true, grid=(2, 4, 8, 16, 32, 64)))
         assert fit.a == pytest.approx(a_true, abs=1e-6)
         assert fit.b == pytest.approx(b_true, abs=1e-6)
+
+
+def _bits(value) -> bytes:
+    return struct.pack("<d", float(value))
+
+
+def _outcome(fit_or_error):
+    """Comparable form of a fit result: exception type and message, and the bits of every field."""
+    if isinstance(fit_or_error, Exception):
+        fit = getattr(fit_or_error, "best_fit", None)
+        head = (type(fit_or_error).__name__, str(fit_or_error))
+    else:
+        fit, head = fit_or_error, ("AmdahlFit", "")
+    if fit is None:
+        return head
+    fields = (fit.a, fit.b, fit.sigma_a, fit.sigma_b, fit.residual)
+    return head + tuple(_bits(v) for v in fields) + (fit.unit,)
+
+
+def _reference(points, **options):
+    try:
+        return fit_amdahl_reference(points, **options)
+    except PerfcharError as exc:
+        return exc
+
+
+@st.composite
+def _scaling_group(draw):
+    """3-10 (p, speedup) points: on the model, with noise, or arbitrary; some invalid."""
+    n = draw(st.integers(3, 10))
+    pmin = draw(st.sampled_from((1, 2, 4)))
+    kind = draw(st.sampled_from(("model", "noisy", "noisy", "arbitrary", "invalid")))
+    if kind == "arbitrary":
+        p = draw(st.lists(st.integers(1, 64), min_size=n, max_size=n))
+        s = draw(st.lists(st.floats(0.05, 80.0), min_size=n, max_size=n))
+        return list(zip(p, s))
+    p = [pmin * 2**k for k in range(n)]
+    a = draw(st.sampled_from((1.0, draw(st.floats(0.3, 1.0)))))
+    b = 1.0 - eval_amdahl(a, 0.0, pmin)
+    s = [eval_amdahl(a, b, q) for q in p]
+    if kind == "noisy":
+        s = [v * (1.0 + draw(st.floats(-0.03, 0.03))) for v in s]
+    elif kind == "invalid":
+        s[draw(st.integers(0, n - 1))] = draw(st.sampled_from((0.0, -1.0)))
+        if draw(st.booleans()):
+            p[0] = 0.5
+    return list(zip(p, s))
+
+
+class TestFitAmdahlManyMatchesReference:
+    """The batched fit gives every group the per-group reference's result, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        groups=st.lists(_scaling_group(), min_size=1, max_size=12),
+        weighting=st.sampled_from(("relative", "absolute")),
+        max_iter=st.sampled_from((1, 2, 5, 200)),
+        initial=st.tuples(st.floats(-0.5, 1.5), st.floats(-3.0, 3.0)),
+    )
+    def test_random_groups(self, groups, weighting, max_iter, initial):
+        options = dict(weighting=weighting, max_iter=max_iter, initial=initial, unit="nodes")
+        got = fit_amdahl_many(groups, **options)
+        assert len(got) == len(groups)
+        for points, result in zip(groups, got):
+            assert _outcome(result) == _outcome(_reference(points, **options))
+
+    def test_long_groups(self):
+        # Sums over more than eight points take numpy's pairwise path.
+        rng = np.random.default_rng(3)
+        groups = []
+        for n in (3, 9, 12, 17, 33):
+            p = np.arange(1, n + 1)
+            s = [eval_amdahl(0.93, -0.2, q) * (1 + 0.01 * rng.standard_normal()) for q in p]
+            groups.append(list(zip(p.tolist(), s)))
+        for points, result in zip(groups, fit_amdahl_many(groups)):
+            assert _outcome(result) == _outcome(_reference(points))
+
+    def test_errors_keep_their_group(self):
+        good = amdahl_points(0.96, -0.685)
+        results = fit_amdahl_many([good, [(1, 1.0), (2, 1.8)], good, [(1, 1.0), (2, -1.0), (4, 2.0)]])
+        assert isinstance(results[0], AmdahlFit) and isinstance(results[2], AmdahlFit)
+        assert _outcome(results[0]) == _outcome(results[2]) == _outcome(fit_amdahl(good))
+        assert isinstance(results[1], UnderdeterminedError)
+        assert isinstance(results[3], ParameterError)
+        assert fit_amdahl_many([]) == []
+
+    def test_singular_matrix_leaves_the_others_alone(self):
+        rng = np.random.default_rng(9)
+        stack = rng.standard_normal((4, 2, 2))
+        stack[2] = [[1.0, 2.0], [2.0, 4.0]]
+        rhs = rng.standard_normal((4, 2, 1))
+        for routine, args in ((np.linalg.solve, (stack, rhs)), (np.linalg.inv, (stack,))):
+            result, singular = _stacked(routine, *args)
+            assert singular.tolist() == [False, False, True, False]
+            assert np.isnan(result[2]).all()
+            for k in (0, 1, 3):
+                assert np.array_equal(result[k], routine(*(x[k] for x in args)))
