@@ -12,9 +12,7 @@ Subcommands map one-to-one onto the analysis surfaces:
 * ``report compare``   cross-platform comparison tables
 
 Exit codes: 0 success, 1 analysis or validation failure, 2 usage error.
-``PERFCHAR_THREADS`` caps benchmark thread counts. Share files for
-``analyze scaling --model mpi-shares`` use the CSV schema
-``platform,app,compiler,procs,lb_share_pct,com_share_pct``.
+``PERFCHAR_THREADS`` caps benchmark thread counts.
 """
 
 from __future__ import annotations
@@ -22,13 +20,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, fields as dataclass_fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .exceptions import InvalidDataError, ParameterError, PerfcharError, RowError, SchemaError
+from .exceptions import InvalidDataError, ParameterError, PerfcharError
 from .hwmodel import (
     load_platform_spec,
     node_peak_flops,
@@ -37,12 +34,15 @@ from .hwmodel import (
     stream_min_elements,
 )
 from .ingest import (
+    GROUP_FIELDS,
     RunRecord,
     aggregate,
     detect_weak_links,
+    group_records,
+    parse_kernel_points,
     parse_pairwise_bandwidth,
     parse_runs,
-    read_rows,
+    parse_share_groups,
 )
 from .metrics import compare_platforms, energy_terms, per_joule_unit
 from .microbench import (
@@ -60,9 +60,6 @@ from .report import (
     write_sidecar_metadata,
 )
 from .roofline import (
-    CounterSample,
-    KernelPoint,
-    arithmetic_intensity,
     build_roofline,
     classify,
     roofline_curve,
@@ -76,47 +73,6 @@ from .scalefit import (
 )
 
 DEFAULT_PROJECTION = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
-
-#: RunRecord fields that analyze scaling --group may name.
-RUN_FIELDS = tuple(f.name for f in dataclass_fields(RunRecord))
-
-REPORT_FORMATS = ("text", "csv", "all")
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Resolved inputs and output sink of one analysis invocation."""
-
-    platform_spec_paths: tuple[Path, ...] = ()
-    data_paths: tuple[Path, ...] = ()
-    output_dir: Path | None = None
-    report_format: str = "text"
-
-    def __post_init__(self):
-        if self.report_format not in REPORT_FORMATS:
-            raise ParameterError(f"report_format must be one of {REPORT_FORMATS}")
-        if not self.platform_spec_paths and not self.data_paths:
-            raise ParameterError("an analysis needs at least one data or spec path")
-        if self.output_dir is not None:
-            self.output_dir.mkdir(parents=True, exist_ok=True)
-            if not os.access(self.output_dir, os.W_OK):
-                raise ParameterError(f"output directory {self.output_dir} is not writable")
-
-
-def _analysis_config(*, specs=(), data=(), out=None, out_dir=None) -> AnalysisConfig:
-    if out_dir is not None:
-        output = Path(out_dir)
-    elif out is not None:
-        output = Path(out).resolve().parent
-    else:
-        output = None
-    return AnalysisConfig(
-        platform_spec_paths=tuple(Path(s) for s in specs if s),
-        data_paths=tuple(Path(d) for d in data if d),
-        output_dir=output,
-        report_format="all" if output is not None else "text",
-    )
-
 
 def main(argv=None) -> int:
     parser = _build_parser()
@@ -336,60 +292,7 @@ def _cmd_bench_flops(args) -> int:
     return 0
 
 
-KERNEL_POINT_COLUMNS = ("intensity", "flops", "loads", "stores", "access_bytes", "gflops", "time_share_pct")
-
-
-def _load_kernel_points(path: str | Path) -> list[KernelPoint]:
-    """Kernel points from CSV or JSON: either an intensity column or raw counter totals.
-
-    Columns: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
-    ``access_bytes``, default 8) from which intensity is derived. Optional
-    ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
-    listing every line that is not a valid point.
-    """
-    points, failures = [], []
-    for line, values in read_rows(path, ("label",), optional=KERNEL_POINT_COLUMNS):
-        label, intensity, flops, loads, stores, access_bytes, measured, share = values
-        try:
-            if intensity:
-                value = float(intensity)
-            elif flops or loads or stores:
-                sample = CounterSample(
-                    flops=float(flops),
-                    loads=float(loads),
-                    stores=float(stores),
-                    access_bytes=int(access_bytes or 8),
-                )
-                value = arithmetic_intensity(sample)
-            else:
-                raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
-            points.append(
-                KernelPoint(
-                    label=label,
-                    intensity=value,
-                    measured_perf=float(measured) if measured else None,
-                    time_share=float(share) / 100.0 if share else None,
-                )
-            )
-        except ValueError as exc:
-            failures.append((line, str(exc)))
-    if failures:
-        raise RowError(failures)
-    if not points:
-        raise SchemaError(f"{path}: no kernel points")
-    return points
-
-
 def _cmd_analyze_roofline(args) -> int:
-    if args.spec or args.points:
-        _analysis_config(
-            specs=[args.spec] if args.spec else (),
-            data=[args.points] if args.points else (),
-            out_dir=args.out_dir,
-        )
-    else:
-        # Peaks given explicitly on the command line; no input files involved.
-        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     if args.spec:
         spec = load_platform_spec(args.spec)
         if args.scope == "node":
@@ -406,7 +309,7 @@ def _cmd_analyze_roofline(args) -> int:
         flops = args.flops_gflops
     model = build_roofline(flops, bandwidth, scope=args.scope)
 
-    points = _load_kernel_points(args.points) if args.points else []
+    points = parse_kernel_points(args.points) if args.points else []
     i_min = model.ridge_intensity / 256
     i_max = model.ridge_intensity * 256
     if points:
@@ -472,54 +375,24 @@ def _cmd_analyze_roofline(args) -> int:
     return 0
 
 
-def _group_records(records: list[RunRecord], fields: tuple[str, ...]):
-    groups: dict[tuple, list[RunRecord]] = {}
-    for record in records:
-        key = tuple(getattr(record, f) for f in fields)
-        groups.setdefault(key, []).append(record)
-    return dict(sorted(groups.items()))
-
-
 def _speedup_points(members: list[RunRecord], model: str) -> list[tuple[float, float]]:
     """Speedup per node count: time ratios for strong scaling, rate ratios for weak."""
     if model == "gustafson":
-        missing = [r for r in members if r.app_metric is None or not r.app_metric.is_rate()]
+        missing = [r for r in members
+                   if r.app_metric is None or not r.app_metric.is_rate() or r.app_metric.value <= 0]
         if missing:
             raise InvalidDataError(
-                "weak-scaling fits need a rate app_metric (e.g. MLUP/s) on every record"
+                "weak-scaling fits need a positive rate app_metric (e.g. MLUP/s) on every record"
             )
-        by_nodes = aggregate(
-            members, group_key=lambda r: (r.nodes,), value=lambda r: r.app_metric.value
-        )
+        by_nodes = aggregate(members, group_key=("nodes",), value=lambda r: r.app_metric.value)
         base = by_nodes[(min(k[0] for k in by_nodes),)].mean
         return [(k[0], st.mean / base) for k, st in sorted(by_nodes.items())]
-    by_nodes = aggregate(members, group_key=lambda r: (r.nodes,))
+    by_nodes = aggregate(members, group_key=("nodes",))
     base = by_nodes[(min(k[0] for k in by_nodes),)].mean
     return [(k[0], base / st.mean) for k, st in sorted(by_nodes.items())]
 
 
-SHARE_COLUMNS = ("procs", "lb_share_pct", "com_share_pct")
-
-
-def _parse_share_file(path: str | Path, fields: tuple[str, ...]):
-    groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    failures = []
-    for line, (procs, lb, com, *key) in read_rows(path, SHARE_COLUMNS, optional=fields):
-        try:
-            point = (float(procs), float(lb), float(com))
-        except ValueError as exc:
-            failures.append((line, str(exc)))
-            continue
-        groups.setdefault(tuple(key), []).append(point)
-    if failures:
-        raise RowError(failures)
-    if not groups:
-        raise SchemaError(f"{path}: no share rows")
-    return dict(sorted(groups.items()))
-
-
 def _cmd_analyze_scaling(args) -> int:
-    _analysis_config(data=[args.input], out_dir=args.out_dir)
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
     try:
         p_list = [float(p) for p in args.project.split(",") if p.strip()]
@@ -528,7 +401,7 @@ def _cmd_analyze_scaling(args) -> int:
     out_dir = Path(args.out_dir)
 
     if args.model == "mpi-shares":
-        groups = _parse_share_file(args.input, fields)
+        groups = parse_share_groups(args.input, fields)
         fit_rows, curve_rows = [], []
         for key, pts in groups.items():
             label = "/".join(key)
@@ -561,10 +434,10 @@ def _cmd_analyze_scaling(args) -> int:
         write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
         return 0
 
-    unknown = [f for f in fields if f not in RUN_FIELDS]
+    unknown = [f for f in fields if f not in GROUP_FIELDS]
     if unknown:
         raise ParameterError(
-            f"unknown --group field(s) {', '.join(unknown)}; valid: {', '.join(RUN_FIELDS)}"
+            f"unknown --group field(s) {', '.join(unknown)}; valid: {', '.join(GROUP_FIELDS)}"
         )
     records = parse_runs(args.input)
     # Speedups are built group by group up to the first group that fails;
@@ -572,7 +445,7 @@ def _cmd_analyze_scaling(args) -> int:
     # fits come back as results or errors, Gustafson fits are made lazily, so
     # a group whose fit fails also stops the report at that group.
     labels, points, failure = [], [], None
-    for key, members in _group_records(records, fields).items():
+    for key, members in sorted(group_records(records, fields).items()):
         try:
             points.append(_speedup_points(members, args.model))
         except PerfcharError as exc:
@@ -623,7 +496,6 @@ def _write_table(header: list[str], columns: list[list[str]]) -> None:
 
 
 def _cmd_analyze_energy(args) -> int:
-    _analysis_config(data=[args.input], out=args.out)
     records = sorted(
         parse_runs(args.input), key=lambda r: (r.app, r.platform, r.compiler, r.nodes, r.timestamp)
     )
@@ -654,7 +526,6 @@ def _cmd_analyze_energy(args) -> int:
 
 
 def _cmd_analyze_network(args) -> int:
-    _analysis_config(data=[args.input], out_dir=args.out_dir)
     matrix = parse_pairwise_bandwidth(args.input, message_size=args.message_size)
     links = detect_weak_links(matrix, threshold=args.threshold)
     out_dir = Path(args.out_dir)
@@ -698,7 +569,6 @@ def _cmd_analyze_network(args) -> int:
 
 
 def _cmd_report_compare(args) -> int:
-    _analysis_config(data=[args.input], out=args.out)
     records = parse_runs(args.input)
     table = compare_platforms(records, metric=args.metric)
     print(table.to_text())

@@ -1,11 +1,14 @@
 """Measurement ingestion: run records, aggregation, and pairwise bandwidth maps.
 
-Two file schemas are accepted, each as CSV (UTF-8, header mandatory) or as a
+Four file schemas are accepted, each as CSV (UTF-8, header mandatory) or as a
 JSON array of objects with the same field names:
 
 * runs:      ``platform,app,compiler,nodes,ranks_per_node,time_s,energy_j,app_metric,timestamp``
 * pairwise:  ``node_a,node_b,msg_bytes,bandwidth_gbs`` (optional ``unit`` column,
   ``MB/s`` values are converted to GB/s on import)
+* shares:    the grouping columns plus ``procs,lb_share_pct,com_share_pct``
+* kernel points: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
+  ``access_bytes``); optional ``gflops,time_share_pct``
 
 Energy is stored in joules; presentation layers convert to kJ. The app metric
 is a free ``value unit`` pair such as ``266.7 MLUP/s``.
@@ -19,6 +22,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -30,6 +34,7 @@ from .exceptions import (
     RowError,
     SchemaError,
 )
+from .roofline import CounterSample, KernelPoint, arithmetic_intensity
 
 RUNS_COLUMNS = (
     "platform",
@@ -44,6 +49,13 @@ RUNS_COLUMNS = (
 )
 
 PAIRWISE_COLUMNS = ("node_a", "node_b", "msg_bytes", "bandwidth_gbs")
+
+SHARE_COLUMNS = ("procs", "lb_share_pct", "com_share_pct")
+
+KERNEL_POINT_COLUMNS = ("intensity", "flops", "loads", "stores", "access_bytes", "gflops", "time_share_pct")
+
+#: RunRecord fields whose values always order, so groups keyed on them sort.
+GROUP_FIELDS = ("platform", "app", "compiler", "nodes", "ranks_per_node", "time", "timestamp")
 
 #: Bidirectional measurements of one pair may disagree by up to this fraction
 #: before the pair is reported in the asymmetry warning list.
@@ -205,6 +217,69 @@ def parse_runs(source: str | Path) -> list[RunRecord]:
     return records
 
 
+def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
+    """Share points (procs, lb_share_pct, com_share_pct) by their ``fields`` values.
+
+    The ``fields`` columns are mandatory; groups come back in sorted key order.
+    Raises RowError listing every line with a non-numeric share or count.
+    """
+    groups: dict[tuple, list[tuple[float, float, float]]] = {}
+    failures = []
+    for line, (*key, procs, lb, com) in read_rows(source, (*fields, *SHARE_COLUMNS)):
+        try:
+            point = (float(procs), float(lb), float(com))
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+            continue
+        groups.setdefault(tuple(key), []).append(point)
+    if failures:
+        raise RowError(failures)
+    if not groups:
+        raise SchemaError(f"{source}: no share rows")
+    return dict(sorted(groups.items()))
+
+
+def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
+    """Kernel points from CSV or JSON: either an intensity column or raw counter totals.
+
+    Columns: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
+    ``access_bytes``, default 8) from which intensity is derived. Optional
+    ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
+    listing every line that is not a valid point.
+    """
+    points, failures = [], []
+    for line, values in read_rows(source, ("label",), optional=KERNEL_POINT_COLUMNS):
+        label, intensity, flops, loads, stores, access_bytes, measured, share = values
+        try:
+            if intensity:
+                value = float(intensity)
+            elif flops or loads or stores:
+                sample = CounterSample(
+                    flops=float(flops),
+                    loads=float(loads),
+                    stores=float(stores),
+                    access_bytes=int(access_bytes or 8),
+                )
+                value = arithmetic_intensity(sample)
+            else:
+                raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
+            points.append(
+                KernelPoint(
+                    label=label,
+                    intensity=value,
+                    measured_perf=float(measured) if measured else None,
+                    time_share=float(share) / 100.0 if share else None,
+                )
+            )
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+    if failures:
+        raise RowError(failures)
+    if not points:
+        raise SchemaError(f"{source}: no kernel points")
+    return points
+
+
 def serialize_runs(records: Iterable[RunRecord]) -> str:
     """Canonical CSV form of a record set; parse(serialize(x)) == x."""
     out = io.StringIO()
@@ -227,11 +302,17 @@ def serialize_runs(records: Iterable[RunRecord]) -> str:
     return out.getvalue()
 
 
-def _group_key_func(group_key) -> Callable[[RunRecord], tuple]:
-    if callable(group_key):
-        return group_key
-    fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
-    return lambda r: tuple(getattr(r, f) for f in fields)
+def group_records(
+    records: Iterable[RunRecord], fields: tuple[str, ...]
+) -> dict[tuple, list[RunRecord]]:
+    """Records by the tuple of their ``fields`` values, groups in first-seen order."""
+    get = attrgetter(*fields) if fields else lambda r: ()
+    single = len(fields) == 1  # attrgetter of one name returns the bare value
+    groups: dict[tuple, list[RunRecord]] = {}
+    for record in records:
+        key = get(record)
+        groups.setdefault((key,) if single else key, []).append(record)
+    return groups
 
 
 def aggregate(
@@ -240,12 +321,9 @@ def aggregate(
     value: Callable[[RunRecord], float] = lambda r: r.time,
 ) -> dict[tuple, AggregateStats]:
     """Group records and compute mean / sample stddev / outlier count per group."""
-    keyfn = _group_key_func(group_key)
-    groups: dict[tuple, list[RunRecord]] = {}
-    for r in records:
-        groups.setdefault(keyfn(r), []).append(r)
+    fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
     stats = {}
-    for key, members in groups.items():
+    for key, members in group_records(records, fields).items():
         values = [value(r) for r in members]
         n = len(values)
         mean = sum(values) / n

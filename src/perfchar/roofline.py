@@ -30,14 +30,15 @@ class RooflineModel:
 
     peak_flops: float
     peak_bandwidth: float
-    ridge_intensity: float
     scope: str = "node"
 
     def __post_init__(self):
-        if self.peak_flops <= 0 or self.peak_bandwidth <= 0:
-            raise ParameterError("roofline peaks must be positive")
-        if self.ridge_intensity != self.peak_flops / self.peak_bandwidth:
-            raise ParameterError("ridge_intensity must equal peak_flops / peak_bandwidth")
+        if not (0 < self.peak_flops < math.inf and 0 < self.peak_bandwidth < math.inf):
+            raise ParameterError("roofline peaks must be finite and positive")
+
+    @property
+    def ridge_intensity(self) -> float:
+        return self.peak_flops / self.peak_bandwidth
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,7 @@ class Classification:
 
 def build_roofline(peak_flops: float, peak_bandwidth: float, scope: str = "node") -> RooflineModel:
     """Construct a model from a compute peak (GFlop/s) and a bandwidth peak (GB/s)."""
-    if peak_flops <= 0 or peak_bandwidth <= 0:
-        raise ParameterError("peaks must be positive to build a roofline")
-    return RooflineModel(
-        peak_flops=peak_flops,
-        peak_bandwidth=peak_bandwidth,
-        ridge_intensity=peak_flops / peak_bandwidth,
-        scope=scope,
-    )
+    return RooflineModel(peak_flops, peak_bandwidth, scope)
 
 
 def sustained_perf(model: RooflineModel, intensity: float) -> float:

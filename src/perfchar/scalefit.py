@@ -407,11 +407,6 @@ def fit_mpi_shares(
     )
 
 
-def eval_lb_share(fit: MpiShareFit, p: float) -> float:
-    """Load-balance share (percent) the fitted line predicts at p."""
-    return fit.a * p + fit.b
-
-
 def critical_units(
     fit: MpiShareFit, threshold_pct: float = 100.0, definition: str = "lb_only"
 ) -> CriticalPoint | None:

@@ -1,10 +1,15 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from perfchar.cli import AnalysisConfig, main
-from perfchar.exceptions import ParameterError
+from perfchar.cli import main
+from perfchar.ingest import SHARE_COLUMNS, RunRecord
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
 
@@ -53,21 +58,6 @@ class TestDispatch:
         assert main(["analyze", "energy", "--in", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "RowError" in err
-
-
-class TestAnalysisConfig:
-    def test_requires_some_path(self, tmp_path):
-        with pytest.raises(ParameterError):
-            AnalysisConfig(output_dir=tmp_path / "out")
-
-    def test_creates_output_dir(self, tmp_path):
-        target = tmp_path / "fresh"
-        AnalysisConfig(data_paths=(tmp_path,), output_dir=target, report_format="all")
-        assert target.is_dir()
-
-    def test_bad_format(self, tmp_path):
-        with pytest.raises(ParameterError):
-            AnalysisConfig(data_paths=(tmp_path,), report_format="pdf")
 
 
 class TestSpecShow:
@@ -170,6 +160,19 @@ class TestAnalyzeScaling:
         assert code == 1
         assert "InvalidDataError" in capsys.readouterr().err
 
+    def test_gustafson_zero_base_rate_fails(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(
+            f"{RUNS_HEADER}\n"
+            "tx2,lbc,gnu,1,64,100.0,,0 MLUP/s,\n"
+            "tx2,lbc,gnu,2,64,100.0,,181.7 MLUP/s,\n"
+            "tx2,lbc,gnu,4,64,100.0,,345.1 MLUP/s,\n"
+        )
+        code = main(["analyze", "scaling", "--model", "gustafson", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "positive rate")
+
     def test_mpi_share_fit(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "shares"
         code = main(
@@ -203,6 +206,13 @@ class TestAnalyzeScaling:
         assert code == 1
         assert_one_error_line(capsys, "RowError", "line 4:", "abc")
 
+    def test_share_file_lacking_a_group_column_is_schema_error(self, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "scaling", "--model", "mpi-shares",
+                     "--in", str(fixtures_dir / "mpi_shares.csv"),
+                     "--group", "nosuchfield", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "SchemaError", "missing mandatory column(s) ['nosuchfield']")
+
     def test_projection_grid_override(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "proj"
         main(
@@ -214,13 +224,20 @@ class TestAnalyzeScaling:
         # Baseline projection: speedup 1 + b with the fitted (near-zero) overhead.
         assert float(row["speedup"]) == pytest.approx(1.0, abs=1e-5)
 
-    @pytest.mark.parametrize("model", ["amdahl", "gustafson"])
-    def test_unknown_group_field_is_parameter_error(self, model, fixtures_dir, tmp_path, capsys):
+    # app_metric and energy are RunRecord fields whose values do not order.
+    @pytest.mark.parametrize(
+        "model,field",
+        [("amdahl", "nosuchfield"), ("gustafson", "nosuchfield"),
+         ("gustafson", "app_metric"), ("amdahl", "energy")],
+        ids=["amdahl", "gustafson", "gustafson-app_metric", "amdahl-energy"],
+    )
+    def test_unknown_group_field_is_parameter_error(self, model, field, fixtures_dir, tmp_path,
+                                                    capsys):
         code = main(["analyze", "scaling", "--model", model,
                      "--in", str(fixtures_dir / "gustafson_runs.csv"),
-                     "--group", "app,nosuchfield", "--out-dir", str(tmp_path / "out")])
+                     "--group", f"app,{field}", "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert_one_error_line(capsys, "ParameterError", "nosuchfield", "platform, app, compiler")
+        assert_one_error_line(capsys, "ParameterError", field, "platform, app, compiler")
 
     def test_non_numeric_projection_is_parameter_error(self, fixtures_dir, tmp_path, capsys):
         code = main(["analyze", "scaling", "--model", "amdahl",
@@ -250,6 +267,46 @@ class TestAnalyzeScaling:
         )
         assert captured.err.startswith("perfchar: error: UnderdeterminedError:")
         assert captured.err.count("\n") == 1
+
+
+SCALING_INPUTS = {
+    "amdahl": "amdahl_groups_runs.csv",
+    "gustafson": "gustafson_runs.csv",
+    "mpi-shares": "mpi_shares.csv",
+}
+GROUP_NAMES = sorted({*(f.name for f in dataclasses.fields(RunRecord)), *SHARE_COLUMNS})
+
+
+class TestScalingInputsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=st.sampled_from(sorted(SCALING_INPUTS)),
+        group=st.lists(
+            st.one_of(st.sampled_from(GROUP_NAMES),
+                      st.text("abcdefghijklmnopqrstuvwxyz_0123456789", min_size=1, max_size=8)),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_exit_zero_or_one_error_line(self, fixtures_dir, tmp_path_factory, model, group):
+        out_dir = tmp_path_factory.mktemp("scaling")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "scaling", "--model", model,
+                         "--in", str(fixtures_dir / SCALING_INPUTS[model]),
+                         "--group", ",".join(group), "--out-dir", str(out_dir)])
+        text = err.getvalue()
+        if code == 0:
+            assert text == ""
+            fits = "mpi_share_fits.csv" if model == "mpi-shares" else "scaling_fits.csv"
+            for row in read_csv(out_dir / fits):
+                # Each group is labelled by its value of every --group field.
+                parts = row["group"].split("/")
+                assert len(parts) == len(group) and all(parts)
+        else:
+            assert code == 1
+            assert text.startswith("perfchar: error: ")
+            assert text.count("\n") == 1
+            assert "Traceback" not in text
 
 
 class TestAnalyzeNetwork:
@@ -370,6 +427,13 @@ class TestAnalyzeRoofline:
 
     def test_needs_peaks(self, tmp_path):
         assert main(["analyze", "roofline", "--out-dir", str(tmp_path / "r")]) == 1
+
+    @pytest.mark.parametrize("flops", ["nan", "inf"])
+    def test_non_finite_peak_is_parameter_error(self, flops, tmp_path, capsys):
+        code = main(["analyze", "roofline", "--flops-gflops", flops, "--bandwidth-gbs", "10",
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "roofline peaks must be finite and positive")
 
 
 class TestReportCompare:

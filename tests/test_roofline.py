@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,12 @@ class TestBuildRoofline:
     def test_ridge_from_theoretical_peaks(self):
         assert build_roofline(67.2, 153.60).ridge_intensity == pytest.approx(0.4375, rel=1e-12)
 
-    @pytest.mark.parametrize("flops,bandwidth", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0)])
+    @pytest.mark.parametrize(
+        "flops,bandwidth",
+        [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)],
+    )
     def test_non_positive_peaks(self, flops, bandwidth):
-        with pytest.raises(ParameterError):
+        with pytest.raises(ParameterError, match="finite and positive"):
             build_roofline(flops, bandwidth)
 
 
