@@ -21,6 +21,7 @@ from .ingest import (
     AppMetric,
     PairwiseBandwidthMatrix,
     RunRecord,
+    RunTable,
     WeakLink,
     aggregate,
     detect_weak_links,

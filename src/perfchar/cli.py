@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -35,10 +36,9 @@ from .hwmodel import (
 )
 from .ingest import (
     GROUP_FIELDS,
-    RunRecord,
+    RunTable,
     aggregate,
     detect_weak_links,
-    group_records,
     parse_kernel_points,
     parse_pairwise_bandwidth,
     parse_runs,
@@ -299,7 +299,7 @@ def _cmd_analyze_roofline(args) -> int:
             flops = node_peak_flops(spec, args.precision, args.mode)
         else:
             flops = peak_flops(spec, args.precision, args.mode)
-        bandwidth = args.bandwidth_gbs or peak_bandwidth(spec)
+        bandwidth = peak_bandwidth(spec) if args.bandwidth_gbs is None else args.bandwidth_gbs
         label = spec.name
     else:
         if args.flops_gflops is None or args.bandwidth_gbs is None:
@@ -375,25 +375,43 @@ def _cmd_analyze_roofline(args) -> int:
     return 0
 
 
-def _speedup_points(members: list[RunRecord], model: str) -> list[tuple[float, float]]:
-    """Speedup per node count: time ratios for strong scaling, rate ratios for weak."""
+def _speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
+    """Labels and speedup points per group in sorted key order, and the first failure.
+
+    Speedups are time ratios for strong scaling and rate ratios for weak
+    scaling, against each group's smallest node count. Groups are reported up
+    to the first one that fails; its error is returned (None when none fails).
+    Only the groups before it are aggregated.
+    """
+    failure, value = None, "time"
     if model == "gustafson":
-        missing = [r for r in members
-                   if r.app_metric is None or not r.app_metric.is_rate() or r.app_metric.value <= 0]
-        if missing:
-            raise InvalidDataError(
+        value = "metric_value"
+        keys = list(zip(*map(runs.column, fields)))
+        unusable = ~(runs.is_rate() & (runs.metric_value > 0))
+        first_failing = min(compress(keys, unusable), default=None)
+        if first_failing is not None:
+            failure = InvalidDataError(
                 "weak-scaling fits need a positive rate app_metric (e.g. MLUP/s) on every record"
             )
-        by_nodes = aggregate(members, group_key=("nodes",), value=lambda r: r.app_metric.value)
-        base = by_nodes[(min(k[0] for k in by_nodes),)].mean
-        return [(k[0], st.mean / base) for k, st in sorted(by_nodes.items())]
-    by_nodes = aggregate(members, group_key=("nodes",))
-    base = by_nodes[(min(k[0] for k in by_nodes),)].mean
-    return [(k[0], base / st.mean) for k, st in sorted(by_nodes.items())]
+            runs = runs.take(np.flatnonzero([key < first_failing for key in keys]))
+    means: dict[tuple, dict[int, float]] = {}
+    for (*key, nodes), st in aggregate(runs, (*fields, "nodes"), value=value).items():
+        means.setdefault(tuple(key), {})[nodes] = st.mean
+    labels, points = [], []
+    for key, by_nodes in sorted(means.items()):
+        base = by_nodes[min(by_nodes)]
+        if model == "gustafson":
+            points.append([(p, by_nodes[p] / base) for p in sorted(by_nodes)])
+        else:
+            points.append([(p, base / by_nodes[p]) for p in sorted(by_nodes)])
+        labels.append("/".join(str(k) for k in key))
+    return labels, points, failure
 
 
 def _cmd_analyze_scaling(args) -> int:
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
+    if not fields:
+        raise ParameterError(f"--group names no field: {args.group!r}")
     try:
         p_list = [float(p) for p in args.project.split(",") if p.strip()]
     except ValueError as exc:
@@ -439,19 +457,11 @@ def _cmd_analyze_scaling(args) -> int:
         raise ParameterError(
             f"unknown --group field(s) {', '.join(unknown)}; valid: {', '.join(GROUP_FIELDS)}"
         )
-    records = parse_runs(args.input)
-    # Speedups are built group by group up to the first group that fails;
-    # its error is raised after the groups before it are reported. Amdahl
-    # fits come back as results or errors, Gustafson fits are made lazily, so
-    # a group whose fit fails also stops the report at that group.
-    labels, points, failure = [], [], None
-    for key, members in sorted(group_records(records, fields).items()):
-        try:
-            points.append(_speedup_points(members, args.model))
-        except PerfcharError as exc:
-            failure = exc
-            break
-        labels.append("/".join(str(k) for k in key))
+    # Speedups are built up to the first group that fails; its error is
+    # raised after the groups before it are reported. Amdahl fits come back
+    # as results or errors, Gustafson fits are made lazily, so a group whose
+    # fit fails also stops the report at that group.
+    labels, points, failure = _speedup_points(parse_runs(args.input), fields, args.model)
     if args.model == "amdahl":
         fits = fit_amdahl_many(points, unit="nodes")
     else:
@@ -496,22 +506,17 @@ def _write_table(header: list[str], columns: list[list[str]]) -> None:
 
 
 def _cmd_analyze_energy(args) -> int:
-    records = sorted(
-        parse_runs(args.input), key=lambda r: (r.app, r.platform, r.compiler, r.nodes, r.timestamp)
-    )
-    has_energy = [r.energy is not None for r in records]
-    has_rate = [e and r.app_metric is not None and r.app_metric.is_rate()
-                for r, e in zip(records, has_energy)]
-    time = [r.time for r in records]
-    e2s, edp, work = energy_terms(
-        np.array([r.energy if e else np.nan for r, e in zip(records, has_energy)]),
-        np.array(time),
-        np.array([r.app_metric.value if w else np.nan for r, w in zip(records, has_rate)]),
-    )
+    runs = parse_runs(args.input)
+    keys = list(zip(runs.app, runs.platform, runs.compiler, runs.nodes.tolist(), runs.timestamp))
+    runs = runs.take(np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp))
+    has_energy = ~np.isnan(runs.energy)
+    has_rate = has_energy & runs.is_rate()
+    e2s, edp, work = energy_terms(runs.energy, runs.time, np.where(has_rate, runs.metric_value, np.nan))
+    has_energy, has_rate = has_energy.tolist(), has_rate.tolist()
     derived = [(e2s.tolist(), has_energy), (edp.tolist(), has_energy), (work.tolist(), has_rate)]
-    labels = [[getattr(r, field) for r in records] for field in ("app", "platform", "compiler")]
-    nodes = [r.nodes for r in records]
-    units = [per_joule_unit(r.app_metric.unit) if w else "" for r, w in zip(records, has_rate)]
+    labels = [runs.app, runs.platform, runs.compiler]
+    nodes, time = runs.nodes.tolist(), runs.time.tolist()
+    units = [per_joule_unit(u) if w else "" for u, w in zip(runs.metric_unit, has_rate)]
     g6 = "{:.6g}".format
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",
               "work_per_joule", "work_unit"]

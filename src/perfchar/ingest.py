@@ -10,8 +10,10 @@ JSON array of objects with the same field names:
 * kernel points: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
   ``access_bytes``); optional ``gflops,time_share_pct``
 
-Energy is stored in joules; presentation layers convert to kJ. The app metric
-is a free ``value unit`` pair such as ``266.7 MLUP/s``.
+Files are read as whole columns (``read_columns``). Runs come back as a
+``RunTable``, which holds them as columns and builds a ``RunRecord`` only when
+a row is asked for. Energy is stored in joules; presentation layers convert
+to kJ. The app metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass
+import operator
+from collections.abc import Sequence
+from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
-from operator import attrgetter
+from itertools import compress, islice, zip_longest
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -64,6 +68,17 @@ SYMMETRY_TOLERANCE = 0.10
 #: Robust sigma estimate: 1.4826 * median absolute deviation (normal-consistent).
 MAD_SIGMA_FACTOR = 1.4826
 
+#: CSV rows turned into columns at a time. Transposing a whole large file at
+#: once holds every row list and every column list together, about a third
+#: more peak memory on a 10^5-row pairwise file.
+READ_BLOCK_ROWS = 4096
+
+
+def _split_metric(text: str) -> tuple[float, str]:
+    """(value, unit) of an app metric text such as ``266.7 MLUP/s``."""
+    parts = text.strip().split(None, 1)
+    return float(parts[0]), parts[1].strip() if len(parts) > 1 else ""
+
 
 @dataclass(frozen=True)
 class AppMetric:
@@ -74,10 +89,7 @@ class AppMetric:
 
     @classmethod
     def from_text(cls, text: str) -> "AppMetric":
-        parts = text.strip().split(None, 1)
-        value = float(parts[0])
-        unit = parts[1].strip() if len(parts) > 1 else ""
-        return cls(value, unit)
+        return cls(*_split_metric(text))
 
     def is_rate(self) -> bool:
         return self.unit.endswith("/s")
@@ -115,6 +127,89 @@ class RunRecord:
             _validate_iso8601(self.timestamp)
 
 
+@dataclass(frozen=True, eq=False)
+class RunTable(Sequence):
+    """Validated run records held as columns; a sequence of RunRecord.
+
+    String columns are lists and numeric columns numpy arrays, one entry per
+    record in file order. ``energy`` and ``metric_value`` read NaN where a
+    record has no energy or no app metric, and ``metric_unit`` reads "" where
+    it has no app metric. Indexing and iteration build RunRecords on demand,
+    and a slice is a RunTable.
+    """
+
+    platform: list[str]
+    app: list[str]
+    compiler: list[str]
+    nodes: np.ndarray
+    ranks_per_node: np.ndarray
+    time: np.ndarray  # seconds
+    energy: np.ndarray  # joules
+    metric_value: np.ndarray
+    metric_unit: list[str]
+    timestamp: list[str]
+
+    @classmethod
+    def from_records(cls, records: Iterable[RunRecord]) -> "RunTable":
+        """The table of ``records``; a RunTable is returned as it is."""
+        if isinstance(records, cls):
+            return records
+        no_metric = AppMetric(math.nan, "")
+        rows = [(r.platform, r.app, r.compiler, r.nodes, r.ranks_per_node, r.time,
+                 math.nan if r.energy is None else r.energy, (r.app_metric or no_metric).value,
+                 (r.app_metric or no_metric).unit, r.timestamp) for r in records]
+        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(10)]
+        return cls(*columns[:3], *map(np.array, columns[3:8]), *columns[8:])
+
+    def __len__(self) -> int:
+        return len(self.platform)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self.take(np.arange(len(self))[index])
+        energy, value = float(self.energy[index]), float(self.metric_value[index])
+        return RunRecord(
+            self.platform[index],
+            self.app[index],
+            self.compiler[index],
+            int(self.nodes[index]),
+            int(self.ranks_per_node[index]),
+            float(self.time[index]),
+            None if math.isnan(energy) else energy,
+            None if math.isnan(value) else AppMetric(value, self.metric_unit[index]),
+            self.timestamp[index],
+        )
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        # Equal to a table or list holding the same records, as the list of
+        # records parse_runs once returned was.
+        if isinstance(other, (RunTable, list)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def column(self, name: str) -> list:
+        """The values of one field as a list of Python objects."""
+        values = getattr(self, name)
+        return values.tolist() if isinstance(values, np.ndarray) else values
+
+    def take(self, rows: np.ndarray) -> "RunTable":
+        """The table of the records at ``rows`` (integer indices), in that order."""
+        picks = rows.tolist()
+
+        def pick(values):
+            return values[rows] if isinstance(values, np.ndarray) else list(map(values.__getitem__, picks))
+
+        return RunTable(*(pick(getattr(self, f.name)) for f in dataclass_fields(self)))
+
+    def is_rate(self) -> np.ndarray:
+        """Which records carry a rate app metric (a unit ending in ``/s``)."""
+        rate = {unit: unit.endswith("/s") for unit in set(self.metric_unit)}
+        return np.fromiter(map(rate.__getitem__, self.metric_unit), bool, len(self))
+
+
 @dataclass(frozen=True)
 class AggregateStats:
     """Per-group sample statistics; stddev is the (n-1) sample deviation."""
@@ -140,81 +235,135 @@ def _validate_iso8601(text: str) -> None:
         raise ParameterError(f"timestamp {text!r} is not ISO-8601") from exc
 
 
-def read_rows(source: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()):
-    """Yield (line_number, values) from a CSV or JSON file, validating the header.
+def read_columns(
+    source: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> tuple[Sequence[int], list[list[str]]]:
+    """Line numbers and cell columns of a CSV or JSON file, validating the header.
 
-    ``values`` lists one string per name in ``columns`` then ``optional``, in
-    that order; an optional column the file lacks reads as "".
+    Returns the line numbers of the data rows (entry numbers for JSON) and
+    one list of cell strings per name in ``columns`` then ``optional``, in that
+    order. CSV cells are stripped; an optional column the file lacks reads "".
     """
     path = Path(source)
     text = path.read_text(encoding="utf-8")
-    stripped = text.lstrip()
     names = (*columns, *optional)
-    if path.suffix.lower() == ".json" or stripped.startswith("["):
+    if path.suffix.lower() == ".json" or text.lstrip().startswith("["):
         try:
             entries = json.loads(text)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise SchemaError(f"{path}: JSON input must be an array of objects")
+        required = set(columns)
         for i, entry in enumerate(entries, start=1):
             if not isinstance(entry, dict):
                 raise SchemaError(f"{path}: entry {i} is not an object")
-            missing = [c for c in columns if c not in entry]
-            if missing:
+            if not entry.keys() >= required:
+                missing = [c for c in columns if c not in entry]
                 raise SchemaError(f"{path}: entry {i} lacks mandatory fields {missing}")
-            yield i, ["" if entry.get(k) is None else str(entry[k]) for k in names]
-        return
+        cells = [["" if e.get(k) is None else str(e[k]) for e in entries] for k in names]
+        return range(1, len(entries) + 1), cells
 
     # Comment lines (leading '#') are tolerated so fixtures can carry notes;
     # reported line numbers always refer to the original file.
-    kept = [
-        (number, line)
-        for number, line in enumerate(text.splitlines(), start=1)
-        if not line.lstrip().startswith("#")
-    ]
-    reader = csv.reader(line for _, line in kept)
-    header = next(reader, None)
-    if header is None:
+    commented, lines = "#" in text, text.splitlines()
+    del text  # the lines hold it again; a large file should not be held twice
+    numbers = range(1, len(lines) + 1)
+    if commented:
+        kept = [i for i, line in enumerate(lines) if not line.lstrip().startswith("#")]
+        lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
+    if not lines:
         raise SchemaError(f"{path}: empty file, header row is mandatory")
+    reader = csv.reader(lines)
+    header = next(reader)
+    row_lines: list[int] = []
+
+    def numbered_rows():
+        for row in reader:
+            if row:
+                # A quoted field may span lines; a row is numbered by its last line.
+                row_lines.append(numbers[reader.line_num - 1])
+                yield row
+
+    rows = numbered_rows()
     missing = [c for c in columns if c not in header]
     if missing:
         raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
-    # A repeated column name reads its last occurrence; an absent optional
-    # column reads the "" appended after each row's last field.
-    width = len(header)
+    # A repeated column name reads its last occurrence. Short rows read ""
+    # past their last field, and fields past the header's width are ignored.
     position = {name: i for i, name in enumerate(header)}
-    indices = [position.get(name, width) for name in names]
-    lacks_optional = width in indices
-    for row in reader:
-        if not row:
-            continue
-        if len(row) != width:
-            row = row[:width] + [""] * (width - len(row))
-        if lacks_optional:
-            row.append("")
-        original_line = kept[min(reader.line_num, len(kept)) - 1][0]
-        yield original_line, [row[i].strip() for i in indices]
+    picks = [position.get(name) for name in names]
+    cells = [[] for _ in names]
+    while block := list(islice(rows, READ_BLOCK_ROWS)):
+        fields = list(zip_longest(*block, fillvalue=""))
+        for out, i in zip(cells, picks):
+            if i is None or i >= len(fields):
+                out.extend([""] * len(block))
+            else:
+                out.extend(map(str.strip, fields[i]))
+    return row_lines, cells
 
 
-def parse_runs(source: str | Path) -> list[RunRecord]:
-    """Load and validate run records; raises RowError listing every bad line."""
-    records: list[RunRecord] = []
-    failures: list[tuple[int, str]] = []
-    for line, values in read_rows(source, RUNS_COLUMNS):
-        platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = values
+def _row_error(lines: Sequence[int], rows: Iterable[tuple], check: Callable) -> RowError:
+    """The RowError of every row on which ``check(*row)`` raises ValueError, in row order."""
+    failures = []
+    for line, row in zip(lines, rows):
         try:
-            energy = float(energy_j) if energy_j else None
-            metric = AppMetric.from_text(app_metric) if app_metric else None
-            records.append(
-                RunRecord(platform, app, compiler, int(nodes), int(ranks), float(time_s),
-                          energy, metric, timestamp)
-            )
-        except (ParameterError, ValueError) as exc:
+            check(*row)
+        except ValueError as exc:  # ParameterError is a ValueError
             failures.append((line, str(exc)))
-    if failures:
-        raise RowError(failures)
-    return records
+    return RowError(failures)
+
+
+def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp):
+    """The RunRecord of one row of cells; raises ValueError for the first check it fails."""
+    energy = float(energy_j) if energy_j else None
+    metric = AppMetric.from_text(app_metric) if app_metric else None
+    return RunRecord(platform, app, compiler, int(nodes), int(ranks), float(time_s),
+                     energy, metric, timestamp)
+
+
+def _run_table(cells: list[list[str]]) -> RunTable | None:
+    """The RunTable of the runs columns, or None when some row fails ``_run_record``.
+
+    Converts and checks whole columns at once. Which rows fail, and why, is
+    left to ``_run_record``.
+    """
+    platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = cells
+    try:
+        # A blank energy or app metric is absent: NaN, and "" for the unit.
+        energy = np.array([float(text) if text else math.nan for text in energy_j], dtype=float)
+        metric = [_split_metric(text) if text else (math.nan, "") for text in app_metric]
+        nodes = np.array(list(map(int, nodes)))
+        ranks = np.array(list(map(int, ranks)))
+        time = np.array(list(map(float, time_s)), dtype=float)
+        for stamp in set(timestamp) - {""}:
+            _validate_iso8601(stamp)
+    except (ValueError, IndexError):  # IndexError: a blank JSON app metric
+        return None
+    metric_value = np.array([value for value, _ in metric], dtype=float)
+    has_energy = np.fromiter(map(bool, energy_j), bool, len(energy_j))
+    has_metric = np.fromiter(map(bool, app_metric), bool, len(app_metric))
+    valid = ((nodes >= 1) & (ranks >= 1) & (time > 0) & (time < math.inf)
+             & (~has_energy | (energy > 0) & (energy < math.inf))
+             & (~has_metric | np.isfinite(metric_value)))
+    if not valid.all():
+        return None
+    return RunTable(platform, app, compiler, nodes, ranks, time, energy, metric_value,
+                    [unit for _, unit in metric], timestamp)
+
+
+def parse_runs(source: str | Path) -> RunTable:
+    """Load and validate run records; raises RowError listing every bad line.
+
+    Each bad line is reported with the first check its row fails in
+    ``_run_record``: the cell conversions, then RunRecord's own checks.
+    """
+    lines, cells = read_columns(source, RUNS_COLUMNS)
+    runs = _run_table(cells)
+    if runs is None:
+        raise _row_error(lines, zip(*cells), _run_record)
+    return runs
 
 
 def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
@@ -225,7 +374,8 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
     """
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
     failures = []
-    for line, (*key, procs, lb, com) in read_rows(source, (*fields, *SHARE_COLUMNS)):
+    lines, cells = read_columns(source, (*fields, *SHARE_COLUMNS))
+    for line, *key, procs, lb, com in zip(lines, *cells):
         try:
             point = (float(procs), float(lb), float(com))
         except ValueError as exc:
@@ -248,8 +398,10 @@ def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
     listing every line that is not a valid point.
     """
     points, failures = [], []
-    for line, values in read_rows(source, ("label",), optional=KERNEL_POINT_COLUMNS):
-        label, intensity, flops, loads, stores, access_bytes, measured, share = values
+    lines, cells = read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS)
+    for line, label, intensity, flops, loads, stores, access_bytes, measured, share in zip(
+        lines, *cells
+    ):
         try:
             if intensity:
                 value = float(intensity)
@@ -304,36 +456,56 @@ def serialize_runs(records: Iterable[RunRecord]) -> str:
 
 def group_records(
     records: Iterable[RunRecord], fields: tuple[str, ...]
-) -> dict[tuple, list[RunRecord]]:
-    """Records by the tuple of their ``fields`` values, groups in first-seen order."""
-    get = attrgetter(*fields) if fields else lambda r: ()
-    single = len(fields) == 1  # attrgetter of one name returns the bare value
-    groups: dict[tuple, list[RunRecord]] = {}
-    for record in records:
-        key = get(record)
-        groups.setdefault((key,) if single else key, []).append(record)
-    return groups
+) -> dict[tuple, np.ndarray]:
+    """Row indices of the records by the tuple of their ``fields`` values.
+
+    Groups come in first-seen order, and each group's rows in record order.
+    """
+    runs = RunTable.from_records(records)
+    keys = list(zip(*map(runs.column, fields))) if fields else [()] * len(runs)
+    code = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    group = np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
+    ends = np.cumsum(np.bincount(group, minlength=len(code)))
+    return dict(zip(code, np.split(np.argsort(group, kind="stable"), ends[:-1])))
 
 
 def aggregate(
-    records: Sequence[RunRecord],
+    records: Iterable[RunRecord],
     group_key=("app", "platform", "compiler"),
-    value: Callable[[RunRecord], float] = lambda r: r.time,
+    value: str = "time",
 ) -> dict[tuple, AggregateStats]:
-    """Group records and compute mean / sample stddev / outlier count per group."""
+    """Group records and compute mean / sample stddev / outlier count per group.
+
+    ``value`` names the numeric RunTable column aggregated: ``time``,
+    ``energy`` or ``metric_value``.
+    """
+    runs = RunTable.from_records(records)
     fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
+    column = getattr(runs, value)
     stats = {}
-    for key, members in group_records(records, fields).items():
-        values = [value(r) for r in members]
+    for key, rows in group_records(runs, fields).items():
+        # Python sums in record order: a numpy reduction adds pairwise and
+        # changes the last bits of the mean.
+        members = column[rows]
+        values = members.tolist()
         n = len(values)
         mean = sum(values) / n
         if n > 1:
             stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
         else:
             stddev = 0.0
-        flagged = flag_outliers(members, value=value)
-        stats[key] = AggregateStats(mean, stddev, n, len(flagged or ()))
+        flagged = _outliers(members, 3.0)
+        stats[key] = AggregateStats(mean, stddev, n, 0 if flagged is None else int(flagged.sum()))
     return stats
+
+
+def _outliers(values: np.ndarray, k: float) -> np.ndarray | None:
+    """Mask of values farther than k MAD-based sigmas from their median; None below three."""
+    if len(values) < 3:
+        return None
+    median = float(np.median(values))
+    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
+    return np.abs(values - median) > k * sigma
 
 
 def flag_outliers(
@@ -349,12 +521,8 @@ def flag_outliers(
     """
     if k <= 0:
         raise ParameterError("k must be > 0")
-    if len(records) < 3:
-        return None
-    values = np.array([value(r) for r in records], dtype=float)
-    median = float(np.median(values))
-    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
-    return [r for r, v in zip(records, values) if abs(v - median) > k * sigma]
+    flagged = _outliers(np.array([value(r) for r in records], dtype=float), k)
+    return None if flagged is None else list(compress(records, flagged))
 
 
 @dataclass(frozen=True)
@@ -401,71 +569,88 @@ def _check_pair(a: str, b: str, bw: float) -> None:
         raise ParameterError(f"bandwidth for pair ({a}, {b}) must be finite and > 0")
 
 
+def _bad_pairs(node_a: list[str], node_b: list[str], gbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the self-pairs and of the bandwidths outside (0, inf)."""
+    same = np.fromiter(map(operator.eq, node_a, node_b), bool, len(node_a))
+    return same, ~((gbs > 0) & (gbs < math.inf))
+
+
 def build_pairwise_matrix(
     entries: Iterable[tuple[str, str, float]], message_size: int
 ) -> PairwiseBandwidthMatrix:
     """Assemble a symmetric matrix from directed (node_a, node_b, GB/s) entries."""
-    directed: dict[tuple[str, str], float] = {}
-    nodes: set[str] = set()
-    for a, b, bw in entries:
-        _check_pair(a, b, bw)
-        directed[(a, b)] = bw
-        nodes.update((a, b))
-    node_ids = tuple(sorted(nodes))
+    node_a, node_b, gbs = list(zip(*entries)) or ((), (), ())
+    gbs = np.array(gbs, dtype=float)
+    same, bad_bw = _bad_pairs(node_a, node_b, gbs)
+    bad = np.flatnonzero(same | bad_bw)
+    if bad.size:
+        first = int(bad[0])
+        _check_pair(node_a[first], node_b[first], float(gbs[first]))
+    node_ids = tuple(sorted({*node_a, *node_b}))
     n = len(node_ids)
-    matrix = np.full((n, n), np.nan)
-    warnings_list: list[tuple[str, str, float]] = []
-    missing: list[tuple[str, str]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = node_ids[i], node_ids[j]
-            forward = directed.get((a, b))
-            backward = directed.get((b, a))
-            if forward is None and backward is None:
-                missing.append((a, b))
-                continue
-            if forward is not None and backward is not None:
-                value = (forward + backward) / 2.0
-                rel = abs(forward - backward) / value
-                if rel > SYMMETRY_TOLERANCE:
-                    warnings_list.append((a, b, rel))
-            else:
-                value = forward if forward is not None else backward
-            matrix[i, j] = matrix[j, i] = value
+    index = {node: i for i, node in enumerate(node_ids)}
+    src = np.fromiter(map(index.__getitem__, node_a), np.intp, len(node_a))
+    dst = np.fromiter(map(index.__getitem__, node_b), np.intp, len(node_b))
+    # A directed pair measured twice keeps its last value. Numpy leaves the
+    # winner of a repeated fancy-index assignment unspecified, so keep only
+    # the last entry of each pair.
+    _, from_end = np.unique((src * n + dst)[::-1], return_index=True)
+    last = len(src) - 1 - from_end
+    forward = np.full((n, n), np.nan)
+    forward[src[last], dst[last]] = gbs[last]
+    backward = forward.T
+    both = ~np.isnan(forward) & ~np.isnan(backward)
+    with np.errstate(over="ignore"):  # overflow to inf without a warning, as Python floats do
+        mean = (forward + backward) / 2.0
+        rel = np.abs(forward - backward) / mean
+    value = np.where(both, mean, np.where(np.isnan(forward), backward, forward))
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    missing = [(node_ids[i], node_ids[j]) for i, j in zip(*np.nonzero(upper & np.isnan(value)))]
     if missing:
         pairs = ", ".join(f"({a}, {b})" for a, b in missing)
         raise IncompleteMatrixError(f"missing bandwidth for pair(s): {pairs}", missing)
+    rows, cols = np.nonzero(upper & both & (rel > SYMMETRY_TOLERANCE))
+    warnings_list = [
+        (node_ids[i], node_ids[j], r) for i, j, r in zip(rows, cols, rel[rows, cols].tolist())
+    ]
+    matrix = np.where(upper | upper.T, value, np.nan)
     return PairwiseBandwidthMatrix(node_ids, matrix, message_size, tuple(warnings_list))
 
 
-def _pairwise_entries(source: str | Path) -> dict[int, list[tuple[str, str, float]]]:
-    """Read and validate every pairwise row, grouped by message size."""
-    by_size: dict[int, list[tuple[str, str, float]]] = {}
-    failures: list[tuple[int, str]] = []
-    for line, (a, b, msg_bytes, bandwidth, unit) in read_rows(
+def _gbs_divisor(unit: str) -> float:
+    """What a bandwidth in ``unit`` (GB/s when blank) is divided by to read GB/s."""
+    unit = unit.strip() or "GB/s"
+    if unit.lower() in ("mb/s", "mbs"):
+        return 1000.0
+    if unit.lower() not in ("gb/s", "gbs"):
+        raise ValueError(f"unknown bandwidth unit {unit!r}")
+    return 1.0
+
+
+def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> None:
+    """Check one pairwise row; raises ValueError for the first check it fails."""
+    int(msg_bytes)
+    _check_pair(a, b, float(bandwidth) / _gbs_divisor(unit))
+
+
+def _pairwise_entries(source: str | Path) -> tuple[list[int], list[str], list[str], list[float]]:
+    """Read and validate every pairwise row: message sizes, node_a, node_b and GB/s columns."""
+    lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(
         source, PAIRWISE_COLUMNS, optional=("unit",)
-    ):
-        try:
-            size = int(msg_bytes)
-            bw = float(bandwidth)
-            unit = unit.strip() or "GB/s"
-            if unit.lower() in ("mb/s", "mbs"):
-                bw /= 1000.0
-            elif unit.lower() not in ("gb/s", "gbs"):
-                raise ValueError(f"unknown bandwidth unit {unit!r}")
-            _check_pair(a, b, bw)
-            by_size.setdefault(size, []).append((a, b, bw))
-        except ValueError as exc:
-            failures.append((line, str(exc)))
-    if failures:
-        raise RowError(failures)
-    return by_size
-
-
-def parse_pairwise_sweep(source: str | Path) -> dict[int, PairwiseBandwidthMatrix]:
-    """Parse a pairwise bandwidth file into one matrix per message size."""
-    by_size = sorted(_pairwise_entries(source).items())
-    return {size: build_pairwise_matrix(entries, size) for size, entries in by_size}
+    )
+    # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
+    try:
+        sizes = list(map(int, msg_bytes))
+        divisor = {text: _gbs_divisor(text) for text in set(unit)}
+        gbs = np.array(list(map(float, bandwidth)), dtype=float)
+        gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
+        valid = not any(mask.any() for mask in _bad_pairs(node_a, node_b, gbs))
+    except ValueError:
+        valid = False
+    if not valid:
+        raise _row_error(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
+    del msg_bytes, bandwidth  # converted; free the cell text of large files early
+    return sizes, node_a, node_b, gbs.tolist()
 
 
 def parse_pairwise_bandwidth(
@@ -475,18 +660,21 @@ def parse_pairwise_bandwidth(
 
     Rows of every size are validated; only the selected size is assembled.
     """
-    by_size = _pairwise_entries(source)
-    if not by_size:
+    sizes, node_a, node_b, gbs = _pairwise_entries(source)
+    present = set(sizes)
+    if not present:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
     if message_size is None:
-        if len(by_size) > 1:
+        if len(present) > 1:
             raise SchemaError(
-                f"{source}: contains {len(by_size)} message sizes {sorted(by_size)}; pick one"
+                f"{source}: contains {len(present)} message sizes {sorted(present)}; pick one"
             )
-        (message_size,) = by_size
-    elif message_size not in by_size:
+        (message_size,) = present
+    elif message_size not in present:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    return build_pairwise_matrix(by_size[message_size], message_size)
+    keep = [size == message_size for size in sizes]
+    entries = zip(compress(node_a, keep), compress(node_b, keep), compress(gbs, keep))
+    return build_pairwise_matrix(entries, message_size)
 
 
 def detect_weak_links(
@@ -496,28 +684,26 @@ def detect_weak_links(
 
     The row median is the baseline (robust against the high diagonal-neighbor
     pairs a tree topology produces); a pair is checked against both of its
-    rows and reported once with the larger deficit.
+    rows and reported once with the larger deficit. ``threshold`` is a
+    fraction in [0, 1).
     """
-    if threshold < 0:
-        raise ParameterError("threshold must be >= 0")
+    if not 0 <= threshold < 1:
+        raise ParameterError(f"threshold must be within [0, 1), got {threshold!r}")
     n = len(matrix.node_ids)
-    medians = [matrix.row_median(i) for i in range(n)]
-    links = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bw = float(matrix.bandwidth[i, j])
-            if math.isnan(bw):
-                continue
-            reference = max(medians[i], medians[j])
-            if bw < (1.0 - threshold) * medians[i] or bw < (1.0 - threshold) * medians[j]:
-                links.append(
-                    WeakLink(
-                        matrix.node_ids[i],
-                        matrix.node_ids[j],
-                        bw,
-                        reference,
-                        1.0 - bw / reference,
-                    )
-                )
+    # One nanmedian per row, as row_median: np.nanmedian(axis=1) takes another
+    # path on rows shorter than 600 that overflows to inf above 8.9e307.
+    medians = np.array([matrix.row_median(i) for i in range(n)])
+    rows, cols = np.triu_indices(n, 1)
+    bw = matrix.bandwidth[rows, cols]
+    factor = 1.0 - threshold
+    weak = np.flatnonzero((bw < factor * medians[rows]) | (bw < factor * medians[cols]))
+    rows, cols, bw = rows[weak], cols[weak], bw[weak]
+    # max(median_i, median_j) as Python's max picks it: the first unless the second is larger.
+    reference = np.where(medians[cols] > medians[rows], medians[cols], medians[rows])
+    links = [
+        WeakLink(matrix.node_ids[i], matrix.node_ids[j], b, ref, d)
+        for i, j, b, ref, d in zip(rows.tolist(), cols.tolist(), bw.tolist(), reference.tolist(),
+                                   (1.0 - bw / reference).tolist())
+    ]
     links.sort(key=lambda w: (-w.deficit, w.node_a, w.node_b))
     return links

@@ -7,10 +7,12 @@ nodes at scale), so every efficiency value carries a mandatory unit label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .exceptions import EmptyComparisonError, ParameterError
-from .ingest import AppMetric, RunRecord, aggregate
+from .ingest import AppMetric, RunRecord, RunTable, aggregate
 
 
 @dataclass(frozen=True)
@@ -158,25 +160,23 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def compare_platforms(records: Sequence[RunRecord], metric: str = "time") -> ComparisonTable:
+def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> ComparisonTable:
     """Cross-platform comparison of shared applications.
 
     ``delta_pct`` states how much of a run the best group saves: for times,
     100 * (1 - best/value); for rates, 100 * (1 - value/best). Requires at
     least two distinct platforms sharing an app.
     """
+    runs = RunTable.from_records(records)
     if metric == "time":
-        value = lambda r: r.time
-        usable = list(records)
-        lower_is_better = True
+        value, lower_is_better = "time", True
     elif metric == "rate":
-        usable = [r for r in records if r.app_metric is not None and r.app_metric.is_rate()]
-        value = lambda r: r.app_metric.value
-        lower_is_better = False
+        runs = runs.take(np.flatnonzero(runs.is_rate()))
+        value, lower_is_better = "metric_value", False
     else:
         raise ParameterError(f"metric must be 'time' or 'rate', got {metric!r}")
 
-    stats = aggregate(usable, group_key=("app", "platform", "compiler"), value=value)
+    stats = aggregate(runs, group_key=("app", "platform", "compiler"), value=value)
     by_app: dict[str, dict[tuple[str, str], object]] = {}
     for (app, platform, compiler), st in stats.items():
         by_app.setdefault(app, {})[(platform, compiler)] = st

@@ -173,6 +173,27 @@ class TestAnalyzeScaling:
         assert code == 1
         assert_one_error_line(capsys, "InvalidDataError", "positive rate")
 
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            # one (group, nodes) cell whose values, if aggregated, overflow the stddev
+            ["tx2,lbc,gnu,1,64,100.0,,1e200 steps,", "tx2,lbc,gnu,1,64,100.0,,1 steps,"],
+            # the failing group's own rates overflow; a non-rate row fails it
+            ["tx2,lbc,gnu,1,64,100.0,,1e200 MLUP/s,", "tx2,lbc,gnu,1,64,100.0,,1 MLUP/s,",
+             "tx2,lbc,gnu,2,64,100.0,,5 steps,"],
+            # a later group's rates overflow; an earlier group has no rate
+            ["tx2,a1,gnu,1,64,100.0,,5 steps,", "tx2,a2,gnu,1,64,100.0,,1e200 MLUP/s,",
+             "tx2,a2,gnu,1,64,100.0,,1 MLUP/s,"],
+        ],
+    )
+    def test_gustafson_failing_group_stops_before_aggregating(self, rows, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("\n".join([RUNS_HEADER, *rows, ""]))
+        code = main(["analyze", "scaling", "--model", "gustafson", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "positive rate")
+
     def test_mpi_share_fit(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "shares"
         code = main(
@@ -238,6 +259,19 @@ class TestAnalyzeScaling:
                      "--group", f"app,{field}", "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert_one_error_line(capsys, "ParameterError", field, "platform, app, compiler")
+
+    @pytest.mark.parametrize(
+        "model,source",
+        [("amdahl", "amdahl_runs.csv"), ("gustafson", "gustafson_runs.csv"),
+         ("mpi-shares", "mpi_shares.csv")],
+    )
+    def test_empty_group_is_parameter_error(self, model, source, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "scaling", "--model", model,
+                     "--in", str(fixtures_dir / source),
+                     "--group", ",", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "--group")
+        assert not (tmp_path / "out").exists()
 
     def test_non_numeric_projection_is_parameter_error(self, fixtures_dir, tmp_path, capsys):
         code = main(["analyze", "scaling", "--model", "amdahl",
@@ -361,6 +395,15 @@ class TestAnalyzeNetwork:
         assert code == 1
         assert_one_error_line(capsys, "RowError", "line 13:")
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-0.1", "1", "2"])
+    def test_threshold_outside_unit_interval_is_parameter_error(self, threshold, fixtures_dir,
+                                                                tmp_path, capsys):
+        code = main(["analyze", "network", "--in", str(fixtures_dir / "pairwise_8node.csv"),
+                     "--threshold", threshold, "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "threshold")
+        assert not (tmp_path / "out").exists()
+
     def test_clean_matrix_writes_header_only(self, tmp_path):
         source = tmp_path / "clean.csv"
         lines = ["node_a,node_b,msg_bytes,bandwidth_gbs"]
@@ -427,6 +470,13 @@ class TestAnalyzeRoofline:
 
     def test_needs_peaks(self, tmp_path):
         assert main(["analyze", "roofline", "--out-dir", str(tmp_path / "r")]) == 1
+
+    def test_zero_bandwidth_overrides_spec(self, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "roofline",
+                     "--spec", str(fixtures_dir / "platforms" / "dibona-tx2.json"),
+                     "--bandwidth-gbs", "0", "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "roofline peaks must be finite and positive")
 
     @pytest.mark.parametrize("flops", ["nan", "inf"])
     def test_non_finite_peak_is_parameter_error(self, flops, tmp_path, capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from perfchar import (
     AppMetric,
     RunRecord,
+    RunTable,
     aggregate,
     detect_weak_links,
     flag_outliers,
@@ -22,7 +23,7 @@ from perfchar.exceptions import (
     RowError,
     SchemaError,
 )
-from perfchar.ingest import build_pairwise_matrix, parse_pairwise_sweep, read_rows
+from perfchar.ingest import build_pairwise_matrix, read_columns
 
 RUNS_HEADER = "platform,app,compiler,nodes,ranks_per_node,time_s,energy_j,app_metric,timestamp"
 
@@ -136,6 +137,16 @@ class TestParseRuns:
         out.write_text(serialize_runs(records))
         assert parse_runs(out) == records
 
+    def test_run_table_slices_and_compares_as_records(self, fixtures_dir):
+        runs = parse_runs(fixtures_dir / "energy_node_runs.csv")
+        records = list(runs)
+        assert isinstance(runs[2:6], RunTable)
+        assert list(runs[2:6]) == records[2:6]
+        assert runs[::-3] == records[::-3]
+        assert runs[-1] == records[-1]
+        assert runs == records and records == runs
+        assert runs != records[:-1]
+
 
 class TestAggregate:
     def test_mean_and_sample_stddev(self):
@@ -246,18 +257,16 @@ class TestPairwiseMatrix:
         path = write_pairwise(tmp_path, "n1,n2,4096,9.5", "n1,n2,8192,10.5")
         with pytest.raises(SchemaError):
             parse_pairwise_bandwidth(path)
-        sweep = parse_pairwise_sweep(path)
-        assert sorted(sweep) == [4096, 8192]
+        assert parse_pairwise_bandwidth(path, message_size=4096).pair_value("n1", "n2") == 9.5
         assert parse_pairwise_bandwidth(path, message_size=8192).pair_value("n1", "n2") == 10.5
 
     def test_only_selected_size_is_assembled(self, tmp_path):
-        # n3 appears only at 8192 B, so that matrix lacks (n2, n3) and (n1, n3).
+        # n3 appears only at 8192 B, so that matrix lacks (n2, n3).
         path = write_pairwise(tmp_path, "n1,n2,4096,9.5", "n1,n2,8192,10.5", "n3,n1,8192,10.0")
         assert parse_pairwise_bandwidth(path, message_size=4096).node_ids == ("n1", "n2")
-        with pytest.raises(IncompleteMatrixError):
+        with pytest.raises(IncompleteMatrixError) as err:
             parse_pairwise_bandwidth(path, message_size=8192)
-        with pytest.raises(IncompleteMatrixError):
-            parse_pairwise_sweep(path)
+        assert err.value.missing_pairs == (("n2", "n3"),)
 
     def test_json_pairwise_input(self, tmp_path):
         path = tmp_path / "pairs.json"
@@ -321,9 +330,14 @@ class TestWeakLinks:
         with pytest.raises(ParameterError):
             build_pairwise_matrix([("a", "a", 5.0)], 4096)
 
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -0.1, 1.0, 2.0])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        with pytest.raises(ParameterError, match="threshold"):
+            detect_weak_links(self.build_uniform(), threshold=threshold)
+
 
 def dict_reader_rows(text, columns, optional=()):
-    """The row reader as first written, on csv.DictReader: the reference for read_rows."""
+    """The row reader as first written, on csv.DictReader: the reference for read_columns."""
     kept = [
         (number, line)
         for number, line in enumerate(text.splitlines(), start=1)
@@ -344,7 +358,7 @@ csv_lines = st.one_of(
 )
 
 
-class TestReadRows:
+class TestReadColumns:
     @settings(max_examples=200, deadline=None)
     @given(
         header=st.permutations(["x", "y", "z", "u"]).flatmap(
@@ -357,11 +371,13 @@ class TestReadRows:
         path = tmp_path_factory.mktemp("rows") / "rows.csv"
         path.write_text(text)
         columns, optional = tuple(header[:2]), ("u", "y", "w")
-        assert list(read_rows(path, columns, optional)) == list(
+        lines, cells = read_columns(path, columns, optional)
+        assert list(zip(lines, map(list, zip(*cells)))) == list(
             dict_reader_rows(text, columns, optional)
         )
 
     def test_duplicate_column_reads_last(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("x,y,x\n1,2,3\n")
-        assert list(read_rows(path, ("x", "y"))) == [(2, ["3", "2"])]
+        lines, cells = read_columns(path, ("x", "y"))
+        assert (list(lines), cells) == ([2], [["3"], ["2"]])
