@@ -31,12 +31,9 @@ from .ingest import (
     serialize_runs,
 )
 from .metrics import (
-    EfficiencyPoint,
     EnergyMetrics,
     compare_platforms,
     energy_metrics,
-    strong_efficiency,
-    weak_efficiency,
 )
 from .microbench import (
     BandwidthResult,
@@ -66,8 +63,11 @@ from .scalefit import (
     fit_amdahl,
     fit_amdahl_many,
     fit_gustafson,
+    fit_gustafson_many,
     fit_mpi_shares,
+    fit_mpi_shares_many,
     project,
+    project_many,
     share_decomposition,
     weak_scaling_size,
 )

@@ -67,9 +67,9 @@ from .roofline import (
 from .scalefit import (
     critical_units,
     fit_amdahl_many,
-    fit_gustafson,
-    fit_mpi_shares,
-    project,
+    fit_gustafson_many,
+    fit_mpi_shares_many,
+    project_many,
 )
 
 DEFAULT_PROJECTION = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512)
@@ -421,21 +421,17 @@ def _cmd_analyze_scaling(args) -> int:
     if args.model == "mpi-shares":
         groups = parse_share_groups(args.input, fields)
         fit_rows, curve_rows = [], []
-        for key, pts in groups.items():
+        for (key, pts), fit in zip(groups.items(), fit_mpi_shares_many(groups.values())):
+            if isinstance(fit, PerfcharError):
+                raise fit
             label = "/".join(key)
-            fit = fit_mpi_shares(pts)
             lb_only = critical_units(fit, 100.0, "lb_only")
             lb_com = critical_units(fit, 100.0, "lb_plus_com")
-            fit_rows.append(
-                (
-                    label, fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.c, fit.sigma_c,
-                    "" if lb_only is None else lb_only.units,
-                    "" if lb_com is None else lb_com.units,
-                )
-            )
+            fit_rows.append((label, fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.c, fit.sigma_c,
+                             "" if lb_only is None else lb_only.units,
+                             "" if lb_com is None else lb_com.units))
             for p, _, _ in pts:
-                curve_rows.append((label, "lb", p, fit.a * p + fit.b))
-                curve_rows.append((label, "com", p, fit.c))
+                curve_rows += [(label, "lb", p, fit.a * p + fit.b), (label, "com", p, fit.c)]
             print(
                 f"{label}: lb = {fit.a:.3f}*p + {fit.b:.3f} (%), com = {fit.c:.3f} % "
                 + (f"(100% at p={lb_only.units:.1f} lb-only, {lb_com.units:.1f} lb+com)"
@@ -457,27 +453,33 @@ def _cmd_analyze_scaling(args) -> int:
         raise ParameterError(
             f"unknown --group field(s) {', '.join(unknown)}; valid: {', '.join(GROUP_FIELDS)}"
         )
-    # Speedups are built up to the first group that fails; its error is
-    # raised after the groups before it are reported. Amdahl fits come back
-    # as results or errors, Gustafson fits are made lazily, so a group whose
-    # fit fails also stops the report at that group.
+    if not np.isfinite(p_list).all():
+        raise ParameterError(f"projection unit counts must be finite: {args.project!r}")
+    # Groups are reported up to the first failure, whose error is raised after the
+    # groups before it are printed: the speedups' error (only groups before it are
+    # built), a group's fit error, or a projection unit count below 1 (at the first).
     labels, points, failure = _speedup_points(parse_runs(args.input), fields, args.model)
-    if args.model == "amdahl":
-        fits = fit_amdahl_many(points, unit="nodes")
-    else:
-        fits = (fit_gustafson(pts, unit="nodes") for pts in points)
-    fit_rows, proj_rows = [], []
+    fits = (fit_amdahl_many if args.model == "amdahl" else fit_gustafson_many)(points, unit="nodes")
+    good = next((i for i, fit in enumerate(fits) if isinstance(fit, PerfcharError)), len(fits))
+    if good < len(fits):
+        fits, failure = fits[:good], fits[good]
+    proj_rows = []
+    if fits:
+        try:
+            units, speedup, efficiency = project_many(fits, p_list)
+        except ParameterError as exc:
+            fits, failure = fits[:1], exc
+        else:
+            proj_rows = [(label, p, s, e) for label, *rows in zip(labels, speedup.tolist(), efficiency.tolist())
+                         for p, s, e in zip(units, *rows)]
+    fit_rows = []
     for label, fit in zip(labels, fits):
-        if isinstance(fit, PerfcharError):
-            raise fit
         if args.model == "amdahl":
             fit_rows.append((label, "amdahl", fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}, b = {fit.b:.4f} +- {fit.sigma_b:.4f}")
         else:
             fit_rows.append((label, "gustafson", fit.a, fit.sigma_a, "", "", fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}")
-        for point in project(fit, p_list):
-            proj_rows.append((label, point.units, point.speedup, point.efficiency))
     if failure is not None:
         raise failure
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .exceptions import (
     IncompleteMatrixError,
+    InvalidDataError,
     ParameterError,
     RowError,
     SchemaError,
@@ -76,8 +77,8 @@ READ_BLOCK_ROWS = 4096
 
 def _split_metric(text: str) -> tuple[float, str]:
     """(value, unit) of an app metric text such as ``266.7 MLUP/s``."""
-    parts = text.strip().split(None, 1)
-    return float(parts[0]), parts[1].strip() if len(parts) > 1 else ""
+    value, *unit = text.split(None, 1) or [""]  # a blank text fails in float("")
+    return float(value), unit[0].strip() if unit else ""
 
 
 @dataclass(frozen=True)
@@ -117,6 +118,8 @@ class RunRecord:
             raise ParameterError("nodes must be >= 1")
         if self.ranks_per_node < 1:
             raise ParameterError("ranks_per_node must be >= 1")
+        if max(self.nodes, self.ranks_per_node) >= 2**63:  # held in int64 columns
+            raise ParameterError("nodes and ranks_per_node must be < 2**63")
         if not 0 < self.time < math.inf:
             raise ParameterError("time must be finite and > 0")
         if self.energy is not None and not 0 < self.energy < math.inf:
@@ -334,12 +337,12 @@ def _run_table(cells: list[list[str]]) -> RunTable | None:
         # A blank energy or app metric is absent: NaN, and "" for the unit.
         energy = np.array([float(text) if text else math.nan for text in energy_j], dtype=float)
         metric = [_split_metric(text) if text else (math.nan, "") for text in app_metric]
-        nodes = np.array(list(map(int, nodes)))
-        ranks = np.array(list(map(int, ranks)))
+        nodes = np.array(list(map(int, nodes)), dtype=np.int64)
+        ranks = np.array(list(map(int, ranks)), dtype=np.int64)
         time = np.array(list(map(float, time_s)), dtype=float)
         for stamp in set(timestamp) - {""}:
             _validate_iso8601(stamp)
-    except (ValueError, IndexError):  # IndexError: a blank JSON app metric
+    except (ValueError, OverflowError):  # OverflowError: a count beyond int64
         return None
     metric_value = np.array([value for value, _ in metric], dtype=float)
     has_energy = np.fromiter(map(bool, energy_j), bool, len(energy_j))
@@ -370,7 +373,7 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
     """Share points (procs, lb_share_pct, com_share_pct) by their ``fields`` values.
 
     The ``fields`` columns are mandatory; groups come back in sorted key order.
-    Raises RowError listing every line with a non-numeric share or count.
+    Raises RowError listing every line with a share or count that is not finite.
     """
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
     failures = []
@@ -378,6 +381,8 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
     for line, *key, procs, lb, com in zip(lines, *cells):
         try:
             point = (float(procs), float(lb), float(com))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
         except ValueError as exc:
             failures.append((line, str(exc)))
             continue
@@ -490,10 +495,10 @@ def aggregate(
         values = members.tolist()
         n = len(values)
         mean = sum(values) / n
-        if n > 1:
-            stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
-        else:
-            stddev = 0.0
+        try:
+            stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
+        except OverflowError as exc:
+            raise InvalidDataError(f"{value} values of group {'/'.join(map(str, key))} overflow") from exc
         flagged = _outliers(members, 3.0)
         stats[key] = AggregateStats(mean, stddev, n, 0 if flagged is None else int(flagged.sum()))
     return stats

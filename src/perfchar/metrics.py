@@ -1,8 +1,4 @@
-"""Derived performance and energy metrics: speedup, efficiency, E2S, EDP.
-
-Efficiency baselines depend on granularity (cores within one node, whole
-nodes at scale), so every efficiency value carries a mandatory unit label.
-"""
+"""Derived energy metrics (E2S, EDP, work per joule) and cross-platform comparisons."""
 
 from __future__ import annotations
 
@@ -13,22 +9,6 @@ import numpy as np
 
 from .exceptions import EmptyComparisonError, ParameterError
 from .ingest import AppMetric, RunRecord, RunTable, aggregate
-
-
-@dataclass(frozen=True)
-class EfficiencyPoint:
-    """Speedup and parallel efficiency at one unit count, with the unit named."""
-
-    units: int
-    unit: str  # "cores", "nodes", ...
-    speedup: float
-    efficiency: float
-
-    def __post_init__(self):
-        if self.units < 1:
-            raise ParameterError("units must be >= 1")
-        if not self.speedup > 0:
-            raise ParameterError("speedup must be > 0")
 
 
 @dataclass(frozen=True)
@@ -50,31 +30,6 @@ class EnergyMetrics:
             raise ParameterError("energy metrics must be non-negative")
         if self.init_fraction is not None and not 0 <= self.init_fraction < 1:
             raise ParameterError("init_fraction must be within [0, 1) when present")
-
-
-def strong_efficiency(t1: float, ti: float, i: int, *, unit: str) -> EfficiencyPoint:
-    """Fixed-problem scaling: speedup t1/ti, efficiency t1/(ti*i)."""
-    if not (t1 > 0 and ti > 0):
-        raise ParameterError("times must be positive")
-    if i < 1:
-        raise ParameterError("unit count must be >= 1")
-    speedup = t1 / ti
-    return EfficiencyPoint(units=i, unit=unit, speedup=speedup, efficiency=speedup / i)
-
-
-def weak_efficiency(metric1: float, metric_i: float, i: int, *, unit: str) -> EfficiencyPoint:
-    """Fixed per-unit problem: efficiency is the aggregate rate over i times the baseline rate.
-
-    At i == 1 the point is its own baseline, so both ratios are 1 by definition.
-    """
-    if not (metric1 > 0 and metric_i > 0):
-        raise ParameterError("rates must be positive")
-    if i < 1:
-        raise ParameterError("unit count must be >= 1")
-    if i == 1:
-        return EfficiencyPoint(units=1, unit=unit, speedup=1.0, efficiency=1.0)
-    speedup = metric_i / metric1
-    return EfficiencyPoint(units=i, unit=unit, speedup=speedup, efficiency=speedup / i)
 
 
 def energy_terms(energy_j, time_s, rate=None):

@@ -39,6 +39,9 @@ from .hwmodel import PlatformSpec, stream_min_elements
 TRIAD_SCALAR_Q = 3.0
 TRIAD_WARMUP_PASSES = 2
 TRIAD_BYTES_PER_ELEMENT = 24  # two 8-byte reads and one 8-byte write per element
+#: The triad inputs repeat one seeded block in [1, 2), cheaper than a draw per element; a
+#: prime length keeps a pass at a shifted power-of-two offset from verifying by chance.
+TRIAD_FILL_BLOCK = (1 << 16) + 1
 
 FMA_CHAINS = 8
 FMA_VECTOR_ELEMENTS = 16384  # 8 chains * 16384 doubles = 1 MiB working set
@@ -176,15 +179,20 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
                     f"{minimum} for spec '{spec.name}'"
                 )
         try:
-            rng = np.random.default_rng(12345)
-            b = rng.uniform(1.0, 2.0, config.elements)
-            c = rng.uniform(1.0, 2.0, config.elements)
+            b, c = np.empty(config.elements), np.empty(config.elements)
             a = np.zeros(config.elements)
         except MemoryError as exc:
             raise ResourceError(
                 f"cannot allocate 3 arrays of {config.elements} elements "
                 f"({3 * config.elements * 8 / 1e9:.2f} GB)"
             ) from exc
+
+        rng = np.random.default_rng(12345)
+        for x in (b, c):  # in place: a temporary array would move where later runs' arrays land
+            rng.random(out=x[:TRIAD_FILL_BLOCK])
+            x[:TRIAD_FILL_BLOCK] += 1.0
+            for lo in range(TRIAD_FILL_BLOCK, len(x), TRIAD_FILL_BLOCK):
+                x[lo:lo + TRIAD_FILL_BLOCK] = x[:min(TRIAD_FILL_BLOCK, len(x) - lo)]
 
         sockets = spec.sockets if spec is not None else 1
         cpus = _cpu_assignment(config.threads, config.pinning, sockets)

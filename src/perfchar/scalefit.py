@@ -9,13 +9,16 @@ Three models cover the measured regimes:
   ``a*p + b`` (percent) while the communication share stays constant at ``c``.
 
 The strong-scaling fit is a damped Gauss-Newton (Levenberg-Marquardt style)
-loop with analytic partial derivatives. ``fit_amdahl_many`` runs it on many
-groups together, as stacked arrays, and each group's result is bit-identical
-to fitting it alone with ``fit_amdahl``. Speedup measurements carry roughly
+loop with analytic partial derivatives. Speedup measurements carry roughly
 constant *relative* error, so residuals are weighted by 1/s by default; with
 that weighting the reported 1-sigma uncertainties (covariance at the optimum,
 scaled by reduced chi-square) are calibrated. The weak-scaling and share
 models are linear and solved in closed form.
+
+Each ``*_many`` function fits many groups, those with the same number of
+points together as stacked arrays, and ``project_many`` evaluates many fits;
+each group's result is bit-identical to fitting it alone, and the one-group
+functions are the batch of one.
 
 The unit of ``p`` (MPI processes vs nodes) is carried as a label from the
 input data, never assumed.
@@ -125,20 +128,12 @@ class WeakScalingSize:
 
 def eval_amdahl(a: float, b: float, p: float) -> float:
     """Strong-scaling speedup at p units: 1/((1-a) + a/p) + b."""
-    if not 0 < a <= 1:
-        raise ParameterError("parallel fraction a must be in (0, 1]")
-    if p < 1:
-        raise ParameterError("unit count p must be >= 1")
-    return 1.0 / ((1.0 - a) + a / p) + b
+    return project(AmdahlFit(a, b, 0.0, 0.0, 0.0), [p])[0].speedup
 
 
 def eval_gustafson(a: float, p: float) -> float:
     """Weak-scaling speedup at p units: (1-a) + a*p."""
-    if not 0 <= a <= 1:
-        raise ParameterError("parallel fraction a must be in [0, 1]")
-    if p < 1:
-        raise ParameterError("unit count p must be >= 1")
-    return (1.0 - a) + a * p
+    return project(GustafsonFit(a, 0.0, 0.0), [p])[0].speedup
 
 
 _DIAG = np.arange(2)  # index of the diagonal of a 2x2 matrix
@@ -245,14 +240,19 @@ def _levenberg_marquardt(p, s, w, initial, max_iter, tol):
     return a, b, ssr, converged
 
 
-def _amdahl_sigmas(a, p, w, ssr) -> tuple[np.ndarray, np.ndarray]:
-    """1-sigma uncertainties from the covariance at the optimum, scaled by reduced chi-square."""
-    jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
-    inverse, singular = _stacked(np.linalg.inv, jac.transpose(0, 2, 1) @ jac)
-    cov = (ssr / (p.shape[1] - 2))[:, None, None] * inverse
-    sigma = np.sqrt(np.maximum(cov[:, _DIAG, _DIAG], 0.0))
+def _sigmas(scale: np.ndarray, normal: np.ndarray) -> np.ndarray:
+    """(G, 2) 1-sigma uncertainties: sqrt of the diagonal of scale * inv(normal), inf if singular."""
+    inverse, singular = _stacked(np.linalg.inv, normal)
+    sigma = np.sqrt(np.maximum((scale[:, None, None] * inverse)[:, _DIAG, _DIAG], 0.0))
     sigma[singular] = math.inf
-    return sigma[:, 0], sigma[:, 1]
+    return sigma
+
+
+def _one(results: list):
+    """The fit of a batch of one group, or raise its error."""
+    if isinstance(results[0], PerfcharError):
+        raise results[0]
+    return results[0]
 
 
 def fit_amdahl(
@@ -271,12 +271,40 @@ def fit_amdahl(
     UnderdeterminedError below three distinct p values and ConvergenceError
     (carrying the best iterate) if the loop exhausts ``max_iter``.
     """
-    (result,) = fit_amdahl_many(
-        [points], weighting=weighting, initial=initial, max_iter=max_iter, tol=tol, unit=unit
-    )
-    if isinstance(result, PerfcharError):
-        raise result
-    return result
+    return _one(fit_amdahl_many([points], weighting=weighting, initial=initial,
+                                max_iter=max_iter, tol=tol, unit=unit))
+
+
+def _stacks(groups, width: int) -> tuple[list, list[tuple[list[int], np.ndarray]]]:
+    """A result slot per group, and stacks (input positions, (G, n, width) sorted points) by n."""
+    groups = [sorted(points) for points in groups]
+    sizes: dict[int, list[int]] = {}
+    for i, pts in enumerate(groups):
+        sizes.setdefault(len(pts), []).append(i)
+    return [None] * len(groups), [
+        (index, np.array([groups[i] for i in index], dtype=float).reshape(len(index), n, width))
+        for n, index in sorted(sizes.items())
+    ]
+
+
+def _screen(index: list[int], results: list, points: np.ndarray, checks) -> list[int]:
+    """Record each group's error from the first check it fails; return the positions that pass.
+
+    A point that is not finite fails first, then each (mask of failing groups,
+    position -> error) pair of ``checks`` in turn.
+    """
+    failed = np.zeros(len(index), dtype=bool)
+    finite = np.isfinite(points).all(axis=(1, 2))
+    for mask, error in [(~finite, lambda k: InvalidDataError("fit points must be finite")), *checks]:
+        for k in np.flatnonzero(mask & ~failed).tolist():
+            results[index[k]] = error(k)
+        failed |= mask
+    return np.flatnonzero(~failed).tolist()
+
+
+def _distinct(p: np.ndarray) -> np.ndarray:
+    """Number of distinct values in each row of sorted unit counts."""
+    return np.count_nonzero(p[:, 1:] != p[:, :-1], axis=1) + (p.shape[1] > 0)
 
 
 def fit_amdahl_many(
@@ -288,52 +316,31 @@ def fit_amdahl_many(
     tol: float = 1e-13,
     unit: str = "units",
 ) -> list[AmdahlFit | PerfcharError]:
-    """Fit the strong-scaling model to each of many lists of (p, speedup) points.
-
-    Returns, in input order, one AmdahlFit per group, or the error that
-    fit_amdahl raises for that group. Groups with the same number of points
-    are fitted together, as stacked arrays; each group's result is
-    bit-identical to fitting it alone.
-    """
-    groups = [sorted(points) for points in groups]
-    results: list[AmdahlFit | PerfcharError] = [None] * len(groups)
-    sizes: dict[int, list[int]] = {}
-    for i, pts in enumerate(groups):
-        sizes.setdefault(len(pts), []).append(i)
-    for n, index in sorted(sizes.items()):
-        ps = np.array([groups[i] for i in index], dtype=float).reshape(len(index), n, 2)
+    """Per group of (p, speedup) points, in input order: its AmdahlFit, or fit_amdahl's error."""
+    results, stacks = _stacks(groups, 2)
+    for index, ps in stacks:
         p, s = ps[:, :, 0].copy(), ps[:, :, 1].copy()
-        low, nonpositive = np.any(p < 1, axis=1), np.any(s <= 0, axis=1)
-        valid = []
-        for k, (i, row) in enumerate(zip(index, p.tolist())):
-            if len(set(row)) < 3:
-                results[i] = UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")
-            elif low[k]:
-                results[i] = ParameterError("unit counts must be >= 1")
-            elif nonpositive[k]:
-                results[i] = ParameterError("speedups must be positive")
-            elif weighting not in ("relative", "absolute"):
-                results[i] = ParameterError(
-                    f"weighting must be 'relative' or 'absolute', got {weighting!r}"
-                )
-            else:
-                valid.append(k)
-        if not valid:
-            continue
+        valid = _screen(index, results, ps, [
+            (_distinct(p) < 3,
+             lambda k: UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")),
+            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+            (np.any(s <= 0, axis=1), lambda k: ParameterError("speedups must be positive")),
+            (np.full(len(index), weighting not in ("relative", "absolute")),
+             lambda k: ParameterError(f"weighting must be 'relative' or 'absolute', got {weighting!r}")),
+        ])
         p, s = p[valid], s[valid]
         w = 1.0 / s if weighting == "relative" else np.ones_like(s)
         a, b, ssr, converged = _levenberg_marquardt(p, s, w, initial, max_iter, tol)
-        sigma_a, sigma_b = _amdahl_sigmas(a, p, w, ssr)
-        for i, *values, ok in zip(
-            [index[k] for k in valid], a.tolist(), b.tolist(), sigma_a.tolist(),
-            sigma_b.tolist(), ssr.tolist(), converged.tolist(),
-        ):
+        jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
+        sigma = _sigmas(ssr / (p.shape[1] - 2), jac.transpose(0, 2, 1) @ jac)
+        for k, *values, ok in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
+                                  converged.tolist()):
             try:
                 fit = AmdahlFit(*values, unit=unit)
             except ParameterError as exc:
-                results[i] = exc
+                results[index[k]] = exc
                 continue
-            results[i] = fit if ok else ConvergenceError(
+            results[index[k]] = fit if ok else ConvergenceError(
                 f"strong-scaling fit did not converge within {max_iter} iterations", best_fit=fit
             )
     return results
@@ -341,22 +348,34 @@ def fit_amdahl_many(
 
 def fit_gustafson(points: Iterable[tuple[float, float]], *, unit: str = "units") -> GustafsonFit:
     """Closed-form least squares for the weak-scaling model (linear in a)."""
-    pts = sorted(points)
-    p = np.array([q for q, _ in pts], dtype=float)
-    s = np.array([v for _, v in pts], dtype=float)
-    if len(set(p.tolist())) < 2:
-        raise UnderdeterminedError("weak-scaling fit needs >= 2 distinct p values")
-    if np.any(p < 1):
-        raise ParameterError("unit counts must be >= 1")
-    x = p - 1.0
-    y = s - 1.0
-    sxx = float(np.sum(x * x))
-    a = float(np.sum(x * y)) / sxx
-    a_clamped = min(max(a, 0.0), 1.0)
-    resid = float(np.sum((s - ((1.0 - a_clamped) + a_clamped * p)) ** 2))
-    dof = len(p) - 1
-    sigma_a = math.sqrt((resid / dof) / sxx) if dof > 0 else 0.0
-    return GustafsonFit(a=a_clamped, sigma_a=sigma_a, residual=resid, unit=unit)
+    return _one(fit_gustafson_many([points], unit=unit))
+
+
+def fit_gustafson_many(
+    groups: Iterable[Iterable[tuple[float, float]]], *, unit: str = "units"
+) -> list[GustafsonFit | PerfcharError]:
+    """Per group of (p, speedup) points, in input order: its GustafsonFit, or fit_gustafson's error."""
+    results, stacks = _stacks(groups, 2)
+    for index, ps in stacks:
+        p, s = ps[:, :, 0].copy(), ps[:, :, 1].copy()
+        valid = _screen(index, results, ps, [
+            (_distinct(p) < 2,
+             lambda k: UnderdeterminedError("weak-scaling fit needs >= 2 distinct p values")),
+            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+        ])
+        p, s = p[valid], s[valid]
+        x = p - 1.0
+        sxx = np.sum(x * x, axis=1)
+        # Clamped with Python's min and max, which keep the sign of a zero.
+        a = np.array([min(max(v, 0.0), 1.0) for v in (np.sum(x * (s - 1.0), axis=1) / sxx).tolist()])
+        resid = np.sum((s - ((1.0 - a[:, None]) + a[:, None] * p)) ** 2, axis=1)
+        sigma_a = np.sqrt((resid / (p.shape[1] - 1)) / sxx)
+        for k, *values in zip(valid, a.tolist(), sigma_a.tolist(), resid.tolist()):
+            try:
+                results[index[k]] = GustafsonFit(*values, unit=unit)
+            except ParameterError as exc:
+                results[index[k]] = exc
+    return results
 
 
 def fit_mpi_shares(
@@ -367,44 +386,46 @@ def fit_mpi_shares(
     The load-balance share is fitted with ordinary least squares; the
     communication share is the sample mean with its standard error.
     """
-    pts = sorted(points)
-    p = np.array([q for q, _, _ in pts], dtype=float)
-    lb = np.array([v for _, v, _ in pts], dtype=float)
-    com = np.array([v for _, _, v in pts], dtype=float)
-    if len(set(p.tolist())) < 3:
-        raise UnderdeterminedError("share fit needs >= 3 distinct p values")
-    if np.any(lb < 0) or np.any(lb > 100) or np.any(com < 0) or np.any(com > 100):
-        raise InvalidDataError("shares must lie within [0, 100] percent")
-    if np.any(lb + com > 100.0):
-        bad = p[lb + com > 100.0]
-        raise InvalidDataError(
-            f"load-balance and communication shares exceed 100% at p = {bad.tolist()}"
-        )
+    return _one(fit_mpi_shares_many([points], unit=unit))
 
-    n = len(p)
-    design = np.column_stack([p, np.ones_like(p)])
-    coef, *_ = np.linalg.lstsq(design, lb, rcond=None)
-    a, b = float(coef[0]), float(coef[1])
-    resid = float(np.sum((lb - (a * p + b)) ** 2))
-    dof = n - 2
-    scale = resid / dof if dof > 0 else 0.0
-    cov = scale * np.linalg.inv(design.T @ design)
-    sigma_a = math.sqrt(max(cov[0, 0], 0.0))
-    sigma_b = math.sqrt(max(cov[1, 1], 0.0))
 
-    c = float(np.mean(com))
-    if n > 1:
-        sigma_c = float(np.std(com, ddof=1)) / math.sqrt(n)
-    else:
-        sigma_c = 0.0
-
-    fitted_lb = a * p + b
-    if np.any(fitted_lb < 0) or np.any(fitted_lb + c > 100.0):
-        raise InvalidDataError("fitted shares leave [0, 100] percent at observed p")
-    return MpiShareFit(
-        a=a, b=b, c=c, sigma_a=sigma_a, sigma_b=sigma_b, sigma_c=sigma_c,
-        residual=resid, unit=unit,
-    )
+def fit_mpi_shares_many(
+    groups: Iterable[Iterable[tuple[float, float, float]]], *, unit: str = "processes"
+) -> list[MpiShareFit | PerfcharError]:
+    """Per group of share points, in input order: its MpiShareFit, or fit_mpi_shares's error."""
+    results, stacks = _stacks(groups, 3)
+    for index, pts in stacks:
+        p, lb, com = (pts[:, :, j].copy() for j in range(3))
+        over = lb + com > 100.0
+        valid = _screen(index, results, pts, [
+            (_distinct(p) < 3,
+             lambda k: UnderdeterminedError("share fit needs >= 3 distinct p values")),
+            (np.any((lb < 0) | (lb > 100) | (com < 0) | (com > 100), axis=1),
+             lambda k: InvalidDataError("shares must lie within [0, 100] percent")),
+            (np.any(over, axis=1), lambda k: InvalidDataError(
+                f"load-balance and communication shares exceed 100% at p = {p[k][over[k]].tolist()}")),
+        ])
+        if not valid:
+            continue
+        p, lb, com = p[valid], lb[valid], com[valid]
+        n = p.shape[1]
+        design = np.stack((p, np.ones_like(p)), axis=2)
+        # numpy's lstsq takes no stack of matrices, so it runs once per group.
+        coef = np.array([np.linalg.lstsq(d, y, rcond=None)[0] for d, y in zip(design, lb)])
+        a, b = coef[:, :1], coef[:, 1:]
+        fitted = a * p + b
+        resid = np.sum((lb - fitted) ** 2, axis=1)
+        sigma = _sigmas(resid / (n - 2), design.transpose(0, 2, 1) @ design)
+        c = np.mean(com, axis=1)
+        outside = np.any((fitted < 0) | (fitted + c[:, None] > 100.0), axis=1).tolist()
+        for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out in zip(
+            valid, *a.T.tolist(), *b.T.tolist(), c.tolist(), *sigma.T.tolist(),
+            (np.std(com, ddof=1, axis=1) / math.sqrt(n)).tolist(), resid.tolist(), outside,
+        ):
+            results[index[k]] = InvalidDataError(
+                "fitted shares leave [0, 100] percent at observed p"
+            ) if out else MpiShareFit(a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, unit)
+    return results
 
 
 def critical_units(
@@ -427,17 +448,26 @@ def critical_units(
 
 def project(fit: AmdahlFit | GustafsonFit, p_list: Sequence[float]) -> list[ProjectionPoint]:
     """Evaluate a fitted model over unit counts, with efficiency = speedup / p."""
-    if isinstance(fit, AmdahlFit):
-        speedup_at = lambda p: eval_amdahl(fit.a, fit.b, p)
-    elif isinstance(fit, GustafsonFit):
-        speedup_at = lambda p: eval_gustafson(fit.a, p)
-    else:
-        raise ParameterError(f"cannot project a {type(fit).__name__}")
-    points = []
-    for p in sorted(p_list):
-        s = speedup_at(p)
-        points.append(ProjectionPoint(units=p, speedup=s, efficiency=s / p))
-    return points
+    units, speedup, efficiency = project_many([fit], p_list)
+    return list(map(ProjectionPoint, units, speedup[0].tolist(), efficiency[0].tolist()))
+
+
+def project_many(fits: Sequence[AmdahlFit | GustafsonFit], p_list: Sequence[float]):
+    """The sorted unit counts, and (G, m) speedups and efficiencies of G fits over them."""
+    for fit in fits:
+        if not isinstance(fit, (AmdahlFit, GustafsonFit)):
+            raise ParameterError(f"cannot project a {type(fit).__name__}")
+    units = sorted(p_list)
+    p = np.array(units, dtype=float)
+    if not np.isfinite(p).all():
+        raise ParameterError("unit counts must be finite")
+    if np.any(p < 1):
+        raise ParameterError("unit count p must be >= 1")
+    a = np.array([fit.a for fit in fits], dtype=float).reshape(-1, 1)
+    b = np.array([getattr(fit, "b", 0.0) for fit in fits], dtype=float).reshape(-1, 1)
+    strong = np.array([isinstance(fit, AmdahlFit) for fit in fits], dtype=bool).reshape(-1, 1)
+    speedup = np.where(strong, 1.0 / ((1.0 - a) + a / p) + b, (1.0 - a) + a * p)
+    return units, speedup, speedup / p
 
 
 def share_decomposition(t_cal: float, t_com: float, t_lb: float) -> tuple[float, float, float]:

@@ -116,6 +116,23 @@ class TestAnalyzeEnergy:
         assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:")
         assert not out.exists()
 
+    def test_node_count_beyond_int64_is_row_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\np,a,c,1,1,10.0,5000.0,,\np,a,c,{10**400},1,10.0,5000.0,,\n")
+        out = tmp_path / "energy.csv"
+        assert main(["analyze", "energy", "--in", str(runs), "--out", str(out)]) == 1
+        assert capsys.readouterr().out == ""
+        main(["analyze", "energy", "--in", str(runs), "--out", str(out)])
+        assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:", "nodes")
+        assert not out.exists()
+
+    def test_blank_json_app_metric_is_row_error(self, tmp_path, capsys):
+        runs = tmp_path / "runs.json"
+        runs.write_text(json.dumps([dict(zip(RUNS_HEADER.split(","),
+                                             ["p", "a", "c", 1, 1, 10.0, None, " ", ""]))]))
+        assert main(["analyze", "energy", "--in", str(runs)]) == 1
+        assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 1:")
+
     def test_sidecar_written(self, fixtures_dir, tmp_path):
         out = tmp_path / "energy.csv"
         main(["analyze", "energy", "--in", str(fixtures_dir / "energy_node_runs.csv"),
@@ -227,6 +244,22 @@ class TestAnalyzeScaling:
         assert code == 1
         assert_one_error_line(capsys, "RowError", "line 4:", "abc")
 
+    @pytest.mark.parametrize("column", [3, 4, 5])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_share_is_row_error(self, column, value, tmp_path, capsys):
+        row = ["p", "a", "c", "32", "6.0", "20.0"]
+        row[column] = value
+        shares = tmp_path / "shares.csv"
+        shares.write_text(
+            "platform,app,compiler,procs,lb_share_pct,com_share_pct\n"
+            "p,a,c,16,5.0,20.0\n" + ",".join(row) + "\np,a,c,64,7.0,20.0\n"
+        )
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--in", str(shares),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:", "must be finite")
+        assert not (tmp_path / "out").exists()
+
     def test_share_file_lacking_a_group_column_is_schema_error(self, fixtures_dir, tmp_path, capsys):
         code = main(["analyze", "scaling", "--model", "mpi-shares",
                      "--in", str(fixtures_dir / "mpi_shares.csv"),
@@ -279,6 +312,54 @@ class TestAnalyzeScaling:
                      "--project", "0,abc", "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert_one_error_line(capsys, "ParameterError", "0,abc")
+
+    @pytest.mark.parametrize("model,source", [("amdahl", "amdahl_runs.csv"),
+                                              ("gustafson", "gustafson_runs.csv")])
+    def test_non_finite_projection_is_parameter_error(self, model, source, fixtures_dir, tmp_path,
+                                                      capsys):
+        code = main(["analyze", "scaling", "--model", model, "--in", str(fixtures_dir / source),
+                     "--project", "2,nan,inf", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().out == ""  # raised before any group is fitted
+        main(["analyze", "scaling", "--model", model, "--in", str(fixtures_dir / source),
+              "--project", "2,inf", "--out-dir", str(tmp_path / "out")])
+        assert_one_error_line(capsys, "ParameterError", "must be finite", "2,inf")
+        assert not (tmp_path / "out").exists()
+
+    def test_mpi_shares_ignores_the_projection_list(self, fixtures_dir, tmp_path, capsys):
+        argv = ["analyze", "scaling", "--model", "mpi-shares",
+                "--in", str(fixtures_dir / "mpi_shares.csv")]
+        assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
+        expected = capsys.readouterr()
+        assert main([*argv, "--project", "2,nan,inf", "--out-dir", str(tmp_path / "b")]) == 0
+        assert capsys.readouterr() == expected
+        for name in ("mpi_share_fits.csv", "mpi_share_curves.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("model", ["amdahl", "gustafson"])
+    @pytest.mark.parametrize("body", ["", "# no runs yet\n"])
+    def test_runs_file_without_rows_is_one_error_line(self, model, body, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n{body}")
+        for project in ("4", "0,4"):
+            code = main(["analyze", "scaling", "--model", model, "--in", str(runs),
+                         "--project", project, "--out-dir", str(tmp_path / "out")])
+            assert code == 1
+            assert_one_error_line(capsys, "ParameterError", "refusing to emit an empty series")
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("model,source", [("amdahl", "amdahl_groups_runs.csv"),
+                                              ("gustafson", "gustafson_runs.csv")])
+    def test_projection_below_one_fails_after_the_first_group(self, model, source, fixtures_dir,
+                                                              tmp_path, capsys):
+        argv = ["analyze", "scaling", "--model", model, "--in", str(fixtures_dir / source)]
+        assert main([*argv, "--out-dir", str(tmp_path / "all")]) == 0
+        first_line = capsys.readouterr().out.splitlines(keepends=True)[0]
+        assert main([*argv, "--project", "0,4", "--out-dir", str(tmp_path / "out")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == first_line
+        assert captured.err == "perfchar: error: ParameterError: unit count p must be >= 1\n"
+        assert not (tmp_path / "out").exists()
 
     def test_failing_group_reports_the_groups_before_it(self, tmp_path, capsys):
         # In sorted order a3 is the third group and has two node counts; a4,
@@ -509,6 +590,15 @@ class TestReportCompare:
               "--metric", "rate", "--out", str(out)])
         rows = read_csv(out)
         assert all(r["app"] == "lbc" for r in rows)  # only lbc carries rates
+
+    def test_overflowing_time_spread_is_one_error_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(
+            f"{platform},a,c,1,1,{time},,,\n"
+            for platform, time in (("p", 1e200), ("p", 1.0), ("q", 2.0))
+        ))
+        assert main(["report", "compare", "--in", str(runs)]) == 1
+        assert_one_error_line(capsys, "InvalidDataError", "time values of group a/p/c overflow")
 
 
 class TestBenchCommands:

@@ -3,6 +3,7 @@
 Each case runs one subcommand and compares SHA-256 digests of its stdout and
 of every data file it writes (sidecars carry timestamps and are skipped) with
 digests recorded before the ingest and emission paths were made column-wise.
+A case that fails also records its exit code and the digest of its stderr.
 A digest changes when any output byte changes, so a deliberate change to an
 output format must re-record the affected digests here.
 """
@@ -103,6 +104,33 @@ CASES = {
                 "551c14cc42c5288700ac118419d4b0be5b5aad2dedb64f4f350196cc30c415d8",
         },
     ),
+    # 30 share groups of 3-9 points, some with a repeated p; the 20th group in
+    # sorted order is underdetermined, so the first 19 are printed and the run
+    # ends in one error line. Grouped by (app, compiler), the same rows form 15
+    # groups that all fit. Recorded with the one-group-at-a-time share fit.
+    "scaling-mpi-shares-groups": (
+        ["analyze", "scaling", "--model", "mpi-shares", "--in", "{fx}/mpi_shares_groups.csv",
+         "--out-dir", "{out}"],
+        {
+            "exit": 1,
+            "stderr":
+                "75621a5c6f190be7bed8d8f0348fa3d6d75f0711a7a071ec19fd611dcfeb1e28",
+            "stdout":
+                "f1f4dfeb63d3bb59be572fc2e84eb69412dcc4770ea17f616a75b054241e2f90",
+        },
+    ),
+    "scaling-mpi-shares-merged": (
+        ["analyze", "scaling", "--model", "mpi-shares", "--in", "{fx}/mpi_shares_groups.csv",
+         "--group", "app,compiler", "--out-dir", "{out}"],
+        {
+            "stdout":
+                "820818cc6ceae8d01a342e9ff54d33aad25fb02ce31303e7db2848f6e0b8c99d",
+            "mpi_share_curves.csv":
+                "253e9a76d9709089b823c6e0549b6fea42b44a00f0cd554e461a287f815c7d56",
+            "mpi_share_fits.csv":
+                "a10db8288dda8755d76e6cb85734bb9f56a9406bc351b260d8a1d7732679f014",
+        },
+    ),
     "network": (
         ["analyze", "network", "--in", "{fx}/pairwise_8node.csv", "--out-dir", "{out}"],
         {
@@ -119,8 +147,11 @@ CASES = {
 
 def digests(argv, fixtures_dir, out, capsys) -> dict:
     argv = [a.format(fx=fixtures_dir, out=out) for a in argv]
-    assert main(argv) == 0
-    result = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    code = main(argv)
+    captured = capsys.readouterr()
+    result = {"stdout": hashlib.sha256(captured.out.encode()).hexdigest()}
+    if code or captured.err:
+        result.update(exit=code, stderr=hashlib.sha256(captured.err.encode()).hexdigest())
     for path in sorted(out.iterdir()):
         if not path.name.endswith(".meta.json"):
             result[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()

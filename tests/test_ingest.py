@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from perfchar import (
 )
 from perfchar.exceptions import (
     IncompleteMatrixError,
+    InvalidDataError,
     ParameterError,
     RowError,
     SchemaError,
@@ -125,6 +127,27 @@ class TestParseRuns:
         with pytest.raises(ParameterError):
             record(**fields)
 
+    def test_blank_json_app_metric_is_row_error(self, tmp_path):
+        entry = {"platform": "p", "app": "a", "compiler": "c", "nodes": 1,
+                 "ranks_per_node": 1, "time_s": 10.0, "energy_j": None,
+                 "app_metric": "100.0 MLUP/s", "timestamp": ""}
+        path = tmp_path / "runs.json"
+        path.write_text(json.dumps([entry, {**entry, "app_metric": " "}]))
+        with pytest.raises(RowError, match="1 invalid row.*line 2: could not convert"):
+            parse_runs(path)
+
+    @pytest.mark.parametrize("nodes,ranks", [(str(10**400), "1"), ("1", str(2**63)),
+                                             (str(-10**400), "1")],
+                             ids=["nodes-1e400", "ranks-2^63", "nodes-minus-1e400"])
+    def test_count_beyond_int64_is_row_error(self, tmp_path, nodes, ranks):
+        path = write_runs(tmp_path, "p,a,c,1,1,10,,,", f"p,a,c,{nodes},{ranks},10,,,")
+        with pytest.raises(RowError, match="1 invalid row.*line 3:"):
+            parse_runs(path)
+
+    def test_largest_int64_count_is_accepted(self, tmp_path):
+        (rec,) = parse_runs(write_runs(tmp_path, f"p,a,c,{2**63 - 1},1,10,,,"))
+        assert rec.nodes == 2**63 - 1
+
     def test_bad_timestamp(self, tmp_path):
         path = write_runs(tmp_path, "p,a,c,1,1,10,,,yesterday")
         with pytest.raises(RowError):
@@ -178,6 +201,14 @@ class TestAggregate:
         base = aggregate([record(time=float(t)) for t in times])[("a", "p", "c")]
         shifted = aggregate([record(time=float(t + 123.0)) for t in times])[("a", "p", "c")]
         assert shifted.stddev == pytest.approx(base.stddev, rel=1e-9)
+
+    def test_overflowing_spread_is_invalid_data(self):
+        with pytest.raises(InvalidDataError, match="time values of group a/p/c overflow"):
+            aggregate([record(time=t) for t in (1e200, 1.0)])
+
+    def test_overflowing_sum_keeps_inf_statistics(self):
+        stats = aggregate([record(time=1.7e308)] * 2)[("a", "p", "c")]
+        assert stats.mean == math.inf and stats.stddev == math.inf
 
     def test_custom_grouping(self):
         records = [record(platform="x"), record(platform="y")]

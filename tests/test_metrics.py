@@ -5,8 +5,6 @@ from perfchar import (
     RunRecord,
     compare_platforms,
     energy_metrics,
-    strong_efficiency,
-    weak_efficiency,
 )
 from perfchar.exceptions import EmptyComparisonError, ParameterError
 
@@ -22,43 +20,6 @@ def record(platform, app, compiler, time, energy=None, rate=None):
         energy=energy,
         app_metric=None if rate is None else AppMetric(rate, "MLUP/s"),
     )
-
-
-class TestStrongEfficiency:
-    def test_ideal_scaling(self):
-        point = strong_efficiency(100.0, 25.0, 4, unit="cores")
-        assert point.speedup == 4.0
-        assert point.efficiency == 1.0
-        assert point.unit == "cores"
-
-    def test_half_efficiency(self):
-        assert strong_efficiency(100.0, 50.0, 4, unit="cores").efficiency == 0.5
-
-    def test_baseline_identity(self):
-        assert strong_efficiency(37.5, 37.5, 1, unit="nodes").efficiency == 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            strong_efficiency(0.0, 1.0, 2, unit="cores")
-        with pytest.raises(ParameterError):
-            strong_efficiency(1.0, -1.0, 2, unit="cores")
-
-
-class TestWeakEfficiency:
-    def test_rate_preserved(self):
-        point = weak_efficiency(100.0, 16 * 100.0, 16, unit="nodes")
-        assert point.efficiency == 1.0
-
-    def test_partial_efficiency(self):
-        point = weak_efficiency(100.0, 0.78 * 16 * 100.0, 16, unit="nodes")
-        assert point.efficiency == pytest.approx(0.78, rel=1e-12)
-
-    def test_single_unit_is_definitionally_one(self):
-        assert weak_efficiency(123.0, 123.0, 1, unit="nodes").efficiency == 1.0
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            weak_efficiency(0.0, 1.0, 2, unit="nodes")
 
 
 class TestEnergyMetrics:

@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import struct
 
 import numpy as np
@@ -6,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amdahl_reference import fit_amdahl_reference
+import scalefit_reference
+from scalefit_reference import fit_gustafson_reference, fit_mpi_shares_reference, project_reference
 from perfchar import (
     AmdahlFit,
     GustafsonFit,
@@ -16,8 +20,11 @@ from perfchar import (
     fit_amdahl,
     fit_amdahl_many,
     fit_gustafson,
+    fit_gustafson_many,
     fit_mpi_shares,
+    fit_mpi_shares_many,
     project,
+    project_many,
     share_decomposition,
     weak_scaling_size,
 )
@@ -28,7 +35,7 @@ from perfchar.exceptions import (
     PerfcharError,
     UnderdeterminedError,
 )
-from perfchar.scalefit import _stacked
+from perfchar.scalefit import ProjectionPoint, _stacked
 from refdata import AMDAHL_PARAM_ROWS, GUSTAFSON_PARAM_ROWS
 
 SIX_POINT_GRID = (1, 2, 4, 8, 16, 32)
@@ -377,3 +384,150 @@ class TestFitAmdahlManyMatchesReference:
             assert np.isnan(result[2]).all()
             for k in (0, 1, 3):
                 assert np.array_equal(result[k], routine(*(x[k] for x in args)))
+
+
+def _closed_form_outcome(result):
+    """Exception type and message, or the result's type and the bits of every float field."""
+    if isinstance(result, Exception):
+        return type(result).__name__, str(result)
+    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return (type(result).__name__, *(_bits(v) if isinstance(v, float) else v for v in fields))
+
+
+def _outcome_of(call, *args, **kwargs):
+    try:
+        return _closed_form_outcome(call(*args, **kwargs))
+    except PerfcharError as exc:
+        return _closed_form_outcome(exc)
+
+
+UNIT_COUNTS = (1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512)
+
+
+@st.composite
+def _share_group(draw):
+    """0-29 share points, often with a repeated p: on the model with noise, or arbitrary; some invalid."""
+    n = draw(st.one_of(st.integers(0, 9), st.integers(10, 29)))
+    p = draw(st.lists(st.sampled_from(UNIT_COUNTS), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        lb = draw(st.lists(st.floats(0.0, 70.0), min_size=n, max_size=n))
+        com = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
+    else:
+        a, b, c = draw(st.floats(-0.05, 0.3)), draw(st.floats(0.0, 20.0)), draw(st.floats(0.0, 40.0))
+        noise = draw(st.lists(st.floats(-0.5, 0.5), min_size=2 * n, max_size=2 * n))
+        lb = [abs(a * q + b + e) for q, e in zip(p, noise)]
+        com = [abs(c + e) for e in noise[n:]]
+    if n and draw(st.integers(0, 4)) == 0:
+        (lb if draw(st.booleans()) else com)[draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from((-1.0, 100.5))
+        )
+    return list(zip(p, lb, com))
+
+
+@st.composite
+def _weak_group(draw):
+    """0-12 (p, speedup) points, often with a repeated p; some with p below 1."""
+    n = draw(st.integers(0, 12))
+    p = draw(st.lists(st.sampled_from((0.5, *UNIT_COUNTS)), min_size=n, max_size=n))
+    a = draw(st.floats(-0.2, 1.2))
+    noise = draw(st.lists(st.floats(-0.05, 0.05), min_size=n, max_size=n))
+    return [(q, ((1.0 - a) + a * q) * (1.0 + e)) for q, e in zip(p, noise)]
+
+
+@st.composite
+def _projected_fit(draw):
+    if draw(st.booleans()):
+        return AmdahlFit(a=draw(st.floats(1e-6, 1.0)), b=draw(st.floats(-2.0, 2.0)),
+                         sigma_a=0.0, sigma_b=0.0, residual=0.0)
+    return GustafsonFit(a=draw(st.floats(0.0, 1.0)), sigma_a=0.0, residual=0.0)
+
+
+class TestClosedFormManyMatchReference:
+    """The batched closed-form fits and projection match the per-group reference, bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=st.lists(_share_group(), min_size=1, max_size=12))
+    def test_share_groups(self, groups):
+        got = fit_mpi_shares_many(groups, unit="nodes")
+        assert len(got) == len(groups)
+        for points, result in zip(groups, got):
+            expected = _outcome_of(fit_mpi_shares_reference, points, unit="nodes")
+            assert _closed_form_outcome(result) == expected
+            assert _outcome_of(fit_mpi_shares, points, unit="nodes") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(groups=st.lists(_weak_group(), min_size=1, max_size=12))
+    def test_weak_groups(self, groups):
+        got = fit_gustafson_many(groups, unit="nodes")
+        assert len(got) == len(groups)
+        for points, result in zip(groups, got):
+            expected = _outcome_of(fit_gustafson_reference, points, unit="nodes")
+            assert _closed_form_outcome(result) == expected
+            assert _outcome_of(fit_gustafson, points, unit="nodes") == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        fits=st.lists(_projected_fit(), min_size=1, max_size=12),
+        p_list=st.lists(st.one_of(st.sampled_from((0, 0.5, *UNIT_COUNTS)), st.floats(1.0, 1e6)),
+                        max_size=12),
+    )
+    def test_projection(self, fits, p_list):
+        try:
+            units, speedup, efficiency = project_many(fits, p_list)
+        except PerfcharError as exc:
+            for fit in fits:
+                assert _outcome_of(project_reference, fit, p_list) == _closed_form_outcome(exc)
+            return
+        for fit, *row in zip(fits, speedup.tolist(), efficiency.tolist()):
+            expected = [_closed_form_outcome(point) for point in project_reference(fit, p_list)]
+            got = [_closed_form_outcome(point) for point in map(ProjectionPoint, units, *row)]
+            assert got == expected
+            assert [_closed_form_outcome(point) for point in project(fit, p_list)] == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(a=st.floats(-0.1, 1.1), b=st.floats(-2.0, 2.0),
+           p=st.one_of(st.sampled_from((0, 0.5, *UNIT_COUNTS)), st.floats(1.0, 1e6)))
+    def test_model_evaluation(self, a, b, p):
+        assert _outcome_of(eval_amdahl, a, b, p) == \
+            _outcome_of(scalefit_reference.eval_amdahl, a, b, p)
+        assert _outcome_of(eval_gustafson, a, p) == \
+            _outcome_of(scalefit_reference.eval_gustafson, a, p)
+
+    def test_errors_keep_their_group(self):
+        good = [(16, 5.0, 20.0), (32, 7.0, 20.5), (64, 11.2, 19.5)]
+        results = fit_mpi_shares_many([good, [(16, 5.0, 20.0), (16, 5.5, 20.0), (32, 6.0, 20.0)],
+                                       good, [(16, 60.0, 50.0), (32, 61.0, 50.0), (64, 62.0, 30.0)]])
+        assert _closed_form_outcome(results[0]) == _closed_form_outcome(results[2])
+        assert _closed_form_outcome(results[0]) == _outcome_of(fit_mpi_shares_reference, good)
+        assert isinstance(results[1], UnderdeterminedError)
+        assert str(results[3]) == "load-balance and communication shares exceed 100% at p = [16.0, 32.0]"
+        assert fit_mpi_shares_many([]) == fit_gustafson_many([]) == []
+
+    def test_empty_projection(self):
+        fit = GustafsonFit(a=0.5, sigma_a=0.0, residual=0.0)
+        units, speedup, efficiency = project_many([fit, fit], [])
+        assert units == [] and speedup.shape == efficiency.shape == (2, 0)
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_share_point_is_invalid_data(self, bad, column):
+        points = [[16.0, 5.0, 20.0], [32.0, 7.0, 20.0], [64.0, 11.0, 20.0]]
+        points[1][column] = bad
+        with pytest.raises(InvalidDataError, match="must be finite"):
+            fit_mpi_shares(map(tuple, points))
+
+    @pytest.mark.parametrize("fit_one", [fit_gustafson, fit_amdahl])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_speedup_point_is_invalid_data(self, fit_one, bad):
+        with pytest.raises(InvalidDataError, match="must be finite"):
+            fit_one([(1, 1.0), (2, bad), (4, 3.5), (8, 6.0)])
+        with pytest.raises(InvalidDataError, match="must be finite"):
+            fit_one([(1, 1.0), (bad, 2.0), (4, 3.5), (8, 6.0)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_projection_unit_count(self, bad):
+        fit = AmdahlFit(a=0.9, b=0.0, sigma_a=0.0, sigma_b=0.0, residual=0.0)
+        with pytest.raises(ParameterError, match="must be finite"):
+            project(fit, [2, bad])
