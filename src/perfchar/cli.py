@@ -46,12 +46,14 @@ from .ingest import (
 )
 from .metrics import compare_platforms, energy_terms, per_joule_unit
 from .microbench import (
+    TRIAD_ALIGNMENT,
+    TRIAD_BYTES_PER_ELEMENT,
     TRIAD_SCALAR_Q,
     TRIAD_WARMUP_PASSES,
     TriadConfig,
+    require_cpus,
     run_fma_kernel,
     run_stream_triad,
-    thread_sweep,
 )
 from .report import (
     atomic_write_text,
@@ -228,64 +230,57 @@ def _cmd_spec_show(args) -> int:
 
 def _cmd_bench_mem(args) -> int:
     counts = _parse_thread_list(args.threads)
+    if counts != sorted(counts):
+        raise ParameterError("thread counts must be sorted ascending")
     spec = load_platform_spec(args.spec) if args.spec else None
-    if len(counts) == 1:
-        config = TriadConfig(
-            elements=args.elements, threads=counts[0], repetitions=args.reps, pinning=args.pin
-        )
-        result = run_stream_triad(config, spec=spec)
-        points = [(result.threads, result.best)]
-        meta = result
-    else:
-        sweep = thread_sweep(
-            "triad",
-            counts,
-            elements=args.elements,
-            repetitions=args.reps,
-            pinning=args.pin,
-            spec=spec,
-        )
-        points = [(pt.threads, pt.value) for pt in sweep]
-        meta = None
+    configs = [TriadConfig(args.elements, count, args.reps, args.pin) for count in counts]
+    require_cpus(max(counts))  # before any run of a sweep
+    results = [run_stream_triad(config, spec=spec) for config in configs]
+    meta = results[-1]
 
     print(f"{'threads':>8}  {'best GB/s':>10}")
-    for threads, best in points:
-        print(f"{threads:>8}  {best:>10.2f}")
-    if meta is not None:
-        print(
-            f"elements={meta.elements} reps={len(meta.per_repetition)} q={meta.q} "
-            f"warmup={meta.warmup_passes} pinning={meta.pinning} pinned={meta.pinned}"
-        )
+    for result in results:
+        print(f"{result.threads:>8}  {result.best:>10.2f}")
+    print(
+        f"elements={meta.elements} reps={len(meta.per_repetition)} q={meta.q} "
+        f"warmup={meta.warmup_passes} pinning={meta.pinning} pinned={meta.pinned} "
+        f"kernel={meta.kernel}"
+    )
     if args.out:
-        emit_plot_data(points, args.out, header=["threads", "best_gbs"])
-        write_sidecar_metadata(
-            args.out,
-            {
-                "command": "bench mem",
-                "elements": args.elements,
-                "repetitions": args.reps,
-                "pinning": args.pin,
-                "triad_q": TRIAD_SCALAR_Q,
-                "warmup_passes": TRIAD_WARMUP_PASSES,
-            },
-        )
+        emit_plot_data([(r.threads, r.best) for r in results], args.out, ["threads", "best_gbs"])
+        provenance = {
+            "command": "bench mem",
+            "elements": args.elements,
+            "repetitions": args.reps,
+            "pinning": args.pin,
+            "triad_q": TRIAD_SCALAR_Q,
+            "warmup_passes": TRIAD_WARMUP_PASSES,
+            "kernel": meta.kernel,
+            "counted_bytes_per_element": TRIAD_BYTES_PER_ELEMENT,
+            "moved_bytes_per_element": meta.moved_bytes_per_element,
+            "array_alignment_bytes": TRIAD_ALIGNMENT,
+        }
+        if spec is not None:
+            peak = peak_bandwidth(spec)
+            provenance["peak_bandwidth_gbs"] = peak
+            provenance["best_over_peak"] = {str(r.threads): r.best / peak for r in results}
+        write_sidecar_metadata(args.out, provenance)
     return 0
 
 
 def _cmd_bench_flops(args) -> int:
     counts = _parse_thread_list(args.threads)
+    require_cpus(max(counts))  # before any thread starts
     rows = []
     for count in counts:
         result = run_fma_kernel(args.precision, args.mode, args.duration, threads=count)
-        rows.append((result.mode, result.precision, result.threads, result.gflops))
+        rows.append((result.mode, result.precision, result.gflops))
         print(
             f"{result.mode}/{result.precision} threads={result.threads}: "
             f"{result.gflops:.3f} GFlop/s over {result.duration:.2f} s"
         )
     if args.out:
-        emit_plot_data(
-            [(m, p, g) for m, p, _, g in rows], args.out, header=["mode", "precision", "gflops"]
-        )
+        emit_plot_data(rows, args.out, header=["mode", "precision", "gflops"])
         write_sidecar_metadata(
             args.out, {"command": "bench flops", "duration": args.duration}
         )

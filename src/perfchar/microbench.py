@@ -1,16 +1,19 @@
 """In-process microbenchmarks: streaming-triad bandwidth and FMA throughput.
 
-Both kernels are portable array loops (numpy releases the interpreter lock in
-its inner loops, so worker threads genuinely overlap). They characterize what
-high-level code can sustain, not the hand-tuned assembly limit, so results
-should be read against declared peaks as upper bounds rather than targets.
+Triad: ``a[i] = b[i] + q * c[i]`` over three page-aligned arrays of 8-byte
+elements, best of N repetitions, with 24 bytes counted per element (two
+reads, one write, the STREAM convention) and a bit-exact verification pass
+at the end. The kernel is one C loop built once per process with the local
+``cc`` and called through ctypes, which releases the interpreter lock so
+worker threads overlap; without a usable compiler it is two numpy passes,
+which move 40 bytes per element for the same 24 counted.
 
-Triad: ``a[i] = b[i] + q * c[i]`` over three arrays of 8-byte elements, best
-of N repetitions, with 24 bytes counted per element (two reads, one write)
-and a bit-exact verification pass at the end. FMA throughput: eight
-independent accumulator chains of ``acc = acc * m + d`` updates, counted as
-two flops per element per update; ``vector`` mode uses a cache-resident block
-per chain, ``scalar`` mode a single element.
+FMA throughput is a portable numpy loop (numpy also releases the lock in its
+inner loops): eight independent accumulator chains of ``acc = acc * m + d``
+updates, counted as two flops per element per update; ``vector`` mode uses a
+cache-resident block per chain, ``scalar`` mode a single element. It shows
+what high-level code can sustain, not the hand-tuned assembly limit, so read
+it against declared peaks as an upper bound rather than a target.
 
 Only one benchmark may run at a time per process; concurrent runs would
 corrupt each other's measurements.
@@ -18,11 +21,17 @@ corrupt each other's measurements.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import mmap
 import os
+import shutil
+import tempfile
 import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +48,17 @@ from .hwmodel import PlatformSpec, stream_min_elements
 TRIAD_SCALAR_Q = 3.0
 TRIAD_WARMUP_PASSES = 2
 TRIAD_BYTES_PER_ELEMENT = 24  # two 8-byte reads and one 8-byte write per element
+#: Bytes each kernel reads and writes per element, write-allocate traffic not included.
+TRIAD_MOVED_BYTES = {"native": 24, "numpy": 40}
+TRIAD_ALIGNMENT = mmap.PAGESIZE  # every triad array starts on a page boundary
+TRIAD_SOURCE = """
+void triad(double *restrict a, const double *restrict b, const double *restrict c,
+           double q, long lo, long hi)
+{
+    for (long i = lo; i < hi; i++)
+        a[i] = b[i] + q * c[i];
+}
+"""
 #: The triad inputs repeat one seeded block in [1, 2), cheaper than a draw per element; a
 #: prime length keeps a pass at a shifted power-of-two offset from verifying by chance.
 TRIAD_FILL_BLOCK = (1 << 16) + 1
@@ -70,6 +90,42 @@ def _available_cpus() -> list[int]:
     if hasattr(os, "sched_getaffinity"):
         return sorted(os.sched_getaffinity(0))
     return list(range(os.cpu_count() or 1))
+
+
+def require_cpus(threads: int) -> None:
+    """Refuse a thread count above the cpus this process may run on."""
+    available = len(_available_cpus())
+    if threads > available:
+        raise ParameterError(f"threads ({threads}) exceed available cpus ({available})")
+
+
+@functools.cache
+def _native_triad():
+    """The C triad ``triad(a, b, c, q, lo, hi)``, or None when it cannot be built or loaded."""
+    import subprocess  # here, not at the top: it adds about 5 ms to every CLI start
+    compiler = shutil.which("cc")
+    if compiler is None:
+        return None
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            source, library = Path(tmp, "triad.c"), Path(tmp, "triad.so")
+            source.write_text(TRIAD_SOURCE)
+            # No FMA contraction (gcc's default on aarch64): verify_triad is bit-exact.
+            command = [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-o", library, source]
+            subprocess.run(command, check=True, capture_output=True)
+            kernel = ctypes.CDLL(str(library)).triad  # stays mapped once the file is gone
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_double, ctypes.c_long, ctypes.c_long]
+    kernel.restype = None
+    return kernel
+
+
+def _page_aligned(n: int) -> np.ndarray:
+    """n float64 elements starting on a page boundary, sliced from one page more."""
+    raw = np.empty(n + TRIAD_ALIGNMENT // 8)
+    skip = -raw.ctypes.data % TRIAD_ALIGNMENT // 8
+    return raw[skip:skip + n]
 
 
 def _cpu_assignment(threads: int, pinning: str, sockets: int) -> list[int] | None:
@@ -127,6 +183,7 @@ class BandwidthResult:
     warmup_passes: int = TRIAD_WARMUP_PASSES
     pinning: str = "interleaved"
     pinned: bool = False
+    kernel: str = "native"  # a key of TRIAD_MOVED_BYTES
 
     def __post_init__(self):
         if not self.per_repetition:
@@ -135,6 +192,10 @@ class BandwidthResult:
             raise ParameterError("bandwidth values must be positive")
         if self.best != max(self.per_repetition):
             raise ParameterError("best must equal the per-repetition maximum")
+
+    @property
+    def moved_bytes_per_element(self) -> int:
+        return TRIAD_MOVED_BYTES[self.kernel]
 
 
 @dataclass(frozen=True)
@@ -168,9 +229,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
     element against ``b + q*c``; any mismatch raises KernelCorruptionError.
     """
     with _exclusive_run():
-        available = len(_available_cpus())
-        if config.threads > available:
-            raise ParameterError(f"threads ({config.threads}) exceed available cpus ({available})")
+        require_cpus(config.threads)
         if spec is not None:
             minimum = stream_min_elements(spec)
             if config.elements < minimum:
@@ -179,8 +238,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
                     f"{minimum} for spec '{spec.name}'"
                 )
         try:
-            b, c = np.empty(config.elements), np.empty(config.elements)
-            a = np.zeros(config.elements)
+            b, c, a = (_page_aligned(config.elements) for _ in range(3))
         except MemoryError as exc:
             raise ResourceError(
                 f"cannot allocate 3 arrays of {config.elements} elements "
@@ -194,6 +252,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             for lo in range(TRIAD_FILL_BLOCK, len(x), TRIAD_FILL_BLOCK):
                 x[lo:lo + TRIAD_FILL_BLOCK] = x[:min(TRIAD_FILL_BLOCK, len(x) - lo)]
 
+        native = _native_triad()  # built here, before any worker starts
         sockets = spec.sockets if spec is not None else 1
         cpus = _cpu_assignment(config.threads, config.pinning, sockets)
         q = TRIAD_SCALAR_Q
@@ -214,13 +273,17 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
                     pass
             lo, hi = bounds[index]
             a_s, b_s, c_s = a[lo:hi], b[lo:hi], c[lo:hi]
+            pointers = (a.ctypes.data, b.ctypes.data, c.ctypes.data)
             while True:
                 try:
                     start.wait()
                     if stop.is_set():
                         return
-                    np.multiply(c_s, q, out=a_s)
-                    np.add(a_s, b_s, out=a_s)
+                    if native is not None:
+                        native(*pointers, q, lo, hi)
+                    else:
+                        np.multiply(c_s, q, out=a_s)
+                        np.add(a_s, b_s, out=a_s)
                     done.wait()
                 except threading.BrokenBarrierError:
                     return
@@ -232,7 +295,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
         for w in workers:
             w.start()
 
-        bytes_moved = TRIAD_BYTES_PER_ELEMENT * config.elements
+        counted_bytes = TRIAD_BYTES_PER_ELEMENT * config.elements
         timings = []
         try:
             for rep in range(TRIAD_WARMUP_PASSES + config.repetitions):
@@ -241,7 +304,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
                 done.wait()
                 t1 = time.perf_counter()
                 if rep >= TRIAD_WARMUP_PASSES:
-                    timings.append(bytes_moved / 1e9 / (t1 - t0))
+                    timings.append(counted_bytes / 1e9 / (t1 - t0))
         finally:
             stop.set()
             try:
@@ -263,6 +326,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             warmup_passes=TRIAD_WARMUP_PASSES,
             pinning=config.pinning,
             pinned=cpus is not None,
+            kernel="numpy" if native is None else "native",
         )
 
 
@@ -315,8 +379,8 @@ def run_fma_kernel(
         raise CapabilityError(
             f"mode {mode!r} not supported; supported: {MODES}", supported=MODES
         )
-    if duration < FMA_MIN_DURATION:
-        raise ParameterError(f"duration must be >= {FMA_MIN_DURATION} s")
+    if not (np.isfinite(duration) and duration >= FMA_MIN_DURATION):
+        raise ParameterError(f"duration must be finite and >= {FMA_MIN_DURATION} s, got {duration}")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from perfchar.cli import main
 from perfchar.ingest import SHARE_COLUMNS, RunRecord
+from perfchar.microbench import _available_cpus
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
 
@@ -633,6 +634,54 @@ class TestBenchCommands:
         (row,) = read_csv(out)
         assert row["mode"] == "vector"
         assert float(row["gflops"]) > 0
+
+    @pytest.mark.parametrize("duration", ["nan", "inf"])
+    def test_bench_flops_non_finite_duration(self, duration, capsys):
+        assert main(["bench", "flops", "--duration", duration]) == 1
+        assert_one_error_line(capsys, "ParameterError", "duration must be finite")
+
+    def test_bench_flops_threads_beyond_cpus(self, monkeypatch, capsys):
+        import perfchar.cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a kernel started before the thread check")
+
+        monkeypatch.setattr(perfchar.cli, "run_fma_kernel", no_run)
+        count = len(_available_cpus()) + 1
+        assert main(["bench", "flops", "--duration", "0.1", "--threads", f"1,{count}"]) == 1
+        assert_one_error_line(capsys, "ParameterError", f"threads ({count}) exceed available cpus")
+
+    def test_bench_mem_provenance(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["bench", "mem", "--elements", "100000", "--threads", "1,2", "--reps", "2",
+             "--out", str(out)]
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["kernel"] in ("native", "numpy")
+        assert meta["counted_bytes_per_element"] == 24
+        assert meta["moved_bytes_per_element"] == {"native": 24, "numpy": 40}[meta["kernel"]]
+        assert meta["array_alignment_bytes"] % 4096 == 0
+        assert "peak_bandwidth_gbs" not in meta
+        assert "elements=100000 " in capsys.readouterr().out
+        assert out.read_text().splitlines()[0] == "threads,best_gbs"
+
+    def test_bench_mem_spec_records_peak_fraction(self, tmp_path, monkeypatch, fixtures_dir, capsys):
+        import perfchar.microbench
+
+        monkeypatch.setattr(perfchar.microbench, "stream_min_elements", lambda spec: 1)
+        out = tmp_path / "mem.csv"
+        code = main(
+            ["bench", "mem", "--elements", "100000", "--reps", "2", "--out", str(out),
+             "--spec", str(fixtures_dir / "platforms" / "dibona-tx2.json")]
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "mem.csv.meta.json").read_text())
+        (row,) = read_csv(out)
+        assert meta["peak_bandwidth_gbs"] == pytest.approx(170.64)
+        assert meta["best_over_peak"] == {"1": float(row["best_gbs"]) / meta["peak_bandwidth_gbs"]}
+        assert f"kernel={meta['kernel']}" in capsys.readouterr().out
 
     def test_thread_cap_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("PERFCHAR_THREADS", "1")

@@ -1,3 +1,6 @@
+import ctypes
+import math
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,8 @@ from perfchar.exceptions import (
     ParameterError,
     SizingError,
 )
-from perfchar.microbench import _run_lock, verify_triad
+from perfchar import microbench
+from perfchar.microbench import _native_triad, _page_aligned, _run_lock, verify_triad
 
 SMALL = 100_000  # big enough to time, small enough to keep the suite quick
 
@@ -85,6 +89,61 @@ class TestTriad:
                 run_stream_triad(config)
         finally:
             _run_lock.release()
+
+
+@pytest.fixture
+def fresh_native_build():
+    """Forget the cached native triad before and after the test."""
+    _native_triad.cache_clear()
+    yield
+    _native_triad.cache_clear()
+
+
+class TestTriadKernels:
+    def test_numpy_kernel_when_native_unavailable(self, monkeypatch):
+        monkeypatch.setattr(microbench, "_native_triad", lambda: None)
+        result = run_stream_triad(TriadConfig(elements=SMALL, threads=2, repetitions=2))
+        assert result.kernel == "numpy"
+        assert result.moved_bytes_per_element == 40
+
+    def test_numpy_kernel_without_compiler(self, monkeypatch, tmp_path, fresh_native_build):
+        monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory: no cc
+        assert _native_triad() is None
+        result = run_stream_triad(TriadConfig(elements=SMALL, repetitions=2))
+        assert result.kernel == "numpy"
+        assert result.moved_bytes_per_element == 40
+
+    def test_failed_build_falls_back(self, monkeypatch, tmp_path, fresh_native_build):
+        fake_cc = tmp_path / "cc"
+        fake_cc.write_text("#!/bin/sh\nexit 1\n")
+        fake_cc.chmod(0o755)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert _native_triad() is None
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_native_kernel_verifies(self, threads):
+        if _native_triad() is None:
+            pytest.skip("no C compiler on PATH")
+        # An odd length leaves each worker a slice that is not a multiple of the vector width.
+        config = TriadConfig(elements=SMALL + 3, threads=threads, repetitions=2)
+        result = run_stream_triad(config)  # verify_triad raises on any mismatch
+        assert result.kernel == "native"
+        assert result.moved_bytes_per_element == 24
+
+    def test_native_corruption_is_not_a_fallback(self, monkeypatch):
+        def corrupt(a, b, c, q, lo, hi):  # writes nothing but one wrong value per slice
+            ctypes.c_double.from_address(a + 8 * lo).value = -1.0
+
+        monkeypatch.setattr(microbench, "_native_triad", lambda: corrupt)
+        with pytest.raises(KernelCorruptionError, match="element 0"):
+            run_stream_triad(TriadConfig(elements=SMALL, repetitions=1))
+
+    @pytest.mark.parametrize("n", [1, 511, 1 << 20, (1 << 20) + 3])
+    def test_page_aligned(self, n):
+        array = _page_aligned(n)
+        assert array.ctypes.data % 4096 == 0
+        assert len(array) == n
+        assert array.dtype == np.float64
 
 
 class TestVerifyTriad:
@@ -154,6 +213,11 @@ class TestFmaKernel:
     def test_short_duration_rejected(self):
         with pytest.raises(ParameterError):
             run_fma_kernel("double", "vector", 0.05)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, duration):
+        with pytest.raises(ParameterError, match="finite"):
+            run_fma_kernel("double", "vector", duration)
 
     def test_result_invariants(self):
         with pytest.raises(ParameterError):
