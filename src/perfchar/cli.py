@@ -12,13 +12,11 @@ Subcommands map one-to-one onto the analysis surfaces:
 * ``report compare``   cross-platform comparison tables
 
 Exit codes: 0 success, 1 analysis or validation failure, 2 usage error.
-``PERFCHAR_THREADS`` caps benchmark thread counts.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from itertools import compress
 from pathlib import Path
@@ -180,19 +178,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_cap() -> int | None:
-    raw = os.environ.get("PERFCHAR_THREADS")
-    if not raw:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ParameterError(f"PERFCHAR_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 1:
-        raise ParameterError("PERFCHAR_THREADS must be >= 1")
-    return cap
-
-
 def _parse_thread_list(text: str) -> list[int]:
     try:
         counts = [int(part) for part in text.split(",") if part.strip()]
@@ -200,9 +185,6 @@ def _parse_thread_list(text: str) -> list[int]:
         raise ParameterError(f"bad thread list {text!r}") from exc
     if not counts:
         raise ParameterError("no thread counts given")
-    cap = _thread_cap()
-    if cap is not None:
-        counts = sorted({min(c, cap) for c in counts})
     return counts
 
 

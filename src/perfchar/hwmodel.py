@@ -173,10 +173,3 @@ def load_platform_spec(path: str | Path) -> PlatformSpec:
     except json.JSONDecodeError as exc:
         raise InvalidSpecError(f"{path}: not valid JSON: {exc}") from exc
     return platform_spec_from_dict(data)
-
-
-def save_platform_spec(spec: PlatformSpec, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(platform_spec_to_dict(spec), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )

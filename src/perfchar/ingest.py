@@ -307,15 +307,17 @@ def read_columns(
     return row_lines, cells
 
 
-def _row_error(lines: Sequence[int], rows: Iterable[tuple], check: Callable) -> RowError:
-    """The RowError of every row on which ``check(*row)`` raises ValueError, in row order."""
-    failures = []
+def _rows(lines: Sequence[int], rows: Iterable[tuple], make: Callable) -> list:
+    """``make(*row)`` of every row; one RowError lists every row on which it raises ValueError."""
+    values, failures = [], []
     for line, row in zip(lines, rows):
         try:
-            check(*row)
+            values.append(make(*row))
         except ValueError as exc:  # ParameterError is a ValueError
             failures.append((line, str(exc)))
-    return RowError(failures)
+    if failures:
+        raise RowError(failures)
+    return values
 
 
 def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp):
@@ -364,9 +366,15 @@ def parse_runs(source: str | Path) -> RunTable:
     """
     lines, cells = read_columns(source, RUNS_COLUMNS)
     runs = _run_table(cells)
-    if runs is None:
-        raise _row_error(lines, zip(*cells), _run_record)
-    return runs
+    return RunTable.from_records(_rows(lines, zip(*cells), _run_record)) if runs is None else runs
+
+
+def _share_point(procs: str, lb: str, com: str) -> tuple[float, float, float]:
+    """(procs, lb_share_pct, com_share_pct) of one share row; raises ValueError unless finite."""
+    point = (float(procs), float(lb), float(com))
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
+    return point
 
 
 def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
@@ -375,23 +383,27 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
     The ``fields`` columns are mandatory; groups come back in sorted key order.
     Raises RowError listing every line with a share or count that is not finite.
     """
-    groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    failures = []
     lines, cells = read_columns(source, (*fields, *SHARE_COLUMNS))
-    for line, *key, procs, lb, com in zip(lines, *cells):
-        try:
-            point = (float(procs), float(lb), float(com))
-            if not all(map(math.isfinite, point)):
-                raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
-        except ValueError as exc:
-            failures.append((line, str(exc)))
-            continue
+    points = _rows(lines, zip(*cells[len(fields):]), _share_point)
+    groups: dict[tuple, list[tuple[float, float, float]]] = {}
+    for *key, point in zip(*cells[:len(fields)], points):
         groups.setdefault(tuple(key), []).append(point)
-    if failures:
-        raise RowError(failures)
     if not groups:
         raise SchemaError(f"{source}: no share rows")
     return dict(sorted(groups.items()))
+
+
+def _kernel_point(label, intensity, flops, loads, stores, access_bytes, measured, share) -> KernelPoint:
+    """The KernelPoint of one row of cells; raises ValueError for the first check it fails."""
+    if intensity:
+        value = float(intensity)
+    elif flops or loads or stores:
+        sample = CounterSample(float(flops), float(loads), float(stores), int(access_bytes or 8))
+        value = arithmetic_intensity(sample)
+    else:
+        raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
+    return KernelPoint(label, value, float(measured) if measured else None,
+                       float(share) / 100.0 if share else None)
 
 
 def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
@@ -402,36 +414,8 @@ def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
     ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
     listing every line that is not a valid point.
     """
-    points, failures = [], []
     lines, cells = read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS)
-    for line, label, intensity, flops, loads, stores, access_bytes, measured, share in zip(
-        lines, *cells
-    ):
-        try:
-            if intensity:
-                value = float(intensity)
-            elif flops or loads or stores:
-                sample = CounterSample(
-                    flops=float(flops),
-                    loads=float(loads),
-                    stores=float(stores),
-                    access_bytes=int(access_bytes or 8),
-                )
-                value = arithmetic_intensity(sample)
-            else:
-                raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
-            points.append(
-                KernelPoint(
-                    label=label,
-                    intensity=value,
-                    measured_perf=float(measured) if measured else None,
-                    time_share=float(share) / 100.0 if share else None,
-                )
-            )
-        except ValueError as exc:
-            failures.append((line, str(exc)))
-    if failures:
-        raise RowError(failures)
+    points = _rows(lines, zip(*cells), _kernel_point)
     if not points:
         raise SchemaError(f"{source}: no kernel points")
     return points
@@ -513,12 +497,8 @@ def _outliers(values: np.ndarray, k: float) -> np.ndarray | None:
     return np.abs(values - median) > k * sigma
 
 
-def flag_outliers(
-    records: Sequence[RunRecord],
-    k: float = 3.0,
-    value: Callable[[RunRecord], float] = lambda r: r.time,
-) -> list[RunRecord] | None:
-    """Flag records farther than k robust sigmas from the group median.
+def flag_outliers(records: Sequence[RunRecord], k: float = 3.0) -> list[RunRecord] | None:
+    """Flag records whose time is farther than k robust sigmas from the group median.
 
     Sigma is the MAD-based robust estimate, so a run of identical values plus
     one stray flags exactly the stray. Returns None (not applicable) for
@@ -526,7 +506,7 @@ def flag_outliers(
     """
     if k <= 0:
         raise ParameterError("k must be > 0")
-    flagged = _outliers(np.array([value(r) for r in records], dtype=float), k)
+    flagged = _outliers(np.array([r.time for r in records], dtype=float), k)
     return None if flagged is None else list(compress(records, flagged))
 
 
@@ -632,10 +612,11 @@ def _gbs_divisor(unit: str) -> float:
     return 1.0
 
 
-def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> None:
-    """Check one pairwise row; raises ValueError for the first check it fails."""
-    int(msg_bytes)
-    _check_pair(a, b, float(bandwidth) / _gbs_divisor(unit))
+def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> tuple[int, str, str, float]:
+    """(message size, node_a, node_b, GB/s) of one row; raises ValueError for the first check it fails."""
+    size, gbs = int(msg_bytes), float(bandwidth) / _gbs_divisor(unit)
+    _check_pair(a, b, gbs)
+    return size, a, b, gbs
 
 
 def _pairwise_entries(source: str | Path) -> tuple[list[int], list[str], list[str], list[float]]:
@@ -653,7 +634,8 @@ def _pairwise_entries(source: str | Path) -> tuple[list[int], list[str], list[st
     except ValueError:
         valid = False
     if not valid:
-        raise _row_error(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
+        rows = _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
+        return tuple(map(list, zip(*rows)))
     del msg_bytes, bandwidth  # converted; free the cell text of large files early
     return sizes, node_a, node_b, gbs.tolist()
 

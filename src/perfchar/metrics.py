@@ -13,23 +13,15 @@ from .ingest import AppMetric, RunRecord, RunTable, aggregate
 
 @dataclass(frozen=True)
 class EnergyMetrics:
-    """Energy-to-solution (kJ), energy-delay product (kJ s), optional work/J.
-
-    ``init_fraction`` records what share of the measured energy an untimed
-    initialization phase is believed to contribute; it is carried as metadata
-    only, never applied as a correction.
-    """
+    """Energy-to-solution (kJ), energy-delay product (kJ s), optional work/J."""
 
     e2s_kj: float
     edp_kjs: float
     work_per_joule: AppMetric | None = None
-    init_fraction: float | None = None
 
     def __post_init__(self):
         if self.e2s_kj < 0 or self.edp_kjs < 0:
             raise ParameterError("energy metrics must be non-negative")
-        if self.init_fraction is not None and not 0 <= self.init_fraction < 1:
-            raise ParameterError("init_fraction must be within [0, 1) when present")
 
 
 def energy_terms(energy_j, time_s, rate=None):
@@ -48,7 +40,7 @@ def per_joule_unit(rate_unit: str) -> str:
     return rate_unit[: -len("/s")] + "/J"
 
 
-def energy_metrics(record: RunRecord, init_fraction: float | None = None) -> EnergyMetrics | None:
+def energy_metrics(record: RunRecord) -> EnergyMetrics | None:
     """Energy metrics of one run, or None when the record carries no energy.
 
     work_per_joule is derived from a rate metric as rate * time / energy
@@ -60,9 +52,7 @@ def energy_metrics(record: RunRecord, init_fraction: float | None = None) -> Ene
     rate = metric.value if metric is not None and metric.is_rate() else None
     e2s_kj, edp_kjs, value = energy_terms(record.energy, record.time, rate)
     work = None if value is None else AppMetric(value, per_joule_unit(metric.unit))
-    return EnergyMetrics(
-        e2s_kj=e2s_kj, edp_kjs=edp_kjs, work_per_joule=work, init_fraction=init_fraction
-    )
+    return EnergyMetrics(e2s_kj=e2s_kj, edp_kjs=edp_kjs, work_per_joule=work)
 
 
 @dataclass(frozen=True)

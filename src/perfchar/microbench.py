@@ -428,13 +428,12 @@ def thread_sweep(
     *,
     elements: int | None = None,
     repetitions: int = 20,
-    pinning: str = "interleaved",
-    precision: str = "double",
-    mode: str = "vector",
     duration: float = 0.25,
-    spec: PlatformSpec | None = None,
 ) -> list[SweepPoint]:
-    """Run one kernel per thread count and return the (threads, metric) curve."""
+    """Run one kernel per thread count and return the (threads, metric) curve.
+
+    Triad runs use the default pinning and no spec; FMA runs are double-precision vector.
+    """
     if kind not in ("triad", "fma"):
         raise ParameterError(f"kind must be 'triad' or 'fma', got {kind!r}")
     if not thread_counts:
@@ -446,11 +445,9 @@ def thread_sweep(
         if kind == "triad":
             if elements is None:
                 raise ParameterError("a triad sweep needs the array length")
-            config = TriadConfig(
-                elements=elements, threads=count, repetitions=repetitions, pinning=pinning
-            )
-            value = run_stream_triad(config, spec=spec).best
+            config = TriadConfig(elements=elements, threads=count, repetitions=repetitions)
+            value = run_stream_triad(config).best
         else:
-            value = run_fma_kernel(precision, mode, duration, threads=count).gflops
+            value = run_fma_kernel("double", "vector", duration, threads=count).gflops
         points.append(SweepPoint(threads=count, value=value))
     return points

@@ -55,8 +55,8 @@ class CounterSample:
             raise ParameterError("flops must be >= 0")
         if self.loads < 0 or self.stores < 0:
             raise ParameterError("loads and stores must be >= 0")
-        if self.access_bytes <= 0:
-            raise ParameterError("access_bytes must be > 0")
+        if not 0 < self.access_bytes < 2**63:  # a larger int does not convert to float
+            raise ParameterError("access_bytes must be > 0 and < 2**63")
 
 
 @dataclass(frozen=True)
@@ -69,10 +69,10 @@ class KernelPoint:
     time_share: float | None = None  # fraction of total run time
 
     def __post_init__(self):
-        if self.intensity < 0:
-            raise ParameterError("intensity must be >= 0")
-        if self.measured_perf is not None and self.measured_perf < 0:
-            raise ParameterError("measured_perf must be >= 0 when present")
+        if not 0 <= self.intensity < math.inf:
+            raise ParameterError("intensity must be finite and >= 0")
+        if self.measured_perf is not None and not 0 <= self.measured_perf < math.inf:
+            raise ParameterError("measured_perf must be finite and >= 0 when present")
         if self.time_share is not None and not 0 <= self.time_share <= 1:
             raise ParameterError("time_share must be within [0, 1] when present")
 
@@ -112,7 +112,8 @@ def classify(model: RooflineModel, point: KernelPoint) -> Classification:
     """Place a kernel point: memory-bound strictly below the ridge, else compute-bound.
 
     A measurement above the ceiling is flagged (and warned about) rather than
-    rejected; counter-based intensity carries measurement error.
+    rejected; counter-based intensity carries measurement error. A measurement
+    so small that the headroom overflows is rejected.
     """
     sustained = sustained_perf(model, point.intensity)
     bound = MEMORY_BOUND if point.intensity < model.ridge_intensity else COMPUTE_BOUND
@@ -120,6 +121,10 @@ def classify(model: RooflineModel, point: KernelPoint) -> Classification:
     above_roof = False
     if point.measured_perf is not None and point.measured_perf > 0:
         headroom = sustained / point.measured_perf
+        if headroom == math.inf:
+            raise ParameterError(
+                f"kernel '{point.label}': headroom {sustained:.4g} / {point.measured_perf:.4g} overflows"
+            )
         if point.measured_perf > sustained:
             above_roof = True
             warnings.warn(
@@ -134,15 +139,13 @@ def roofline_curve(
     model: RooflineModel,
     intensity_min: float,
     intensity_max: float,
-    points_per_decade: int = CURVE_POINTS_PER_DECADE,
 ) -> list[tuple[float, float]]:
-    """Sample (intensity, ceiling) pairs on a log grid for plotting."""
-    if intensity_min <= 0 or intensity_max <= intensity_min:
-        raise ParameterError("need 0 < intensity_min < intensity_max")
-    if points_per_decade < 1:
-        raise ParameterError("points_per_decade must be >= 1")
+    """Sample (intensity, ceiling) pairs for plotting, CURVE_POINTS_PER_DECADE per log decade."""
+    if not (0 < intensity_min < intensity_max and intensity_max / intensity_min < math.inf):
+        raise ParameterError("need 0 < intensity_min < intensity_max with a finite ratio, "
+                             f"got {intensity_min!r}, {intensity_max!r}")
     decades = math.log10(intensity_max / intensity_min)
-    n = max(2, int(round(decades * points_per_decade)) + 1)
+    n = max(2, int(round(decades * CURVE_POINTS_PER_DECADE)) + 1)
     step = decades / (n - 1)
     curve = []
     for i in range(n):

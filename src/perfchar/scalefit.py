@@ -486,12 +486,10 @@ def share_decomposition(t_cal: float, t_com: float, t_lb: float) -> tuple[float,
 def weak_scaling_size(
     per_unit_dims: tuple[int, int, int],
     decomposition: tuple[int, int, int],
-    *,
-    values_per_cell: int = LATTICE_VALUES_PER_CELL,
 ) -> WeakScalingSize:
     """Global lattice size for a per-unit block replicated over a decomposition.
 
-    Memory is cells * values_per_cell * 8 bytes (double precision).
+    Memory is cells * LATTICE_VALUES_PER_CELL * 8 bytes (double precision).
     """
     if len(per_unit_dims) != 3 or len(decomposition) != 3:
         raise ParameterError("dims and decomposition must both have 3 components")
@@ -502,5 +500,5 @@ def weak_scaling_size(
     return WeakScalingSize(
         global_dims=global_dims,
         total_cells=cells,
-        memory_bytes=cells * values_per_cell * BYTES_PER_DOUBLE,
+        memory_bytes=cells * LATTICE_VALUES_PER_CELL * BYTES_PER_DOUBLE,
     )

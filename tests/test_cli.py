@@ -567,6 +567,89 @@ class TestAnalyzeRoofline:
         assert code == 1
         assert_one_error_line(capsys, "ParameterError", "roofline peaks must be finite and positive")
 
+    def run_points(self, tmp_path, text):
+        points = tmp_path / "points.csv"
+        points.write_text(text)
+        return main(["analyze", "roofline", "--flops-gflops", "100", "--bandwidth-gbs", "10",
+                     "--points", str(points), "--out-dir", str(tmp_path / "roof")])
+
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [
+            ("label,intensity", "k,inf", "intensity must be finite"),
+            ("label,intensity", "k,nan", "intensity must be finite"),
+            ("label,intensity,gflops", "k,1,inf", "measured_perf must be finite"),
+            ("label,intensity,gflops", "k,1,nan", "measured_perf must be finite"),
+            ("label,flops,loads,stores", "k,1e400,1,1", "intensity must be finite"),
+        ],
+    )
+    def test_non_finite_kernel_point_is_row_error(self, header, row, message, tmp_path, capsys):
+        assert self.run_points(tmp_path, f"{header}\n{row}\n") == 1
+        assert_one_error_line(capsys, "RowError", "line 2:", message)
+        assert not (tmp_path / "roof").exists()
+
+    def test_overflowing_headroom_is_parameter_error(self, tmp_path, capsys):
+        # A finite, positive measurement whose headroom 10 / 1e-320 overflows.
+        assert self.run_points(tmp_path, "label,intensity,gflops\nk,1,1e-320\n") == 1
+        assert_one_error_line(capsys, "ParameterError", "headroom")
+        assert not (tmp_path / "roof").exists()
+
+    @pytest.mark.parametrize(
+        "text, kind",
+        [
+            ("label,intensity\nk,1e308\n", "ParameterError"),  # the curve's upper end overflows
+            ("label,intensity\nk,1e-310\nj,10\n", "ParameterError"),  # more than 10^308 apart
+            ("label,flops,loads,stores,access_bytes\nk,1,1,1," + "9" * 400 + "\n", "RowError"),
+        ],
+    )
+    def test_extreme_finite_point_is_one_error_line(self, text, kind, tmp_path, capsys):
+        assert self.run_points(tmp_path, text) == 1
+        assert_one_error_line(capsys, kind)
+        assert not (tmp_path / "roof").exists()
+
+
+#: Cells for the kernel-point property test: finite, infinite, NaN, subnormal,
+#: huge, junk and empty.
+KERNEL_CELLS = st.one_of(
+    st.floats(min_value=0, max_value=1e4).map(repr),
+    st.floats().map(repr),
+    st.integers(min_value=-3, max_value=10**30).map(str),
+    st.sampled_from(["", "abc", "1e400", "-1e400", "5e-324", "1e-320", "1e308", "9" * 400, " 2 "]),
+)
+KERNEL_HEADER = "label,intensity,flops,loads,stores,access_bytes,gflops,time_share_pct"
+
+
+class TestRooflineInputsProperty:
+    @pytest.mark.filterwarnings("ignore:kernel .* above the .* ceiling:UserWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.one_of(st.just(""), KERNEL_CELLS), *[KERNEL_CELLS] * 4,
+                      st.one_of(st.just(""), KERNEL_CELLS), st.one_of(st.just(""), KERNEL_CELLS)),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_exit_zero_or_one_error_line(self, tmp_path_factory, rows):
+        tmp = tmp_path_factory.mktemp("roofline")
+        points = tmp / "points.csv"
+        points.write_text("\n".join([KERNEL_HEADER, *(",".join((f"k{i}", *row))
+                                                      for i, row in enumerate(rows))]) + "\n")
+        out_dir = tmp / "roof"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["analyze", "roofline", "--flops-gflops", "100", "--bandwidth-gbs", "10",
+                         "--points", str(points), "--out-dir", str(out_dir)])
+        text = err.getvalue()
+        if code == 0:
+            for name in ("roofline_curve.csv", "roofline_points.csv"):
+                cells = (out_dir / name).read_text().replace("\n", ",").split(",")
+                assert not {"inf", "-inf", "nan"} & {cell.lower() for cell in cells}
+        else:
+            assert code == 1
+            assert text.startswith("perfchar: error: ")
+            assert text.count("\n") == 1
+            assert "Traceback" not in text
+
 
 class TestReportCompare:
     def test_time_comparison(self, fixtures_dir, tmp_path, capsys):
@@ -682,16 +765,6 @@ class TestBenchCommands:
         assert meta["peak_bandwidth_gbs"] == pytest.approx(170.64)
         assert meta["best_over_peak"] == {"1": float(row["best_gbs"]) / meta["peak_bandwidth_gbs"]}
         assert f"kernel={meta['kernel']}" in capsys.readouterr().out
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PERFCHAR_THREADS", "1")
-        out = tmp_path / "capped.csv"
-        code = main(
-            ["bench", "mem", "--elements", "100000", "--threads", "1,2", "--reps", "2",
-             "--out", str(out)]
-        )
-        assert code == 0
-        assert [r["threads"] for r in read_csv(out)] == ["1"]
 
     def test_sizing_violation_via_cli(self, fixtures_dir, capsys):
         code = main(

@@ -6,7 +6,7 @@ from perfchar import (
     compare_platforms,
     energy_metrics,
 )
-from perfchar.exceptions import EmptyComparisonError, ParameterError
+from perfchar.exceptions import EmptyComparisonError
 
 
 def record(platform, app, compiler, time, energy=None, rate=None):
@@ -61,16 +61,6 @@ class TestEnergyMetrics:
         doubled_energy = energy_metrics(record("p", "a", "c", 10.0, energy=2000.0))
         doubled_time = energy_metrics(record("p", "a", "c", 20.0, energy=1000.0))
         assert doubled_energy.edp_kjs == doubled_time.edp_kjs
-
-    def test_init_fraction_is_metadata_only(self):
-        rec = record("p", "a", "c", 10.0, energy=1000.0)
-        plain = energy_metrics(rec)
-        annotated = energy_metrics(rec, init_fraction=0.02)
-        assert annotated.init_fraction == 0.02
-        assert annotated.e2s_kj == plain.e2s_kj
-        assert annotated.edp_kjs == plain.edp_kjs
-        with pytest.raises(ParameterError):
-            energy_metrics(rec, init_fraction=1.5)
 
 
 class TestComparePlatforms:
