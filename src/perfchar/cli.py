@@ -17,6 +17,7 @@ Exit codes: 0 success, 1 analysis or validation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from itertools import compress
 from pathlib import Path
@@ -65,6 +66,9 @@ from .roofline import (
     roofline_curve,
 )
 from .scalefit import (
+    AMDAHL_MAX_ITER,
+    AMDAHL_START,
+    AMDAHL_TOL,
     critical_units,
     fit_amdahl_many,
     fit_gustafson_many,
@@ -289,11 +293,12 @@ def _cmd_analyze_roofline(args) -> int:
     points = parse_kernel_points(args.points) if args.points else []
     i_min = model.ridge_intensity / 256
     i_max = model.ridge_intensity * 256
-    if points:
-        positive = [p.intensity for p in points if p.intensity > 0]
-        if positive:
-            i_min = min(i_min, min(positive) / 2)
-            i_max = max(i_max, max(positive) * 2)
+    for point in points:
+        if point.intensity > 0:
+            i_min, i_max = min(i_min, point.intensity / 2), max(i_max, point.intensity * 2)
+            if not (0 < i_min and i_max / i_min < math.inf):
+                raise ParameterError(f"kernel '{point.label}': intensity {point.intensity!r} puts the "
+                                     f"roofline curve out of range ({i_min!r} to {i_max!r} Flop/Byte)")
 
     out_dir = Path(args.out_dir)
     curve_rows = [(i, perf, "roof") for i, perf in roofline_curve(model, i_min, i_max)]
@@ -436,7 +441,7 @@ def _cmd_analyze_scaling(args) -> int:
     # groups before it are printed: the speedups' error (only groups before it are
     # built), a group's fit error, or a projection unit count below 1 (at the first).
     labels, points, failure = _speedup_points(parse_runs(args.input), fields, args.model)
-    fits = (fit_amdahl_many if args.model == "amdahl" else fit_gustafson_many)(points, unit="nodes")
+    fits = (fit_amdahl_many if args.model == "amdahl" else fit_gustafson_many)(points)
     good = next((i for i, fit in enumerate(fits) if isinstance(fit, PerfcharError)), len(fits))
     if good < len(fits):
         fits, failure = fits[:good], fits[good]
@@ -472,7 +477,11 @@ def _cmd_analyze_scaling(args) -> int:
             [proj_path.name], "scaling.png", f"{args.model} projection", "units", "speedup"
         )
         atomic_write_text(out_dir / "scaling.gp", script)
-    write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
+    provenance = {"command": "analyze scaling", "model": args.model}
+    if args.model == "amdahl":
+        provenance.update(fit_weighting="1/speedup", fit_start=AMDAHL_START,
+                          fit_max_iter=AMDAHL_MAX_ITER, fit_tol=AMDAHL_TOL)
+    write_sidecar_metadata(fits_path, provenance)
     return 0
 
 

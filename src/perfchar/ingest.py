@@ -220,7 +220,6 @@ class AggregateStats:
     mean: float
     stddev: float
     n: int
-    flagged_outliers: int = 0
 
     def __post_init__(self):
         if self.n < 1:
@@ -463,7 +462,7 @@ def aggregate(
     group_key=("app", "platform", "compiler"),
     value: str = "time",
 ) -> dict[tuple, AggregateStats]:
-    """Group records and compute mean / sample stddev / outlier count per group.
+    """Group records and compute the mean and the sample stddev of each group.
 
     ``value`` names the numeric RunTable column aggregated: ``time``,
     ``energy`` or ``metric_value``.
@@ -475,26 +474,15 @@ def aggregate(
     for key, rows in group_records(runs, fields).items():
         # Python sums in record order: a numpy reduction adds pairwise and
         # changes the last bits of the mean.
-        members = column[rows]
-        values = members.tolist()
+        values = column[rows].tolist()
         n = len(values)
         mean = sum(values) / n
         try:
             stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
         except OverflowError as exc:
             raise InvalidDataError(f"{value} values of group {'/'.join(map(str, key))} overflow") from exc
-        flagged = _outliers(members, 3.0)
-        stats[key] = AggregateStats(mean, stddev, n, 0 if flagged is None else int(flagged.sum()))
+        stats[key] = AggregateStats(mean, stddev, n)
     return stats
-
-
-def _outliers(values: np.ndarray, k: float) -> np.ndarray | None:
-    """Mask of values farther than k MAD-based sigmas from their median; None below three."""
-    if len(values) < 3:
-        return None
-    median = float(np.median(values))
-    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
-    return np.abs(values - median) > k * sigma
 
 
 def flag_outliers(records: Sequence[RunRecord], k: float = 3.0) -> list[RunRecord] | None:
@@ -506,8 +494,12 @@ def flag_outliers(records: Sequence[RunRecord], k: float = 3.0) -> list[RunRecor
     """
     if k <= 0:
         raise ParameterError("k must be > 0")
-    flagged = _outliers(np.array([r.time for r in records], dtype=float), k)
-    return None if flagged is None else list(compress(records, flagged))
+    if len(records) < 3:
+        return None
+    values = np.array([r.time for r in records], dtype=float)
+    median = float(np.median(values))
+    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
+    return list(compress(records, np.abs(values - median) > k * sigma))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,6 @@ separates the memory-bound regime from the compute-bound one.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .exceptions import ParameterError
@@ -111,27 +110,20 @@ def arithmetic_intensity(sample: CounterSample) -> float:
 def classify(model: RooflineModel, point: KernelPoint) -> Classification:
     """Place a kernel point: memory-bound strictly below the ridge, else compute-bound.
 
-    A measurement above the ceiling is flagged (and warned about) rather than
+    A measurement above the ceiling is flagged in ``above_roof`` rather than
     rejected; counter-based intensity carries measurement error. A measurement
     so small that the headroom overflows is rejected.
     """
     sustained = sustained_perf(model, point.intensity)
     bound = MEMORY_BOUND if point.intensity < model.ridge_intensity else COMPUTE_BOUND
     headroom = None
-    above_roof = False
     if point.measured_perf is not None and point.measured_perf > 0:
         headroom = sustained / point.measured_perf
         if headroom == math.inf:
             raise ParameterError(
                 f"kernel '{point.label}': headroom {sustained:.4g} / {point.measured_perf:.4g} overflows"
             )
-        if point.measured_perf > sustained:
-            above_roof = True
-            warnings.warn(
-                f"kernel '{point.label}' measures {point.measured_perf:.4g} GFlop/s, "
-                f"above the {sustained:.4g} GFlop/s ceiling at intensity {point.intensity:.4g}",
-                stacklevel=2,
-            )
+    above_roof = headroom is not None and point.measured_perf > sustained
     return Classification(point.label, bound, sustained, headroom, above_roof)
 
 

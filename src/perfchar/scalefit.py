@@ -9,9 +9,10 @@ Three models cover the measured regimes:
   ``a*p + b`` (percent) while the communication share stays constant at ``c``.
 
 The strong-scaling fit is a damped Gauss-Newton (Levenberg-Marquardt style)
-loop with analytic partial derivatives. Speedup measurements carry roughly
-constant *relative* error, so residuals are weighted by 1/s by default; with
-that weighting the reported 1-sigma uncertainties (covariance at the optimum,
+loop with analytic partial derivatives, started at ``AMDAHL_START`` and run
+for at most ``AMDAHL_MAX_ITER`` iterations. Speedup measurements carry roughly
+constant *relative* error, so residuals are weighted by 1/s; with that
+weighting the reported 1-sigma uncertainties (covariance at the optimum,
 scaled by reduced chi-square) are calibrated. The weak-scaling and share
 models are linear and solved in closed form.
 
@@ -19,9 +20,6 @@ Each ``*_many`` function fits many groups, those with the same number of
 points together as stacked arrays, and ``project_many`` evaluates many fits;
 each group's result is bit-identical to fitting it alone, and the one-group
 functions are the batch of one.
-
-The unit of ``p`` (MPI processes vs nodes) is carried as a label from the
-input data, never assumed.
 """
 
 from __future__ import annotations
@@ -42,6 +40,12 @@ from .exceptions import (
 
 A_LOWER_BOUND = 1e-6  # open lower end of the parallel fraction's domain
 
+#: The strong-scaling fit: its start (a, b), iteration cap and stopping tolerance
+#: on the step norm and on the SSR gain.
+AMDAHL_START = (0.9, 0.0)
+AMDAHL_MAX_ITER = 200
+AMDAHL_TOL = 1e-13
+
 #: Memory model for lattice weak-scaling sizing: doubles stored per cell.
 LATTICE_VALUES_PER_CELL = 41
 BYTES_PER_DOUBLE = 8
@@ -56,7 +60,6 @@ class AmdahlFit:
     sigma_a: float
     sigma_b: float
     residual: float  # weighted sum of squared residuals
-    unit: str = "units"
 
     def __post_init__(self):
         if not 0 < self.a <= 1:
@@ -72,7 +75,6 @@ class GustafsonFit:
     a: float  # parallel fraction, [0, 1]
     sigma_a: float
     residual: float
-    unit: str = "units"
 
     def __post_init__(self):
         if not 0 <= self.a <= 1:
@@ -92,7 +94,6 @@ class MpiShareFit:
     sigma_b: float
     sigma_c: float
     residual: float
-    unit: str = "processes"
 
     def __post_init__(self):
         if self.c < 0:
@@ -180,7 +181,7 @@ def _stacked(routine, *stacks) -> tuple[np.ndarray, np.ndarray]:
     return np.array(results), np.array(singular)
 
 
-def _levenberg_marquardt(p, s, w, initial, max_iter, tol):
+def _levenberg_marquardt(p, s, w):
     """Damped Gauss-Newton on G groups of n points at once; p, s, w are (G, n).
 
     Every group takes the steps, damping changes and exits it would take if
@@ -188,15 +189,14 @@ def _levenberg_marquardt(p, s, w, initial, max_iter, tol):
     the weighted SSR and a converged mask, each of shape (G,).
     """
     count = len(p)
-    a0, b0 = initial
-    a = np.full(count, min(max(a0, A_LOWER_BOUND), 1.0), dtype=float)
-    b = np.full(count, b0, dtype=float)
+    a = np.full(count, AMDAHL_START[0])
+    b = np.full(count, AMDAHL_START[1])
     lam = np.full(count, 1e-3)
     ssr = _ssr(a[:, None], b[:, None], p, s, w)
     ramp = 1.0 - 1.0 / p
     converged = np.zeros(count, dtype=bool)
     live = np.arange(count)  # groups still iterating
-    for _ in range(max_iter):
+    for _ in range(AMDAHL_MAX_ITER):
         if not live.size:
             break
         a_live, p_live, w_live = a[live, None], p[live], w[live]
@@ -234,7 +234,7 @@ def _levenberg_marquardt(p, s, w, initial, max_iter, tol):
         stop = ~moved
         taken = step[moved]
         norm = np.sqrt(taken.transpose(0, 2, 1) @ taken)[:, 0, 0]
-        stop[moved] = (norm < tol) | (improvement[moved] < tol * (1.0 + ssr[live[moved]]))
+        stop[moved] = (norm < AMDAHL_TOL) | (improvement[moved] < AMDAHL_TOL * (1.0 + ssr[live[moved]]))
         converged[live[stop]] = True
         live = live[~stop]
     return a, b, ssr, converged
@@ -255,24 +255,14 @@ def _one(results: list):
     return results[0]
 
 
-def fit_amdahl(
-    points: Iterable[tuple[float, float]],
-    *,
-    weighting: str = "relative",
-    initial: tuple[float, float] = (0.9, 0.0),
-    max_iter: int = 200,
-    tol: float = 1e-13,
-    unit: str = "units",
-) -> AmdahlFit:
-    """Fit the strong-scaling model to (p, speedup) points.
+def fit_amdahl(points: Iterable[tuple[float, float]]) -> AmdahlFit:
+    """Fit the strong-scaling model to (p, speedup) points, residuals weighted by 1/s.
 
-    ``weighting="relative"`` divides residuals by the measured speedups
-    (constant relative error); ``"absolute"`` uses raw residuals. Raises
-    UnderdeterminedError below three distinct p values and ConvergenceError
-    (carrying the best iterate) if the loop exhausts ``max_iter``.
+    Raises UnderdeterminedError below three distinct p values and
+    ConvergenceError (carrying the best iterate) if the loop exhausts
+    ``AMDAHL_MAX_ITER`` iterations.
     """
-    return _one(fit_amdahl_many([points], weighting=weighting, initial=initial,
-                                max_iter=max_iter, tol=tol, unit=unit))
+    return _one(fit_amdahl_many([points]))
 
 
 def _stacks(groups, width: int) -> tuple[list, list[tuple[list[int], np.ndarray]]]:
@@ -307,15 +297,7 @@ def _distinct(p: np.ndarray) -> np.ndarray:
     return np.count_nonzero(p[:, 1:] != p[:, :-1], axis=1) + (p.shape[1] > 0)
 
 
-def fit_amdahl_many(
-    groups: Iterable[Iterable[tuple[float, float]]],
-    *,
-    weighting: str = "relative",
-    initial: tuple[float, float] = (0.9, 0.0),
-    max_iter: int = 200,
-    tol: float = 1e-13,
-    unit: str = "units",
-) -> list[AmdahlFit | PerfcharError]:
+def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[AmdahlFit | PerfcharError]:
     """Per group of (p, speedup) points, in input order: its AmdahlFit, or fit_amdahl's error."""
     results, stacks = _stacks(groups, 2)
     for index, ps in stacks:
@@ -325,35 +307,31 @@ def fit_amdahl_many(
              lambda k: UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")),
             (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
             (np.any(s <= 0, axis=1), lambda k: ParameterError("speedups must be positive")),
-            (np.full(len(index), weighting not in ("relative", "absolute")),
-             lambda k: ParameterError(f"weighting must be 'relative' or 'absolute', got {weighting!r}")),
         ])
         p, s = p[valid], s[valid]
-        w = 1.0 / s if weighting == "relative" else np.ones_like(s)
-        a, b, ssr, converged = _levenberg_marquardt(p, s, w, initial, max_iter, tol)
+        w = 1.0 / s
+        a, b, ssr, converged = _levenberg_marquardt(p, s, w)
         jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
         sigma = _sigmas(ssr / (p.shape[1] - 2), jac.transpose(0, 2, 1) @ jac)
         for k, *values, ok in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
                                   converged.tolist()):
             try:
-                fit = AmdahlFit(*values, unit=unit)
+                fit = AmdahlFit(*values)
             except ParameterError as exc:
                 results[index[k]] = exc
                 continue
             results[index[k]] = fit if ok else ConvergenceError(
-                f"strong-scaling fit did not converge within {max_iter} iterations", best_fit=fit
+                f"strong-scaling fit did not converge within {AMDAHL_MAX_ITER} iterations", best_fit=fit
             )
     return results
 
 
-def fit_gustafson(points: Iterable[tuple[float, float]], *, unit: str = "units") -> GustafsonFit:
+def fit_gustafson(points: Iterable[tuple[float, float]]) -> GustafsonFit:
     """Closed-form least squares for the weak-scaling model (linear in a)."""
-    return _one(fit_gustafson_many([points], unit=unit))
+    return _one(fit_gustafson_many([points]))
 
 
-def fit_gustafson_many(
-    groups: Iterable[Iterable[tuple[float, float]]], *, unit: str = "units"
-) -> list[GustafsonFit | PerfcharError]:
+def fit_gustafson_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[GustafsonFit | PerfcharError]:
     """Per group of (p, speedup) points, in input order: its GustafsonFit, or fit_gustafson's error."""
     results, stacks = _stacks(groups, 2)
     for index, ps in stacks:
@@ -372,30 +350,31 @@ def fit_gustafson_many(
         sigma_a = np.sqrt((resid / (p.shape[1] - 1)) / sxx)
         for k, *values in zip(valid, a.tolist(), sigma_a.tolist(), resid.tolist()):
             try:
-                results[index[k]] = GustafsonFit(*values, unit=unit)
+                results[index[k]] = GustafsonFit(*values)
             except ParameterError as exc:
                 results[index[k]] = exc
     return results
 
 
-def fit_mpi_shares(
-    points: Iterable[tuple[float, float, float]], *, unit: str = "processes"
-) -> MpiShareFit:
+def fit_mpi_shares(points: Iterable[tuple[float, float, float]]) -> MpiShareFit:
     """Fit the share decomposition to (p, lb_share_pct, com_share_pct) points.
 
     The load-balance share is fitted with ordinary least squares; the
     communication share is the sample mean with its standard error.
     """
-    return _one(fit_mpi_shares_many([points], unit=unit))
+    return _one(fit_mpi_shares_many([points]))
 
 
 def fit_mpi_shares_many(
-    groups: Iterable[Iterable[tuple[float, float, float]]], *, unit: str = "processes"
+    groups: Iterable[Iterable[tuple[float, float, float]]],
 ) -> list[MpiShareFit | PerfcharError]:
     """Per group of share points, in input order: its MpiShareFit, or fit_mpi_shares's error."""
     results, stacks = _stacks(groups, 3)
     for index, pts in stacks:
         p, lb, com = (pts[:, :, j].copy() for j in range(3))
+        design = np.stack((p, np.ones_like(p)), axis=2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            normal = design.transpose(0, 2, 1) @ design
         over = lb + com > 100.0
         valid = _screen(index, results, pts, [
             (_distinct(p) < 3,
@@ -404,18 +383,19 @@ def fit_mpi_shares_many(
              lambda k: InvalidDataError("shares must lie within [0, 100] percent")),
             (np.any(over, axis=1), lambda k: InvalidDataError(
                 f"load-balance and communication shares exceed 100% at p = {p[k][over[k]].tolist()}")),
+            (~np.isfinite(normal).all(axis=(1, 2)),
+             lambda k: InvalidDataError(f"unit counts up to p = {float(p[k][-1])!r} overflow the share fit")),
         ])
         if not valid:
             continue
-        p, lb, com = p[valid], lb[valid], com[valid]
+        p, lb, com, design, normal = p[valid], lb[valid], com[valid], design[valid], normal[valid]
         n = p.shape[1]
-        design = np.stack((p, np.ones_like(p)), axis=2)
         # numpy's lstsq takes no stack of matrices, so it runs once per group.
         coef = np.array([np.linalg.lstsq(d, y, rcond=None)[0] for d, y in zip(design, lb)])
         a, b = coef[:, :1], coef[:, 1:]
         fitted = a * p + b
         resid = np.sum((lb - fitted) ** 2, axis=1)
-        sigma = _sigmas(resid / (n - 2), design.transpose(0, 2, 1) @ design)
+        sigma = _sigmas(resid / (n - 2), normal)
         c = np.mean(com, axis=1)
         outside = np.any((fitted < 0) | (fitted + c[:, None] > 100.0), axis=1).tolist()
         for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out in zip(
@@ -424,7 +404,7 @@ def fit_mpi_shares_many(
         ):
             results[index[k]] = InvalidDataError(
                 "fitted shares leave [0, 100] percent at observed p"
-            ) if out else MpiShareFit(a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, unit)
+            ) if out else MpiShareFit(a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res)
     return results
 
 

@@ -32,7 +32,6 @@ def fit_amdahl_reference(
     initial: tuple[float, float] = (0.9, 0.0),
     max_iter: int = 200,
     tol: float = 1e-13,
-    unit: str = "units",
 ) -> AmdahlFit:
     """Fit the strong-scaling model to (p, speedup) points.
 
@@ -96,7 +95,7 @@ def fit_amdahl_reference(
             break
 
     sigma_a, sigma_b = _amdahl_uncertainties(a, p, w, ssr)
-    fit = AmdahlFit(a=a, b=b, sigma_a=sigma_a, sigma_b=sigma_b, residual=ssr, unit=unit)
+    fit = AmdahlFit(a=a, b=b, sigma_a=sigma_a, sigma_b=sigma_b, residual=ssr)
     if not converged:
         raise ConvergenceError(
             f"strong-scaling fit did not converge within {max_iter} iterations", best_fit=fit

@@ -20,7 +20,6 @@ import numpy as np
 
 from perfchar.exceptions import IncompleteMatrixError, ParameterError, RowError, SchemaError
 from perfchar.ingest import (
-    MAD_SIGMA_FACTOR,
     PAIRWISE_COLUMNS,
     RUNS_COLUMNS,
     SYMMETRY_TOLERANCE,
@@ -127,7 +126,7 @@ def aggregate(
     group_key=("app", "platform", "compiler"),
     value: Callable[[RunRecord], float] = lambda r: r.time,
 ) -> dict[tuple, AggregateStats]:
-    """Group records and compute mean / sample stddev / outlier count per group."""
+    """Group records and compute the mean and the sample stddev of each group."""
     fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
     stats = {}
     for key, members in group_records(records, fields).items():
@@ -138,30 +137,8 @@ def aggregate(
             stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
         else:
             stddev = 0.0
-        flagged = flag_outliers(members, value=value)
-        stats[key] = AggregateStats(mean, stddev, n, len(flagged or ()))
+        stats[key] = AggregateStats(mean, stddev, n)
     return stats
-
-
-def flag_outliers(
-    records: Sequence[RunRecord],
-    k: float = 3.0,
-    value: Callable[[RunRecord], float] = lambda r: r.time,
-) -> list[RunRecord] | None:
-    """Flag records farther than k robust sigmas from the group median.
-
-    Sigma is the MAD-based robust estimate, so a run of identical values plus
-    one stray flags exactly the stray. Returns None (not applicable) for
-    groups smaller than three; flagged records are never removed from the set.
-    """
-    if k <= 0:
-        raise ParameterError("k must be > 0")
-    if len(records) < 3:
-        return None
-    values = np.array([value(r) for r in records], dtype=float)
-    median = float(np.median(values))
-    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
-    return [r for r, v in zip(records, values) if abs(v - median) > k * sigma]
 
 
 def _check_pair(a: str, b: str, bw: float) -> None:

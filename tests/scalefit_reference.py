@@ -37,7 +37,7 @@ def eval_gustafson(a: float, p: float) -> float:
     return (1.0 - a) + a * p
 
 
-def fit_gustafson_reference(points: Iterable[tuple[float, float]], *, unit: str = "units") -> GustafsonFit:
+def fit_gustafson_reference(points: Iterable[tuple[float, float]]) -> GustafsonFit:
     """Closed-form least squares for the weak-scaling model (linear in a)."""
     pts = sorted(points)
     p = np.array([q for q, _ in pts], dtype=float)
@@ -54,12 +54,10 @@ def fit_gustafson_reference(points: Iterable[tuple[float, float]], *, unit: str 
     resid = float(np.sum((s - ((1.0 - a_clamped) + a_clamped * p)) ** 2))
     dof = len(p) - 1
     sigma_a = math.sqrt((resid / dof) / sxx) if dof > 0 else 0.0
-    return GustafsonFit(a=a_clamped, sigma_a=sigma_a, residual=resid, unit=unit)
+    return GustafsonFit(a=a_clamped, sigma_a=sigma_a, residual=resid)
 
 
-def fit_mpi_shares_reference(
-    points: Iterable[tuple[float, float, float]], *, unit: str = "processes"
-) -> MpiShareFit:
+def fit_mpi_shares_reference(points: Iterable[tuple[float, float, float]]) -> MpiShareFit:
     """Fit the share decomposition to (p, lb_share_pct, com_share_pct) points.
 
     The load-balance share is fitted with ordinary least squares; the
@@ -101,7 +99,7 @@ def fit_mpi_shares_reference(
         raise InvalidDataError("fitted shares leave [0, 100] percent at observed p")
     return MpiShareFit(
         a=a, b=b, c=c, sigma_a=sigma_a, sigma_b=sigma_b, sigma_c=sigma_c,
-        residual=resid, unit=unit,
+        residual=resid,
     )
 
 

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from perfchar.cli import main
 from perfchar.ingest import SHARE_COLUMNS, RunRecord
 from perfchar.microbench import _available_cpus
+from perfchar.scalefit import AMDAHL_MAX_ITER, AMDAHL_START, AMDAHL_TOL
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
 
@@ -160,6 +162,16 @@ class TestAnalyzeScaling:
         ps = [float(r["p"]) for r in proj]
         assert ps == sorted(ps)
 
+    def test_amdahl_sidecar_records_fit_settings(self, fixtures_dir, tmp_path):
+        out_dir = tmp_path / "scal"
+        main(["analyze", "scaling", "--model", "amdahl",
+              "--in", str(fixtures_dir / "amdahl_runs.csv"), "--out-dir", str(out_dir)])
+        meta = json.loads((out_dir / "scaling_fits.csv.meta.json").read_text())
+        assert meta["fit_weighting"] == "1/speedup"
+        assert meta["fit_start"] == list(AMDAHL_START)
+        assert meta["fit_max_iter"] == AMDAHL_MAX_ITER
+        assert meta["fit_tol"] == AMDAHL_TOL
+
     def test_gustafson_fit_from_rates(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "weak"
         code = main(
@@ -259,6 +271,17 @@ class TestAnalyzeScaling:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:", "must be finite")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_share_sums_that_overflow_are_one_error_line(self, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n"
+                          "p,2,5.0,20.0\np,8,6.0,20.0\np,32,7.0,20.0\np,1e308,8.0,20.0\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                     "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "p = 1e+308 overflow the share fit")
         assert not (tmp_path / "out").exists()
 
     def test_share_file_lacking_a_group_column_is_schema_error(self, fixtures_dir, tmp_path, capsys):
@@ -607,6 +630,19 @@ class TestAnalyzeRoofline:
         assert_one_error_line(capsys, kind)
         assert not (tmp_path / "roof").exists()
 
+    @pytest.mark.parametrize(
+        "text, intensity",
+        [
+            ("label,intensity\nj,10\nk,5e-324\n", "5e-324"),  # half of it rounds to 0
+            ("label,intensity\nj,10\nk,1e-306\n", "1e-306"),  # the curve's ratio overflows
+            ("label,intensity\nk,1e308\nj,10\n", "1e+308"),  # twice it overflows
+        ],
+    )
+    def test_curve_range_error_names_the_point(self, text, intensity, tmp_path, capsys):
+        assert self.run_points(tmp_path, text) == 1
+        assert_one_error_line(capsys, "ParameterError", f"kernel 'k': intensity {intensity} ")
+        assert not (tmp_path / "roof").exists()
+
 
 #: Cells for the kernel-point property test: finite, infinite, NaN, subnormal,
 #: huge, junk and empty.
@@ -620,7 +656,6 @@ KERNEL_HEADER = "label,intensity,flops,loads,stores,access_bytes,gflops,time_sha
 
 
 class TestRooflineInputsProperty:
-    @pytest.mark.filterwarnings("ignore:kernel .* above the .* ceiling:UserWarning")
     @settings(max_examples=150, deadline=None)
     @given(
         rows=st.lists(
@@ -636,11 +671,15 @@ class TestRooflineInputsProperty:
                                                       for i, row in enumerate(rows))]) + "\n")
         out_dir = tmp / "roof"
         err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["analyze", "roofline", "--flops-gflops", "100", "--bandwidth-gbs", "10",
                          "--points", str(points), "--out-dir", str(out_dir)])
         text = err.getvalue()
+        assert not caught  # a warning would be printed on stderr outside the test
         if code == 0:
+            assert text == ""
             for name in ("roofline_curve.csv", "roofline_points.csv"):
                 cells = (out_dir / name).read_text().replace("\n", ",").split(",")
                 assert not {"inf", "-inf", "nan"} & {cell.lower() for cell in cells}

@@ -238,10 +238,6 @@ class TestFlagOutliers:
         with pytest.raises(ParameterError):
             flag_outliers([record()] * 3, k=0.0)
 
-    def test_aggregate_reports_flag_count(self):
-        records = [record(time=t) for t in (10.0, 10.0, 10.0, 10.0, 30.0)]
-        assert aggregate(records)[("a", "p", "c")].flagged_outliers == 1
-
 
 PAIRWISE_HEADER = "node_a,node_b,msg_bytes,bandwidth_gbs"
 

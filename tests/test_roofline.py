@@ -118,8 +118,7 @@ class TestClassify:
 
     def test_measurement_above_roof_warns(self, tx2_core_model):
         point = KernelPoint("noisy", 0.05, measured_perf=20.0)
-        with pytest.warns(UserWarning, match="above"):
-            result = classify(tx2_core_model, point)
+        result = classify(tx2_core_model, point)
         assert result.above_roof
         assert result.bound == MEMORY_BOUND
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from perfchar.exceptions import (
     PerfcharError,
     UnderdeterminedError,
 )
+from perfchar import scalefit
 from perfchar.scalefit import ProjectionPoint, _stacked
 from refdata import AMDAHL_PARAM_ROWS, GUSTAFSON_PARAM_ROWS
 
@@ -122,13 +124,9 @@ class TestFitAmdahl:
             fit_amdahl([(2, 1.8), (2, 1.9), (2, 2.0)])
 
     def test_non_convergence_carries_best_iterate(self):
-        with pytest.raises(ConvergenceError) as err:
-            fit_amdahl(amdahl_points(0.96, -0.685), max_iter=1)
+        with mock.patch.object(scalefit, "AMDAHL_MAX_ITER", 1), pytest.raises(ConvergenceError) as err:
+            fit_amdahl(amdahl_points(0.96, -0.685))
         assert isinstance(err.value.best_fit, AmdahlFit)
-
-    def test_absolute_weighting_also_recovers(self):
-        fit = fit_amdahl(amdahl_points(0.9, 0.3), weighting="absolute")
-        assert fit.a == pytest.approx(0.9, abs=1e-6)
 
     def test_sigma_scales_with_noise(self):
         rng = np.random.default_rng(5)
@@ -303,7 +301,7 @@ def _outcome(fit_or_error):
     if fit is None:
         return head
     fields = (fit.a, fit.b, fit.sigma_a, fit.sigma_b, fit.residual)
-    return head + tuple(_bits(v) for v in fields) + (fit.unit,)
+    return head + tuple(_bits(v) for v in fields)
 
 
 def _reference(points, **options):
@@ -342,16 +340,14 @@ class TestFitAmdahlManyMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(
         groups=st.lists(_scaling_group(), min_size=1, max_size=12),
-        weighting=st.sampled_from(("relative", "absolute")),
         max_iter=st.sampled_from((1, 2, 5, 200)),
-        initial=st.tuples(st.floats(-0.5, 1.5), st.floats(-3.0, 3.0)),
     )
-    def test_random_groups(self, groups, weighting, max_iter, initial):
-        options = dict(weighting=weighting, max_iter=max_iter, initial=initial, unit="nodes")
-        got = fit_amdahl_many(groups, **options)
+    def test_random_groups(self, groups, max_iter):
+        with mock.patch.object(scalefit, "AMDAHL_MAX_ITER", max_iter):
+            got = fit_amdahl_many(groups)
         assert len(got) == len(groups)
         for points, result in zip(groups, got):
-            assert _outcome(result) == _outcome(_reference(points, **options))
+            assert _outcome(result) == _outcome(_reference(points, max_iter=max_iter))
 
     def test_long_groups(self):
         # Sums over more than eight points take numpy's pairwise path.
@@ -448,22 +444,22 @@ class TestClosedFormManyMatchReference:
     @settings(max_examples=150, deadline=None)
     @given(groups=st.lists(_share_group(), min_size=1, max_size=12))
     def test_share_groups(self, groups):
-        got = fit_mpi_shares_many(groups, unit="nodes")
+        got = fit_mpi_shares_many(groups)
         assert len(got) == len(groups)
         for points, result in zip(groups, got):
-            expected = _outcome_of(fit_mpi_shares_reference, points, unit="nodes")
+            expected = _outcome_of(fit_mpi_shares_reference, points)
             assert _closed_form_outcome(result) == expected
-            assert _outcome_of(fit_mpi_shares, points, unit="nodes") == expected
+            assert _outcome_of(fit_mpi_shares, points) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(groups=st.lists(_weak_group(), min_size=1, max_size=12))
     def test_weak_groups(self, groups):
-        got = fit_gustafson_many(groups, unit="nodes")
+        got = fit_gustafson_many(groups)
         assert len(got) == len(groups)
         for points, result in zip(groups, got):
-            expected = _outcome_of(fit_gustafson_reference, points, unit="nodes")
+            expected = _outcome_of(fit_gustafson_reference, points)
             assert _closed_form_outcome(result) == expected
-            assert _outcome_of(fit_gustafson, points, unit="nodes") == expected
+            assert _outcome_of(fit_gustafson, points) == expected
 
     @settings(max_examples=150, deadline=None)
     @given(
