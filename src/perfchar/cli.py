@@ -407,8 +407,11 @@ def _cmd_analyze_scaling(args) -> int:
             if isinstance(fit, PerfcharError):
                 raise fit
             label = "/".join(key)
-            lb_only = critical_units(fit, 100.0, "lb_only")
-            lb_com = critical_units(fit, 100.0, "lb_plus_com")
+            try:
+                lb_only = critical_units(fit, 100.0, "lb_only")
+                lb_com = critical_units(fit, 100.0, "lb_plus_com")
+            except InvalidDataError as exc:
+                raise InvalidDataError(f"group {label}: {exc}") from exc
             fit_rows.append((label, fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.c, fit.sigma_c,
                              "" if lb_only is None else lb_only.units,
                              "" if lb_com is None else lb_com.units))

@@ -26,7 +26,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
-from itertools import compress, islice, zip_longest
+from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -68,11 +68,6 @@ SYMMETRY_TOLERANCE = 0.10
 
 #: Robust sigma estimate: 1.4826 * median absolute deviation (normal-consistent).
 MAD_SIGMA_FACTOR = 1.4826
-
-#: CSV rows turned into columns at a time. Transposing a whole large file at
-#: once holds every row list and every column list together, about a third
-#: more peak memory on a 10^5-row pairwise file.
-READ_BLOCK_ROWS = 4096
 
 
 def _split_metric(text: str) -> tuple[float, str]:
@@ -245,6 +240,9 @@ def read_columns(
     Returns the line numbers of the data rows (entry numbers for JSON) and
     one list of cell strings per name in ``columns`` then ``optional``, in that
     order. CSV cells are stripped; an optional column the file lacks reads "".
+    A CSV row is numbered by its last line: a quoted field may hold commas and
+    line breaks. A file without quotes is split on commas, every line one row;
+    a cell longer than ``csv.field_size_limit()`` is a SchemaError either way.
     """
     path = Path(source)
     text = path.read_text(encoding="utf-8")
@@ -266,6 +264,10 @@ def read_columns(
         cells = [["" if e.get(k) is None else str(e[k]) for e in entries] for k in names]
         return range(1, len(entries) + 1), cells
 
+    # Without a quote no row spans lines: csv.reader would give each
+    # non-empty line split on commas. A NUL is left to csv.reader, which
+    # rejects it before Python 3.11.
+    plain = '"' not in text and "\0" not in text
     # Comment lines (leading '#') are tolerated so fixtures can carry notes;
     # reported line numbers always refer to the original file.
     commented, lines = "#" in text, text.splitlines()
@@ -274,36 +276,50 @@ def read_columns(
     if commented:
         kept = [i for i, line in enumerate(lines) if not line.lstrip().startswith("#")]
         lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
+        plain = plain or not any('"' in line or "\0" in line for line in lines)
     if not lines:
         raise SchemaError(f"{path}: empty file, header row is mandatory")
     reader = csv.reader(lines)
-    header = next(reader)
-    row_lines: list[int] = []
-
-    def numbered_rows():
-        for row in reader:
-            if row:
-                # A quoted field may span lines; a row is numbered by its last line.
-                row_lines.append(numbers[reader.line_num - 1])
-                yield row
-
-    rows = numbered_rows()
-    missing = [c for c in columns if c not in header]
-    if missing:
-        raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
-    # A repeated column name reads its last occurrence. Short rows read ""
-    # past their last field, and fields past the header's width are ignored.
-    position = {name: i for i, name in enumerate(header)}
-    picks = [position.get(name) for name in names]
-    cells = [[] for _ in names]
-    while block := list(islice(rows, READ_BLOCK_ROWS)):
-        fields = list(zip_longest(*block, fillvalue=""))
-        for out, i in zip(cells, picks):
-            if i is None or i >= len(fields):
-                out.extend([""] * len(block))
+    try:
+        header = next(reader)
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
+        # Short rows read "" past their last field, and fields past the
+        # header's width are ignored: each row gives ``width`` cells of ``flat``.
+        width, pad = len(header), [""] * len(header)
+        # A line within the csv field limit holds no field above it.
+        if plain and max(map(len, lines)) <= csv.field_size_limit():
+            # Lines are dropped in place, as the reader holds the list too.
+            del lines[0]  # the header, which spans no lines without a quote
+            row_lines = list(numbers[1:])
+            if "" in lines:
+                kept = [i for i, line in enumerate(lines) if line]
+                lines[:], row_lines = [lines[i] for i in kept], [row_lines[i] for i in kept]
+            if lines and {line.count(",") for line in lines} == {width - 1}:
+                text = ",".join(lines)
+                lines.clear()  # the text holds them again
+                flat = text.split(",")
+                del text
             else:
-                out.extend(map(str.strip, fields[i]))
-    return row_lines, cells
+                flat = [cell for line in lines for cell in (line.split(",") + pad)[:width]]
+        else:
+            row_lines = []
+
+            def numbered_rows():
+                for row in reader:
+                    if row:  # a row is numbered by its last line
+                        row_lines.append(numbers[reader.line_num - 1])
+                        yield row
+
+            flat = [cell for row in numbered_rows() for cell in (row + pad)[:width]]
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {numbers[reader.line_num - 1]}: {exc}") from exc
+    del lines, reader  # the cells hold the text again
+    # A repeated column name reads its last occurrence.
+    position = {name: i for i, name in enumerate(header)}
+    return row_lines, [[""] * len(row_lines) if i is None else list(map(str.strip, flat[i::width]))
+                       for i in map(position.get, names)]
 
 
 def _rows(lines: Sequence[int], rows: Iterable[tuple], make: Callable) -> list:
@@ -556,7 +572,13 @@ def build_pairwise_matrix(
     entries: Iterable[tuple[str, str, float]], message_size: int
 ) -> PairwiseBandwidthMatrix:
     """Assemble a symmetric matrix from directed (node_a, node_b, GB/s) entries."""
-    node_a, node_b, gbs = list(zip(*entries)) or ((), (), ())
+    # One loop, not zip(*entries): holding a tuple per entry at once costs
+    # the garbage collector more than the loop costs.
+    node_a, node_b, gbs = [], [], []
+    for a, b, bw in entries:
+        node_a.append(a)
+        node_b.append(b)
+        gbs.append(bw)
     gbs = np.array(gbs, dtype=float)
     same, bad_bw = _bad_pairs(node_a, node_b, gbs)
     bad = np.flatnonzero(same | bad_bw)
@@ -611,25 +633,31 @@ def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> 
     return size, a, b, gbs
 
 
-def _pairwise_entries(source: str | Path) -> tuple[list[int], list[str], list[str], list[float]]:
-    """Read and validate every pairwise row: message sizes, node_a, node_b and GB/s columns."""
+def _pairwise_entries(source: str | Path) -> tuple[list[int], np.ndarray, list[str], list[str], np.ndarray]:
+    """Read and validate every pairwise row.
+
+    Returns the sorted distinct message sizes, each row's index into them,
+    and the node_a, node_b and GB/s columns.
+    """
     lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(
         source, PAIRWISE_COLUMNS, optional=("unit",)
     )
     # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
     try:
-        sizes = list(map(int, msg_bytes))
+        size_of = {text: int(text) for text in set(msg_bytes)}
         divisor = {text: _gbs_divisor(text) for text in set(unit)}
         gbs = np.array(list(map(float, bandwidth)), dtype=float)
         gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
         valid = not any(mask.any() for mask in _bad_pairs(node_a, node_b, gbs))
     except ValueError:
         valid = False
-    if not valid:
-        rows = _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
-        return tuple(map(list, zip(*rows)))
-    del msg_bytes, bandwidth  # converted; free the cell text of large files early
-    return sizes, node_a, node_b, gbs.tolist()
+    if not valid:  # the column checks are _pairwise_row's, so _rows raises
+        _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
+    sizes = sorted(set(size_of.values()))
+    position = {size: i for i, size in enumerate(sizes)}
+    code = {text: position[size] for text, size in size_of.items()}
+    size_index = np.fromiter(map(code.__getitem__, msg_bytes), np.intp, len(msg_bytes))
+    return sizes, size_index, node_a, node_b, gbs
 
 
 def parse_pairwise_bandwidth(
@@ -639,20 +667,18 @@ def parse_pairwise_bandwidth(
 
     Rows of every size are validated; only the selected size is assembled.
     """
-    sizes, node_a, node_b, gbs = _pairwise_entries(source)
-    present = set(sizes)
-    if not present:
+    sizes, size_index, node_a, node_b, gbs = _pairwise_entries(source)
+    if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
     if message_size is None:
-        if len(present) > 1:
-            raise SchemaError(
-                f"{source}: contains {len(present)} message sizes {sorted(present)}; pick one"
-            )
-        (message_size,) = present
-    elif message_size not in present:
+        if len(sizes) > 1:
+            raise SchemaError(f"{source}: contains {len(sizes)} message sizes {sizes}; pick one")
+        (message_size,) = sizes
+    elif message_size not in sizes:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    keep = [size == message_size for size in sizes]
-    entries = zip(compress(node_a, keep), compress(node_b, keep), compress(gbs, keep))
+    keep = np.flatnonzero(size_index == sizes.index(message_size))
+    picks = keep.tolist()
+    entries = zip(map(node_a.__getitem__, picks), map(node_b.__getitem__, picks), gbs[keep].tolist())
     return build_pairwise_matrix(entries, message_size)
 
 

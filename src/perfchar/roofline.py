@@ -34,6 +34,9 @@ class RooflineModel:
     def __post_init__(self):
         if not (0 < self.peak_flops < math.inf and 0 < self.peak_bandwidth < math.inf):
             raise ParameterError("roofline peaks must be finite and positive")
+        if not 0 < self.ridge_intensity < math.inf:
+            raise ParameterError("roofline ridge peak_flops / peak_bandwidth must be finite and > 0, "
+                                 f"got {self.peak_flops!r} / {self.peak_bandwidth!r}")
 
     @property
     def ridge_intensity(self) -> float:

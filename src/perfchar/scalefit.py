@@ -415,7 +415,8 @@ def critical_units(
 
     ``lb_only`` solves a*p + b = threshold; ``lb_plus_com`` adds the constant
     communication share. Returns None when the slope is not positive (the
-    share never reaches the threshold).
+    share never reaches the threshold). Raises InvalidDataError when the
+    point is not finite, as a subnormal slope makes it.
     """
     if definition not in ("lb_only", "lb_plus_com"):
         raise ParameterError(f"definition must be 'lb_only' or 'lb_plus_com', got {definition!r}")
@@ -423,6 +424,8 @@ def critical_units(
         return None
     offset = fit.b if definition == "lb_only" else fit.b + fit.c
     units = (threshold_pct - offset) / fit.a
+    if not math.isfinite(units):
+        raise InvalidDataError(f"{definition} critical point is not finite (slope a = {fit.a!r})")
     return CriticalPoint(units=units, definition=definition, threshold_pct=threshold_pct)
 
 

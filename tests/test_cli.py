@@ -129,6 +129,15 @@ class TestAnalyzeEnergy:
         assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:", "nodes")
         assert not out.exists()
 
+    @pytest.mark.parametrize("cell", ["a" * 200_000, '"' + "a" * 200_000 + '"'], ids=["plain", "quoted"])
+    def test_cell_above_csv_field_limit_is_schema_error(self, cell, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\np,a,c,1,1,10.0,,,\n# note\np,{cell},c,1,1,10.0,,,\n")
+        out = tmp_path / "energy.csv"
+        assert main(["analyze", "energy", "--in", str(runs), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "SchemaError", f"{runs}: line 4:", "field limit")
+        assert not out.exists()
+
     def test_blank_json_app_metric_is_row_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.json"
         runs.write_text(json.dumps([dict(zip(RUNS_HEADER.split(","),
@@ -243,6 +252,16 @@ class TestAnalyzeScaling:
         assert float(tx2["critical_lb_plus_com"]) == pytest.approx(60.7, abs=0.1)
         curves = read_csv(out_dir / "mpi_share_curves.csv")
         assert {r["series"] for r in curves} == {"lb", "com"}
+
+    def test_subnormal_slope_critical_point_is_one_error_line(self, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n"
+                          "p,1,0,20\np,2,1e-310,20\np,3,2e-310,20\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                     "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "group p:", "not finite")
+        assert not (tmp_path / "out" / "mpi_share_fits.csv").exists()
 
     def test_non_numeric_share_is_row_error(self, tmp_path, capsys):
         shares = tmp_path / "shares.csv"
@@ -589,6 +608,14 @@ class TestAnalyzeRoofline:
                      "--out-dir", str(tmp_path / "r")])
         assert code == 1
         assert_one_error_line(capsys, "ParameterError", "roofline peaks must be finite and positive")
+
+    @pytest.mark.parametrize("flops, bandwidth", [("1e-300", "1e300"), ("1e300", "1e-300")])
+    def test_ridge_out_of_range_names_both_peaks(self, flops, bandwidth, tmp_path, capsys):
+        code = main(["analyze", "roofline", "--flops-gflops", flops, "--bandwidth-gbs", bandwidth,
+                     "--out-dir", str(tmp_path / "r")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "peak_flops / peak_bandwidth",
+                              f"{float(flops)!r} / {float(bandwidth)!r}")
 
     def run_points(self, tmp_path, text):
         points = tmp_path / "points.csv"

@@ -385,6 +385,26 @@ csv_lines = st.one_of(
 )
 
 
+# No quotes: with these the reader splits lines on commas. Splitting the text
+# into lines also breaks at \x0b, \x1c and \u2028.
+plain_fields = st.sampled_from(["a", " b ", "", "1.5", "c\td", "\x00", "é ü", "名前", "p\x0bq",
+                                "r\x1cs", "\u2028", "\xa0t\xa0"])
+
+
+@st.composite
+def plain_csv(draw):
+    """(header, text): rows all of the header's width, or of any width, among blank and comment lines."""
+    header = draw(st.lists(st.sampled_from(["x", "y", "z", "u"]), min_size=2, max_size=4))
+    ragged = draw(st.booleans())
+    lines = ["# leading note", ",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["row"] * 5 + ["", "   ", "\t", "# note", "  # indented note"]))
+        width = draw(st.integers(1, 7)) if ragged else len(header)
+        fields = draw(st.lists(plain_fields, min_size=width, max_size=width))
+        lines.append(",".join(fields) if kind == "row" else kind)
+    return header, "\n".join(lines) + "\n"
+
+
 class TestReadColumns:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -402,6 +422,23 @@ class TestReadColumns:
         assert list(zip(lines, map(list, zip(*cells)))) == list(
             dict_reader_rows(text, columns, optional)
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=plain_csv())
+    def test_quote_free_text_matches_dict_reader(self, tmp_path_factory, drawn):
+        header, text = drawn
+        assert '"' not in text
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        path.write_text(text, encoding="utf-8")
+        columns, optional = tuple(header[:2]), ("u", "y", "w")
+        try:
+            expected = list(dict_reader_rows(text, columns, optional))
+        except csv.Error:  # a NUL, before Python 3.11
+            with pytest.raises(SchemaError):
+                read_columns(path, columns, optional)
+            return
+        lines, cells = read_columns(path, columns, optional)
+        assert list(zip(lines, map(list, zip(*cells)))) == expected
 
     def test_duplicate_column_reads_last(self, tmp_path):
         path = tmp_path / "dup.csv"

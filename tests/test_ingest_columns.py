@@ -253,6 +253,35 @@ class TestPairwiseAgainstReference:
                 outcome(ref.detect_weak_links, matrix, threshold)
 
 
+@st.composite
+def two_size_pairwise_csv(draw):
+    """Every pair at 4096 and 65536 bytes with a unit column, and at most one bad row at 65536."""
+    lines = ["node_a,node_b,msg_bytes,bandwidth_gbs,unit"]
+    for size in ("4096", "65536"):
+        for i, a in enumerate(NODES):
+            for b in NODES[i + 1:]:
+                for x, y in draw(st.sampled_from([[(a, b)], [(b, a)], [(a, b), (b, a)]])):
+                    unit = draw(st.sampled_from(["", "GB/s", "MB/s"]))
+                    value = draw(st.floats(1e-3, 1e4)) * (1000.0 if unit == "MB/s" else 1.0)
+                    lines.append(f"{x},{y},{size},{value!r},{unit}")
+    if draw(st.booleans()):
+        a, b = draw(st.permutations(NODES))[:2]
+        bad = draw(st.sampled_from([f"{a},{a},65536,5.0,", f"{a},{b},65536,0,GB/s",
+                                    f"{a},{b},65536,junk,", f"{a},{b},65536,5.0,furlong/s",
+                                    f"{a},{b},65536,inf,MB/s"]))
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    return "\n".join(lines) + "\n"
+
+
+class TestTwoSizePairwiseAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(text=two_size_pairwise_csv())
+    def test_csv(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_text(text, encoding="utf-8")
+        compare_pairwise(path)
+
+
 # Recorded with the row-at-a-time reader, before the pairwise path was made
 # column-wise. The fixture has pairs measured in one and in both directions,
 # an asymmetric pair, a directed pair measured twice, MB/s rows, and rows at a

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ class TestBuildRoofline:
     )
     def test_non_positive_peaks(self, flops, bandwidth):
         with pytest.raises(ParameterError, match="finite and positive"):
+            build_roofline(flops, bandwidth)
+
+    @pytest.mark.parametrize("flops,bandwidth", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_ridge_must_be_finite_and_positive(self, flops, bandwidth):
+        message = "ridge peak_flops / peak_bandwidth .* got " + re.escape(f"{flops!r} / {bandwidth!r}")
+        with pytest.raises(ParameterError, match=message):
             build_roofline(flops, bandwidth)
 
 

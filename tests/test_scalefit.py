@@ -205,6 +205,12 @@ class TestMpiShares:
         fit = MpiShareFit(a=0.0, b=5.0, c=20.0, sigma_a=0, sigma_b=0, sigma_c=0, residual=0)
         assert critical_units(fit, 100.0, "lb_only") is None
 
+    @pytest.mark.parametrize("definition", ["lb_only", "lb_plus_com"])
+    def test_critical_point_beyond_floats_is_invalid_data(self, definition):
+        fit = MpiShareFit(a=1e-310, b=0.0, c=20.0, sigma_a=0, sigma_b=0, sigma_c=0, residual=0)
+        with pytest.raises(InvalidDataError, match=f"{definition} critical point is not finite"):
+            critical_units(fit, 100.0, definition)
+
     def test_bad_definition(self):
         fit = fit_mpi_shares(self.share_points(*self.PARAMS))
         with pytest.raises(ParameterError):
