@@ -55,9 +55,11 @@ from .microbench import (
     run_stream_triad,
 )
 from .report import (
+    BLOCK_ROWS,
     atomic_write_text,
     emit_plot_data,
     gnuplot_loglog_script,
+    ranks,
     write_sidecar_metadata,
 )
 from .roofline import (
@@ -233,7 +235,8 @@ def _cmd_bench_mem(args) -> int:
         f"kernel={meta.kernel}"
     )
     if args.out:
-        emit_plot_data([(r.threads, r.best) for r in results], args.out, ["threads", "best_gbs"])
+        emit_plot_data([[r.threads for r in results], [r.best for r in results]], args.out,
+                       ["threads", "best_gbs"])
         provenance = {
             "command": "bench mem",
             "elements": args.elements,
@@ -257,16 +260,17 @@ def _cmd_bench_mem(args) -> int:
 def _cmd_bench_flops(args) -> int:
     counts = _parse_thread_list(args.threads)
     require_cpus(max(counts))  # before any thread starts
-    rows = []
+    results = []
     for count in counts:
         result = run_fma_kernel(args.precision, args.mode, args.duration, threads=count)
-        rows.append((result.mode, result.precision, result.gflops))
+        results.append(result)
         print(
             f"{result.mode}/{result.precision} threads={result.threads}: "
             f"{result.gflops:.3f} GFlop/s over {result.duration:.2f} s"
         )
     if args.out:
-        emit_plot_data(rows, args.out, header=["mode", "precision", "gflops"])
+        columns = [[getattr(r, name) for r in results] for name in ("mode", "precision", "gflops")]
+        emit_plot_data(columns, args.out, header=["mode", "precision", "gflops"])
         write_sidecar_metadata(
             args.out, {"command": "bench flops", "duration": args.duration}
         )
@@ -301,31 +305,22 @@ def _cmd_analyze_roofline(args) -> int:
                                      f"roofline curve out of range ({i_min!r} to {i_max!r} Flop/Byte)")
 
     out_dir = Path(args.out_dir)
-    curve_rows = [(i, perf, "roof") for i, perf in roofline_curve(model, i_min, i_max)]
     classifications = [classify(model, p) for p in points]
-    for point, cls in zip(points, classifications):
-        perf = point.measured_perf if point.measured_perf is not None else cls.sustained
-        curve_rows.append((point.intensity, perf, point.label))
+    curve = roofline_curve(model, i_min, i_max)
+    labels = ["roof"] * len(curve) + [p.label for p in points]
+    curve += [(p.intensity, c.sustained if p.measured_perf is None else p.measured_perf)
+              for p, c in zip(points, classifications)]
     curve_path = out_dir / "roofline_curve.csv"
-    emit_plot_data(curve_rows, curve_path, header=["intensity", "gflops", "label"])
+    emit_plot_data([*np.array(curve).T, labels], curve_path, header=["intensity", "gflops", "label"])
 
     files = [curve_path]
     if classifications:
-        point_rows = [
-            (
-                c.label,
-                p.intensity,
-                "" if p.measured_perf is None else p.measured_perf,
-                c.sustained,
-                c.bound,
-                "" if c.headroom is None else c.headroom,
-                c.above_roof,
-            )
-            for p, c in zip(points, classifications)
-        ]
         points_path = out_dir / "roofline_points.csv"
         emit_plot_data(
-            point_rows,
+            [[c.label for c in classifications], _floats(p.intensity for p in points),
+             _floats(p.measured_perf for p in points), _floats(c.sustained for c in classifications),
+             [c.bound for c in classifications], _floats(c.headroom for c in classifications),
+             np.array([c.above_roof for c in classifications])],
             points_path,
             header=["label", "intensity", "measured_gflops", "sustained_gflops", "bound", "headroom", "above_roof"],
         )
@@ -338,16 +333,9 @@ def _cmd_analyze_roofline(args) -> int:
         )
         atomic_write_text(out_dir / "roofline.gp", script)
 
-    write_sidecar_metadata(
-        curve_path,
-        {
-            "command": "analyze roofline",
-            "peak_gflops": flops,
-            "peak_gbs": bandwidth,
-            "ridge_intensity": model.ridge_intensity,
-            "scope": model.scope,
-        },
-    )
+    write_sidecar_metadata(curve_path, {"command": "analyze roofline", "peak_gflops": flops,
+                                        "peak_gbs": bandwidth, "ridge_intensity": model.ridge_intensity,
+                                        "scope": model.scope})
     print(
         f"{label} ({model.scope}): peak {model.peak_flops:.2f} GFlop/s, "
         f"{model.peak_bandwidth:.2f} GB/s, ridge {model.ridge_intensity:.5f} Flop/Byte"
@@ -355,6 +343,11 @@ def _cmd_analyze_roofline(args) -> int:
     for cls in classifications:
         print(f"  {cls.label}: {cls.bound} (ceiling {cls.sustained:.3f} GFlop/s)")
     return 0
+
+
+def _floats(values) -> np.ndarray:
+    """A float column for emit_plot_data; None becomes NaN, a blank cell."""
+    return np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
 def _speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
@@ -402,7 +395,8 @@ def _cmd_analyze_scaling(args) -> int:
 
     if args.model == "mpi-shares":
         groups = parse_share_groups(args.input, fields)
-        fit_rows, curve_rows = [], []
+        labels, fits, critical = [], [], []
+        group, procs, share = [], [], []  # an lb and a com curve row per share point
         for (key, pts), fit in zip(groups.items(), fit_mpi_shares_many(groups.values())):
             if isinstance(fit, PerfcharError):
                 raise fit
@@ -412,24 +406,26 @@ def _cmd_analyze_scaling(args) -> int:
                 lb_com = critical_units(fit, 100.0, "lb_plus_com")
             except InvalidDataError as exc:
                 raise InvalidDataError(f"group {label}: {exc}") from exc
-            fit_rows.append((label, fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.c, fit.sigma_c,
-                             "" if lb_only is None else lb_only.units,
-                             "" if lb_com is None else lb_com.units))
+            labels.append(label)
+            fits.append(fit)
+            critical.append([np.nan if c is None else c.units for c in (lb_only, lb_com)])
             for p, _, _ in pts:
-                curve_rows += [(label, "lb", p, fit.a * p + fit.b), (label, "com", p, fit.c)]
+                group += [label, label]
+                procs += [p, p]
+                share += [fit.a * p + fit.b, fit.c]
             print(
                 f"{label}: lb = {fit.a:.3f}*p + {fit.b:.3f} (%), com = {fit.c:.3f} % "
                 + (f"(100% at p={lb_only.units:.1f} lb-only, {lb_com.units:.1f} lb+com)"
                    if lb_only and lb_com else "(no critical point)")
             )
+        header = ["group", "a", "sigma_a", "b", "sigma_b", "c", "sigma_c",
+                  "critical_lb_only", "critical_lb_plus_com"]
         fits_path = out_dir / "mpi_share_fits.csv"
-        emit_plot_data(
-            fit_rows, fits_path,
-            header=["group", "a", "sigma_a", "b", "sigma_b", "c", "sigma_c",
-                    "critical_lb_only", "critical_lb_plus_com"],
-        )
+        emit_plot_data([labels, *(_floats(getattr(fit, name) for fit in fits) for name in header[1:7]),
+                        *np.array(critical).T], fits_path, header=header)
         curves_path = out_dir / "mpi_share_curves.csv"
-        emit_plot_data(curve_rows, curves_path, header=["group", "series", "p", "share_pct"])
+        emit_plot_data([group, ["lb", "com"] * (len(procs) // 2), _floats(procs), _floats(share)],
+                       curves_path, header=["group", "series", "p", "share_pct"])
         write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
         return 0
 
@@ -448,33 +444,32 @@ def _cmd_analyze_scaling(args) -> int:
     good = next((i for i, fit in enumerate(fits) if isinstance(fit, PerfcharError)), len(fits))
     if good < len(fits):
         fits, failure = fits[:good], fits[good]
-    proj_rows = []
+    proj_columns = [[]] * 4
     if fits:
         try:
             units, speedup, efficiency = project_many(fits, p_list)
         except ParameterError as exc:
             fits, failure = fits[:1], exc
         else:
-            proj_rows = [(label, p, s, e) for label, *rows in zip(labels, speedup.tolist(), efficiency.tolist())
-                         for p, s, e in zip(units, *rows)]
-    fit_rows = []
+            proj_columns = [[label for label in labels for _ in units], np.tile(units, len(fits)),
+                            speedup.ravel(), efficiency.ravel()]
     for label, fit in zip(labels, fits):
         if args.model == "amdahl":
-            fit_rows.append((label, "amdahl", fit.a, fit.sigma_a, fit.b, fit.sigma_b, fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}, b = {fit.b:.4f} +- {fit.sigma_b:.4f}")
         else:
-            fit_rows.append((label, "gustafson", fit.a, fit.sigma_a, "", "", fit.residual))
             print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}")
     if failure is not None:
         raise failure
 
+    header = ["group", "model", "a", "sigma_a", "b", "sigma_b", "residual"]
     fits_path = out_dir / "scaling_fits.csv"
-    emit_plot_data(
-        fit_rows, fits_path,
-        header=["group", "model", "a", "sigma_a", "b", "sigma_b", "residual"],
+    emit_plot_data(  # a Gustafson fit has no b: blank cells
+        [labels, [args.model] * len(fits), *(_floats(getattr(fit, name, None) for fit in fits)
+                                             for name in header[2:])],
+        fits_path, header=header,
     )
     proj_path = out_dir / "scaling_projection.csv"
-    emit_plot_data(proj_rows, proj_path, header=["group", "p", "speedup", "efficiency"])
+    emit_plot_data(proj_columns, proj_path, header=["group", "p", "speedup", "efficiency"])
     if args.gnuplot:
         script = gnuplot_loglog_script(
             [proj_path.name], "scaling.png", f"{args.model} projection", "units", "speedup"
@@ -488,35 +483,26 @@ def _cmd_analyze_scaling(args) -> int:
     return 0
 
 
-def _write_table(header: list[str], columns: list[list[str]]) -> None:
-    """Print columns of cell text under a header, cells separated by two spaces.
-
-    A function of its own so that the text is freed before a data file is built.
-    """
-    sys.stdout.write("\n".join(["  ".join(header), *map("  ".join, zip(*columns)), ""]))
-
-
 def _cmd_analyze_energy(args) -> int:
     runs = parse_runs(args.input)
-    keys = list(zip(runs.app, runs.platform, runs.compiler, runs.nodes.tolist(), runs.timestamp))
-    runs = runs.take(np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp))
-    has_energy = ~np.isnan(runs.energy)
-    has_rate = has_energy & runs.is_rate()
-    e2s, edp, work = energy_terms(runs.energy, runs.time, np.where(has_rate, runs.metric_value, np.nan))
-    has_energy, has_rate = has_energy.tolist(), has_rate.tolist()
-    derived = [(e2s.tolist(), has_energy), (edp.tolist(), has_energy), (work.tolist(), has_rate)]
-    labels = [runs.app, runs.platform, runs.compiler]
-    nodes, time = runs.nodes.tolist(), runs.time.tolist()
-    units = [per_joule_unit(u) if w else "" for u, w in zip(runs.metric_unit, has_rate)]
-    g6 = "{:.6g}".format
+    runs = runs.take(np.lexsort([ranks(runs.timestamp), runs.nodes,
+                                 *map(ranks, (runs.compiler, runs.platform, runs.app))]))
+    # NaN where a run has no energy, or for work, no rate metric: a blank cell.
+    e2s, edp, work = energy_terms(runs.energy, runs.time,
+                                  np.where(runs.is_rate(), runs.metric_value, np.nan))
+    units = [per_joule_unit(u) if w == w else "" for u, w in zip(runs.metric_unit, work.tolist())]
+    columns = [runs.app, runs.platform, runs.compiler, runs.nodes, runs.time, e2s, edp, work, units]
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",
               "work_per_joule", "work_unit"]
-    _write_table(header, [*labels, list(map(str, nodes)), list(map(g6, time)),
-                          *([g6(v) if p else "" for v, p in zip(*d)] for d in derived), units])
+    g6 = "{:.6g}".format
+    sys.stdout.write("  ".join(header) + "\n")
+    for start in range(0, len(runs), BLOCK_ROWS):  # the cell text of one block of rows at a time
+        block = [column[start:start + BLOCK_ROWS] for column in columns]
+        cells = [*block[:3], list(map(str, block[3].tolist())), list(map(g6, block[4].tolist())),
+                 *([g6(v) if v == v else "" for v in d.tolist()] for d in block[5:8]), block[8]]
+        sys.stdout.write("\n".join(map("  ".join, zip(*cells))) + "\n")
     if args.out:
-        columns = [*labels, nodes, time, *([v if p else "" for v, p in zip(*d)] for d in derived),
-                   units]
-        emit_plot_data(zip(*columns), args.out, header=header)
+        emit_plot_data(columns, args.out, header=header)
         write_sidecar_metadata(args.out, {"command": "analyze energy"})
     return 0
 
@@ -526,29 +512,20 @@ def _cmd_analyze_network(args) -> int:
     links = detect_weak_links(matrix, threshold=args.threshold)
     out_dir = Path(args.out_dir)
 
-    link_rows = [
-        (w.node_a, w.node_b, w.bandwidth, w.reference, 100.0 * w.deficit) for w in links
-    ]
     links_path = out_dir / "weak_links.csv"
-    if link_rows:
+    if links:
         emit_plot_data(
-            link_rows, links_path,
+            [[w.node_a for w in links], [w.node_b for w in links], _floats(w.bandwidth for w in links),
+             _floats(w.reference for w in links), 100.0 * _floats(w.deficit for w in links)],
+            links_path,
             header=["node_a", "node_b", "bandwidth_gbs", "reference_gbs", "deficit_pct"],
         )
     else:
         atomic_write_text(links_path, "node_a,node_b,bandwidth_gbs,reference_gbs,deficit_pct\n")
-    median_rows = [
-        (node, matrix.row_median(i)) for i, node in enumerate(matrix.node_ids)
-    ]
-    emit_plot_data(median_rows, out_dir / "node_medians.csv", header=["node", "median_gbs"])
-    write_sidecar_metadata(
-        links_path,
-        {
-            "command": "analyze network",
-            "message_size": matrix.message_size,
-            "threshold": args.threshold,
-        },
-    )
+    emit_plot_data([matrix.node_ids, matrix.row_medians], out_dir / "node_medians.csv",
+                   header=["node", "median_gbs"])
+    write_sidecar_metadata(links_path, {"command": "analyze network", "message_size": matrix.message_size,
+                                        "threshold": args.threshold})
 
     print(
         f"{len(matrix.node_ids)} nodes at message size {matrix.message_size}; "
@@ -569,8 +546,8 @@ def _cmd_report_compare(args) -> int:
     table = compare_platforms(records, metric=args.metric)
     print(table.to_text())
     if args.out:
-        rows = table.to_csv_rows()
-        emit_plot_data(rows[1:], args.out, header=rows[0])
+        columns = table.to_csv_columns()
+        emit_plot_data(list(columns.values()), args.out, header=list(columns))
         write_sidecar_metadata(args.out, {"command": "report compare", "metric": args.metric})
     return 0
 

@@ -26,6 +26,7 @@ import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
+from functools import cached_property
 from itertools import compress
 from pathlib import Path
 from typing import Callable, Iterable
@@ -548,8 +549,11 @@ class PairwiseBandwidthMatrix:
         if self.bandwidth.shape != (n, n):
             raise ParameterError("bandwidth matrix must be square over node_ids")
 
-    def row_median(self, index: int) -> float:
-        return float(np.nanmedian(self.bandwidth[index]))
+    @cached_property
+    def row_medians(self) -> np.ndarray:
+        """Each row's median, one nanmedian per row: np.nanmedian(axis=1) takes another
+        path on rows shorter than 600 that overflows to inf above 8.9e307."""
+        return np.array([np.nanmedian(row) for row in self.bandwidth], dtype=float)
 
     def pair_value(self, a: str, b: str) -> float:
         return float(self.bandwidth[self.node_ids.index(a), self.node_ids.index(b)])
@@ -695,9 +699,7 @@ def detect_weak_links(
     if not 0 <= threshold < 1:
         raise ParameterError(f"threshold must be within [0, 1), got {threshold!r}")
     n = len(matrix.node_ids)
-    # One nanmedian per row, as row_median: np.nanmedian(axis=1) takes another
-    # path on rows shorter than 600 that overflows to inf above 8.9e307.
-    medians = np.array([matrix.row_median(i) for i in range(n)])
+    medians = matrix.row_medians
     rows, cols = np.triu_indices(n, 1)
     bw = matrix.bandwidth[rows, cols]
     factor = 1.0 - threshold

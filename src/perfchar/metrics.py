@@ -74,17 +74,17 @@ class ComparisonTable:
     columns: tuple[tuple[str, str], ...]  # (platform, compiler)
     rows: tuple[tuple[str, dict], ...]  # (app, {column: ComparisonCell})
 
-    def to_csv_rows(self) -> list[list]:
-        out = [["app", "platform", "compiler", "mean", "stddev", "n", "delta_pct", "rank"]]
-        for app, cells in self.rows:
-            for col in self.columns:
-                cell = cells.get(col)
-                if cell is None:
-                    continue
-                out.append(
-                    [app, col[0], col[1], cell.mean, cell.stddev, cell.n, cell.delta_pct, cell.rank]
-                )
-        return out
+    def to_csv_columns(self) -> dict[str, list]:
+        """The CSV form by column name: one row per (app, platform/compiler) cell present."""
+        present = [(app, column, cell) for app, cells in self.rows for column in self.columns
+                   if (cell := cells.get(column)) is not None]
+        return {
+            "app": [app for app, _, _ in present],
+            "platform": [column[0] for _, column, _ in present],
+            "compiler": [column[1] for _, column, _ in present],
+            **{name: [getattr(cell, name) for _, _, cell in present]
+               for name in ("mean", "stddev", "n", "delta_pct", "rank")},
+        }
 
     def to_text(self) -> str:
         headers = ["app"] + [f"{p}/{c}" for p, c in self.columns]

@@ -2,6 +2,8 @@
 
 Data files never contain timestamps; identical inputs must produce
 byte-identical outputs. Run timestamps go into a sidecar ``*.meta.json``.
+``emit_plot_data`` orders rows by every column from left to right: numbers
+(bools as 0 and 1) before blanks, then strings by code point.
 """
 
 from __future__ import annotations
@@ -10,12 +12,15 @@ import json
 import os
 import tempfile
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .exceptions import ParameterError
+
+BLOCK_ROWS = 1 << 16  # rows of a data file whose cell text is held at once
 
 
 def format_value(value) -> str:
@@ -29,14 +34,14 @@ def format_value(value) -> str:
     return "" if value is None else str(value)
 
 
-def atomic_write_text(path: str | Path, text: str) -> Path:
-    """Write via a temp file in the target directory, then rename into place."""
+def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Write text, or its pieces in turn, via a temp file in the target directory, then rename."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+            handle.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -47,56 +52,67 @@ def atomic_write_text(path: str | Path, text: str) -> Path:
     return path
 
 
-def _row_sort_key(row: Sequence):
-    key = []
-    for value in row:
-        if isinstance(value, (bool, np.bool_)):
-            key.append((0, float(bool(value)), ""))
-        elif isinstance(value, (int, float, np.integer, np.floating)):
-            key.append((0, float(value), ""))
-        else:
-            key.append((1, 0.0, "" if value is None else str(value)))
-    return tuple(key)
+def ranks(values: Sequence[str]) -> np.ndarray:
+    """Each string's position in sorted(set(values)): sort keys in code point order."""
+    position = {value: i for i, value in enumerate(sorted(set(values)))}
+    return np.fromiter(map(position.__getitem__, values), np.intp, len(values))
 
 
-def _column_keys(column: tuple) -> list:
-    """Keys that order one column as _row_sort_key does; mixed columns go cell by cell."""
-    types = set(map(type, column))
-    if types == {str}:
-        return list(column)
-    if types <= {int, float}:
-        return list(map(float, column))
-    return [_row_sort_key((value,))[0] for value in column]
+def _cell_key(value) -> tuple[int, float, str]:
+    """(kind, number, text) of one cell: numbers, bools included, before text; None is ""."""
+    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
+        return 0, float(value), ""
+    return 1, 0.0, "" if value is None else str(value)
 
 
-def _column_text(column: tuple) -> list[str]:
-    """format_value of each cell of one column."""
-    types = set(map(type, column))
-    if types == {str}:
-        return list(column)
-    if types == {float}:
-        return list(map(float.__repr__, column))
-    return list(map(format_value, column))
+def _keys_and_cells(column) -> tuple[list[np.ndarray], np.ndarray | list[str]]:
+    """Sort keys of one column, most significant first, and its cells.
+
+    A float array is its own key, an int or bool array is keyed as float64,
+    a list of str by rank, and any other list by the three parts of _cell_key.
+    The cells are an int or float array, or else a list of text.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
+        key = column if column.dtype.kind == "f" else column.astype(float)
+        if column.dtype.kind != "b":
+            return [key], column
+        return [key], list(map(("false", "true").__getitem__, column.tolist()))
+    column = list(column)
+    if set(map(type, column)) == {str}:
+        return [ranks(column)], column
+    kinds, numbers, texts = zip(*map(_cell_key, column))
+    return [np.array(kinds), np.array(numbers), ranks(texts)], list(map(format_value, column))
 
 
-def emit_plot_data(
-    rows: Iterable[Sequence], path: str | Path, header: Sequence[str]
-) -> Path:
-    """Write plot data as CSV: a header, then rows in _row_sort_key order via format_value."""
-    rows = [tuple(r) for r in rows]
-    if not rows:
+def _text(cells: np.ndarray | list[str], order: np.ndarray) -> list[str]:
+    """The text of each cell, in ``order``; a NaN float is blank."""
+    if isinstance(cells, list):
+        return list(map(cells.__getitem__, order.tolist()))
+    cells = cells[order]
+    text = list(map(repr, cells.tolist()))
+    for i in np.flatnonzero(np.isnan(cells)).tolist():
+        text[i] = ""
+    return text
+
+
+def emit_plot_data(columns: Sequence, path: str | Path, header: Sequence[str]) -> Path:
+    """Write plot data as CSV: a header, then the rows of ``columns`` in sorted order.
+
+    A column is a list, or a numpy int, bool or float array whose NaN cells
+    are blank. Cells are written by format_value; equal rows keep their order.
+    """
+    n = len(columns[0]) if len(columns) else 0
+    if not n:
         raise ParameterError("refusing to emit an empty series")
-    width = len(header)
-    for row in rows:
-        if len(row) != width:
-            raise ParameterError(f"row {row!r} does not match header width {width}")
-    columns = list(zip(*rows))
-    # A stable sort of row indices by per-column keys orders rows as
-    # sorted(rows, key=_row_sort_key) does, ties included.
-    order = sorted(range(len(rows)), key=list(zip(*map(_column_keys, columns))).__getitem__)
-    cells = list(zip(*map(_column_text, columns)))
-    lines = [",".join(header), *(",".join(cells[i]) for i in order), ""]
-    return atomic_write_text(path, "\n".join(lines))
+    if len(columns) != len(header) or any(len(column) != n for column in columns):
+        raise ParameterError(f"columns of {sorted(set(map(len, columns)))} cells "
+                             f"under a header of width {len(header)}")
+    keys, cells = zip(*map(_keys_and_cells, columns))
+    order = np.lexsort([key for column_keys in keys[::-1] for key in column_keys[::-1]])
+    # Text is made a block of rows at a time, so that a large table never holds a str per cell.
+    blocks = ("\n".join(map(",".join, zip(*(_text(column, rows) for column in cells)))) + "\n"
+              for rows in np.split(order, range(BLOCK_ROWS, n, BLOCK_ROWS)))
+    return atomic_write_text(path, chain([",".join(header) + "\n"], blocks))
 
 
 def write_sidecar_metadata(data_path: str | Path, payload: dict) -> Path:

@@ -242,7 +242,7 @@ def detect_weak_links(
     if threshold < 0:
         raise ParameterError("threshold must be >= 0")
     n = len(matrix.node_ids)
-    medians = [matrix.row_median(i) for i in range(n)]
+    medians = [float(np.nanmedian(matrix.bandwidth[i])) for i in range(n)]
     links = []
     for i in range(n):
         for j in range(i + 1, n):

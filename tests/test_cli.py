@@ -5,6 +5,7 @@ import io
 import json
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,6 +153,17 @@ class TestAnalyzeEnergy:
         meta = json.loads((tmp_path / "energy.csv.meta.json").read_text())
         assert meta["command"] == "analyze energy"
         assert "written_at" in meta
+
+    def test_output_does_not_depend_on_block_size(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        outputs = []
+        for block in (1 << 16, 3):
+            monkeypatch.setattr("perfchar.cli.BLOCK_ROWS", block)
+            monkeypatch.setattr("perfchar.report.BLOCK_ROWS", block)
+            out = tmp_path / f"energy-{block}.csv"
+            assert main(["analyze", "energy", "--in", str(fixtures_dir / "energy_node_runs.csv"),
+                         "--out", str(out)]) == 0
+            outputs.append((capsys.readouterr().out, out.read_bytes()))
+        assert outputs[0] == outputs[1]
 
 
 class TestAnalyzeScaling:
@@ -481,6 +493,15 @@ class TestAnalyzeNetwork:
         medians = read_csv(out_dir / "node_medians.csv")
         assert len(medians) == 8
         assert "1 weak link(s)" in capsys.readouterr().out
+
+    def test_one_median_per_node(self, fixtures_dir, tmp_path, monkeypatch):
+        calls = []
+        nanmedian = np.nanmedian
+        monkeypatch.setattr(np, "nanmedian", lambda *a, **k: calls.append(1) or nanmedian(*a, **k))
+        code = main(["analyze", "network", "--in", str(fixtures_dir / "pairwise_8node.csv"),
+                     "--out-dir", str(tmp_path / "net")])
+        assert code == 0
+        assert len(calls) == 8  # shared by the weak links and node_medians.csv
 
     def write_two_sizes(self, tmp_path, *extra_rows):
         """Complete 4096 B rows over four nodes; 65536 B rows lack (n2, n3)."""

@@ -311,7 +311,7 @@ class TestPairwiseMatrix:
         matrix = parse_pairwise_bandwidth(fixtures_dir / "pairwise_8node.csv")
         assert matrix.node_ids == tuple(f"node{i:02d}" for i in range(1, 9))
         for i in range(8):
-            assert matrix.row_median(i) == 9.5
+            assert matrix.row_medians[i] == 9.5
 
 
 class TestWeakLinks:

@@ -115,6 +115,6 @@ class TestComparePlatforms:
         table = compare_platforms(parse_runs(fixtures_dir / "energy_node_runs.csv"))
         text = table.to_text()
         assert "alya" in text and "dibona-tx2/gnu" in text
-        rows = table.to_csv_rows()
-        assert rows[0][0] == "app"
-        assert len(rows) == 1 + 20  # header plus one row per (app, column) cell
+        columns = table.to_csv_columns()
+        assert list(columns)[0] == "app"
+        assert {len(c) for c in columns.values()} == {20}  # one row per (app, column) cell

@@ -1,15 +1,16 @@
 import csv
 import json
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perfchar import AmdahlFit, fit_mpi_shares, project
+from perfchar import AmdahlFit, fit_mpi_shares, project, report
 from perfchar.exceptions import ParameterError
 from perfchar.report import (
-    _row_sort_key,
     atomic_write_text,
     emit_plot_data,
     format_value,
@@ -36,47 +37,71 @@ class TestFormatValue:
 
 class TestEmitPlotData:
     def test_single_point_curve_is_two_lines(self, tmp_path):
-        path = emit_plot_data([(1, 2.5)], tmp_path / "one.csv", header=["x", "y"])
+        path = emit_plot_data([[1], [2.5]], tmp_path / "one.csv", header=["x", "y"])
         lines = read_lines(path)
         assert len(lines) == 2
         assert lines[0] == "x,y"
 
     def test_rows_sorted_by_x(self, tmp_path):
         emit_plot_data(
-            [(4, 1.0), (1, 2.0), (2, 0.5)], tmp_path / "sorted.csv", header=["x", "y"]
+            [[4, 1, 2], [1.0, 2.0, 0.5]], tmp_path / "sorted.csv", header=["x", "y"]
         )
         xs = [row.split(",")[0] for row in read_lines(tmp_path / "sorted.csv")[1:]]
         assert xs == ["1", "2", "4"]
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            emit_plot_data([], tmp_path / "empty.csv", header=["x", "y"])
+            emit_plot_data([[], []], tmp_path / "empty.csv", header=["x", "y"])
 
     def test_width_mismatch_rejected(self, tmp_path):
         with pytest.raises(ParameterError):
-            emit_plot_data([(1, 2, 3)], tmp_path / "bad.csv", header=["x", "y"])
+            emit_plot_data([[1], [2], [3]], tmp_path / "bad.csv", header=["x", "y"])
+
+    def test_column_length_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ParameterError):
+            emit_plot_data([[1, 2], [3]], tmp_path / "bad.csv", header=["x", "y"])
+
+    def test_nan_in_float_array_is_blank_after_numbers(self, tmp_path):
+        path = emit_plot_data(
+            [np.array([np.nan, 2.0, -1.0]), ["a", "b", "c"]], tmp_path / "nan.csv", header=["x", "y"]
+        )
+        assert read_lines(path) == ["x,y", "-1.0,c", "2.0,b", ",a"]
 
     def test_ideal_projection_efficiency_column(self, tmp_path):
         fit = AmdahlFit(a=1.0, b=0.0, sigma_a=0, sigma_b=0, residual=0)
-        rows = [(pt.units, pt.speedup, pt.efficiency) for pt in project(fit, [1, 2, 4, 8])]
-        path = emit_plot_data(rows, tmp_path / "proj.csv", header=["p", "speedup", "efficiency"])
+        points = project(fit, [1, 2, 4, 8])
+        columns = [[pt.units for pt in points], [pt.speedup for pt in points],
+                   [pt.efficiency for pt in points]]
+        path = emit_plot_data(columns, tmp_path / "proj.csv", header=["p", "speedup", "efficiency"])
         with open(path, newline="") as handle:
             parsed = list(csv.DictReader(handle))
         assert all(float(r["efficiency"]) == 1.0 for r in parsed)
 
     def test_share_curve_shapes(self, tmp_path):
         fit = fit_mpi_shares([(p, 1.26 * p + 3.86, 19.59) for p in (1, 2, 4, 8, 16)])
-        rows = []
-        for p in (1, 2, 4, 8, 16):
-            rows.append(("lb", p, fit.a * p + fit.b))
-            rows.append(("com", p, fit.c))
-        path = emit_plot_data(rows, tmp_path / "shares.csv", header=["series", "p", "share_pct"])
+        procs = (1, 2, 4, 8, 16)
+        columns = [["lb"] * 5 + ["com"] * 5, [*procs, *procs],
+                   [fit.a * p + fit.b for p in procs] + [fit.c] * 5]
+        path = emit_plot_data(columns, tmp_path / "shares.csv", header=["series", "p", "share_pct"])
         with open(path, newline="") as handle:
             parsed = list(csv.DictReader(handle))
         lb = [float(r["share_pct"]) for r in parsed if r["series"] == "lb"]
         com = {float(r["share_pct"]) for r in parsed if r["series"] == "com"}
         assert lb == sorted(lb) and lb[0] < lb[-1]
         assert len(com) == 1  # constant series
+
+
+def _row_sort_key(row):
+    """The order of the row-at-a-time writer: numbers (bools too) before text, None as ""."""
+    key = []
+    for value in row:
+        if isinstance(value, (bool, np.bool_)):
+            key.append((0, float(bool(value)), ""))
+        elif isinstance(value, (int, float, np.integer, np.floating)):
+            key.append((0, float(value), ""))
+        else:
+            key.append((1, 0.0, "" if value is None else str(value)))
+    return tuple(key)
 
 
 def reference_plot_data(rows, header) -> str:
@@ -88,43 +113,68 @@ def reference_plot_data(rows, header) -> str:
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
+# Integers that float64 cannot all tell apart: ties in the sort key.
+big_ints = st.one_of(
+    st.integers(2**53 - 2, 2**53 + 3),
+    st.sampled_from([2**63 - 1, 2**63 - 512, -(2**63), 2**62 + 1]),
+)
+huge_ints = st.one_of(big_ints, st.sampled_from([10**20, -(10**20) - 1]))
+# Outside the BMP, and a trailing NUL, which a numpy U array would drop.
+texts = st.text(alphabet=["a", "b", "\x00", "\U0001F600", "\u00e9"], max_size=3)
+zeros = st.sampled_from([0.0, -0.0, 1.0, 2.5])
 cells = st.one_of(
-    st.text(alphabet="abc-", max_size=3),
+    texts,
     st.just(""),
     st.none(),
     st.integers(-5, 5),
+    huge_ints,
     finite,
-    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+    zeros,
     st.integers(-5, 5).map(np.int64),
     finite.map(np.float64),
     st.booleans(),
     st.booleans().map(np.bool_),
 )
-# Each column draws from one generator so that plain-typed columns, which
-# take the column-wise path, are common; mixed columns come from ``cells``.
-columns = st.one_of(
-    st.just(cells),
-    st.just(st.text(alphabet="ab", max_size=2)),
-    st.just(st.integers(-3, 3)),
-    st.just(st.sampled_from([0.5, 1.0, 2.0, -0.0, 0.0])),
-    st.just(st.one_of(st.integers(-3, 3), st.sampled_from([1.0, 0.5]))),
-)
+# (dtype or None for a list, cell strategy). Each column draws from one
+# generator, so that the typed paths are common; mixed lists come from ``cells``.
+columns = st.sampled_from([
+    (None, cells),
+    (None, texts),
+    (None, st.text(alphabet="ab", max_size=2)),
+    (None, st.one_of(st.integers(-3, 3), huge_ints)),
+    (None, zeros),
+    (None, st.one_of(st.integers(-3, 3), st.sampled_from([1.0, 0.5, -0.0]))),
+    (None, st.one_of(st.integers(-3, 3), texts)),
+    (None, st.booleans()),
+    (np.int64, st.one_of(st.integers(-3, 3), big_ints)),
+    (np.float64, st.one_of(zeros, finite)),
+    (np.float64, st.one_of(zeros, st.just(math.nan))),
+    (bool, st.booleans()),
+])
 
 
 @st.composite
 def tables(draw):
-    width = draw(st.integers(1, 4))
-    kinds = [draw(columns) for _ in range(width)]
+    """(columns for emit_plot_data, the same table as rows for the reference)."""
+    kinds = draw(st.lists(columns, min_size=1, max_size=4))
     n = draw(st.integers(1, 12))
-    return [tuple(draw(kind) for kind in kinds) for _ in range(n)]
+    table, rows = [], []
+    for dtype, cell in kinds:
+        values = [draw(cell) for _ in range(n)]
+        table.append(values if dtype is None else np.array(values, dtype=dtype))
+        # An array's cells reach the reference as numpy scalars, a NaN as a blank.
+        rows.append(values if dtype is None else ["" if v != v else v for v in table[-1]])
+    return table, list(zip(*rows))
 
 
 class TestEmitMatchesReference:
-    @settings(max_examples=300, deadline=None)
-    @given(tables())
-    def test_bytes_equal_row_at_a_time_emission(self, tmp_path_factory, rows):
-        header = [f"c{i}" for i in range(len(rows[0]))]
-        path = emit_plot_data(rows, tmp_path_factory.mktemp("emit") / "out.csv", header)
+    @settings(max_examples=500, deadline=None)
+    @given(tables(), st.sampled_from([report.BLOCK_ROWS, 1, 2, 5]))
+    def test_bytes_equal_row_at_a_time_emission(self, tmp_path_factory, table, block):
+        columns, rows = table
+        header = [f"c{i}" for i in range(len(columns))]
+        with mock.patch.object(report, "BLOCK_ROWS", block):
+            path = emit_plot_data(columns, tmp_path_factory.mktemp("emit") / "out.csv", header)
         assert path.read_bytes() == reference_plot_data(rows, header).encode()
 
 
@@ -145,7 +195,7 @@ class TestAtomicWrite:
         blocker = tmp_path / "not_a_dir"
         blocker.write_text("plain file")
         with pytest.raises(OSError):
-            emit_plot_data([(1, 2)], blocker / "out.csv", header=["x", "y"])
+            emit_plot_data([[1], [2]], blocker / "out.csv", header=["x", "y"])
 
 
 class TestSidecar:
