@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -35,15 +34,15 @@ from .hwmodel import (
 )
 from .ingest import (
     GROUP_FIELDS,
-    RunTable,
-    aggregate,
+    RUNS_COLUMNS,
     detect_weak_links,
     parse_kernel_points,
     parse_pairwise_bandwidth,
     parse_runs,
     parse_share_groups,
+    read_columns,
 )
-from .metrics import compare_platforms, energy_terms, per_joule_unit
+from .metrics import compare_platforms, energy_terms, per_joule_unit, speedup_points
 from .microbench import (
     TRIAD_ALIGNMENT,
     TRIAD_BYTES_PER_ELEMENT,
@@ -350,39 +349,6 @@ def _floats(values) -> np.ndarray:
     return np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
-def _speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
-    """Labels and speedup points per group in sorted key order, and the first failure.
-
-    Speedups are time ratios for strong scaling and rate ratios for weak
-    scaling, against each group's smallest node count. Groups are reported up
-    to the first one that fails; its error is returned (None when none fails).
-    Only the groups before it are aggregated.
-    """
-    failure, value = None, "time"
-    if model == "gustafson":
-        value = "metric_value"
-        keys = list(zip(*map(runs.column, fields)))
-        unusable = ~(runs.is_rate() & (runs.metric_value > 0))
-        first_failing = min(compress(keys, unusable), default=None)
-        if first_failing is not None:
-            failure = InvalidDataError(
-                "weak-scaling fits need a positive rate app_metric (e.g. MLUP/s) on every record"
-            )
-            runs = runs.take(np.flatnonzero([key < first_failing for key in keys]))
-    means: dict[tuple, dict[int, float]] = {}
-    for (*key, nodes), st in aggregate(runs, (*fields, "nodes"), value=value).items():
-        means.setdefault(tuple(key), {})[nodes] = st.mean
-    labels, points = [], []
-    for key, by_nodes in sorted(means.items()):
-        base = by_nodes[min(by_nodes)]
-        if model == "gustafson":
-            points.append([(p, by_nodes[p] / base) for p in sorted(by_nodes)])
-        else:
-            points.append([(p, base / by_nodes[p]) for p in sorted(by_nodes)])
-        labels.append("/".join(str(k) for k in key))
-    return labels, points, failure
-
-
 def _cmd_analyze_scaling(args) -> int:
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
     if not fields:
@@ -439,7 +405,7 @@ def _cmd_analyze_scaling(args) -> int:
     # Groups are reported up to the first failure, whose error is raised after the
     # groups before it are printed: the speedups' error (only groups before it are
     # built), a group's fit error, or a projection unit count below 1 (at the first).
-    labels, points, failure = _speedup_points(parse_runs(args.input), fields, args.model)
+    labels, points, failure = speedup_points(parse_runs(args.input), fields, args.model)
     fits = (fit_amdahl_many if args.model == "amdahl" else fit_gustafson_many)(points)
     good = next((i for i, fit in enumerate(fits) if isinstance(fit, PerfcharError)), len(fits))
     if good < len(fits):
@@ -485,11 +451,17 @@ def _cmd_analyze_scaling(args) -> int:
 
 def _cmd_analyze_energy(args) -> int:
     runs = parse_runs(args.input)
-    runs = runs.take(np.lexsort([ranks(runs.timestamp), runs.nodes,
-                                 *map(ranks, (runs.compiler, runs.platform, runs.app))]))
+    order = np.lexsort([ranks(runs.timestamp), runs.nodes,
+                        *map(ranks, (runs.compiler, runs.platform, runs.app))])
+    runs = runs.take(order)
     # NaN where a run has no energy, or for work, no rate metric: a blank cell.
-    e2s, edp, work = energy_terms(runs.energy, runs.time,
-                                  np.where(runs.is_rate(), runs.metric_value, np.nan))
+    with np.errstate(over="ignore"):  # an overflow is the error below
+        e2s, edp, work = energy_terms(runs.energy, runs.time,
+                                      np.where(runs.is_rate(), runs.metric_value, np.nan))
+    overflow = np.isinf(edp) | np.isinf(work)
+    if overflow.any():  # name the first such run in the file; a RunTable keeps no line numbers
+        line = read_columns(args.input, RUNS_COLUMNS)[0][order[overflow].min()]
+        raise InvalidDataError(f"{args.input}: line {line}: edp_kjs or work_per_joule overflows")
     units = [per_joule_unit(u) if w == w else "" for u, w in zip(runs.metric_unit, work.tolist())]
     columns = [runs.app, runs.platform, runs.compiler, runs.nodes, runs.time, e2s, edp, work, units]
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",

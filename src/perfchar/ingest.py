@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -40,6 +40,7 @@ from .exceptions import (
     RowError,
     SchemaError,
 )
+from .report import ranks
 from .roofline import CounterSample, KernelPoint, arithmetic_intensity
 
 RUNS_COLUMNS = (
@@ -459,47 +460,59 @@ def serialize_runs(records: Iterable[RunRecord]) -> str:
     return out.getvalue()
 
 
-def group_records(
-    records: Iterable[RunRecord], fields: tuple[str, ...]
-) -> dict[tuple, np.ndarray]:
-    """Row indices of the records by the tuple of their ``fields`` values.
+def group_by(runs: RunTable, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Each record's group by ``fields``, numbered in sorted key order, and each group's first record."""
+    codes = [ranks(values) if isinstance(values, list) else np.unique(values, return_inverse=True)[1]
+             for values in map(runs.__getattribute__, fields)] or [np.zeros(len(runs), np.intp)]
+    order = np.lexsort(codes[::-1])  # stable: a group's records stay in record order
+    ordered = np.array(codes)[:, order]
+    new = np.ones(len(runs), bool)
+    new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
+    group = np.empty(len(runs), np.intp)
+    group[order] = np.cumsum(new) - 1
+    return group, order[new]
 
-    Groups come in first-seen order, and each group's rows in record order.
+
+def group_stats(runs: RunTable, fields: tuple[str, ...], value: str):
+    """Each group's key, first record, count, mean and (n-1) sample stddev of the float column
+    ``value``, groups by their ``fields`` values in sorted key order.
+
+    Sums add in record order from 0.0 and squares are Python's ``pow``, as in a
+    Python loop over each group. A square that overflows is an InvalidDataError
+    naming the first group, in first-seen order, that holds one.
     """
-    runs = RunTable.from_records(records)
-    keys = list(zip(*map(runs.column, fields))) if fields else [()] * len(runs)
-    code = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    group = np.fromiter(map(code.__getitem__, keys), np.intp, len(keys))
-    ends = np.cumsum(np.bincount(group, minlength=len(code)))
-    return dict(zip(code, np.split(np.argsort(group, kind="stable"), ends[:-1])))
+    group, first = group_by(runs, fields)
+    picks = first.tolist()
+    columns = (map(runs.column(f).__getitem__, picks) for f in fields)
+    keys = list(zip(*columns)) if fields else [()] * len(picks)
+    values = getattr(runs, value)
+    n = np.bincount(group, minlength=len(picks))
+    mean = np.bincount(group, weights=values, minlength=len(picks)) / n
+    rows = np.argsort(first[group], kind="stable")  # group by group in first-seen order
+    with np.errstate(over="ignore"):  # a deviation overflows to inf, as a Python float does
+        deviations = (values - mean[group])[rows].tolist()
+    squares = []
+    try:
+        squares.extend(map(pow, deviations, repeat(2)))
+    except OverflowError as exc:  # squares holds those before the one that overflowed
+        key = keys[group[rows[len(squares)]]]
+        raise InvalidDataError(f"{value} values of group {'/'.join(map(str, key))} overflow") from exc
+    spread = np.bincount(group[rows], weights=squares, minlength=len(picks))
+    return keys, first, n, mean, np.where(n > 1, np.sqrt(spread / np.maximum(n - 1, 1)), 0.0)
 
 
-def aggregate(
-    records: Iterable[RunRecord],
-    group_key=("app", "platform", "compiler"),
-    value: str = "time",
-) -> dict[tuple, AggregateStats]:
+def aggregate(records: Iterable[RunRecord], group_key=("app", "platform", "compiler"),
+              value: str = "time") -> dict[tuple, AggregateStats]:
     """Group records and compute the mean and the sample stddev of each group.
 
     ``value`` names the numeric RunTable column aggregated: ``time``,
-    ``energy`` or ``metric_value``.
+    ``energy`` or ``metric_value``. Groups come in first-seen order.
     """
-    runs = RunTable.from_records(records)
     fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
-    column = getattr(runs, value)
-    stats = {}
-    for key, rows in group_records(runs, fields).items():
-        # Python sums in record order: a numpy reduction adds pairwise and
-        # changes the last bits of the mean.
-        values = column[rows].tolist()
-        n = len(values)
-        mean = sum(values) / n
-        try:
-            stddev = math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1)) if n > 1 else 0.0
-        except OverflowError as exc:
-            raise InvalidDataError(f"{value} values of group {'/'.join(map(str, key))} overflow") from exc
-        stats[key] = AggregateStats(mean, stddev, n)
-    return stats
+    keys, first, n, mean, stddev = group_stats(RunTable.from_records(records), fields, value)
+    seen = np.argsort(first)
+    return {keys[g]: AggregateStats(*stats) for g, *stats in
+            zip(seen.tolist(), mean[seen].tolist(), stddev[seen].tolist(), n[seen].tolist())}
 
 
 def flag_outliers(records: Sequence[RunRecord], k: float = 3.0) -> list[RunRecord] | None:
@@ -589,6 +602,11 @@ def build_pairwise_matrix(
     if bad.size:
         first = int(bad[0])
         _check_pair(node_a[first], node_b[first], float(gbs[first]))
+    return _matrix(node_a, node_b, gbs, message_size)
+
+
+def _matrix(node_a: list, node_b: list, gbs: np.ndarray, message_size: int) -> PairwiseBandwidthMatrix:
+    """The matrix of directed entries, given as columns, that passed _check_pair."""
     node_ids = tuple(sorted({*node_a, *node_b}))
     n = len(node_ids)
     index = {node: i for i, node in enumerate(node_ids)}
@@ -682,8 +700,8 @@ def parse_pairwise_bandwidth(
         raise SchemaError(f"{source}: no rows for message size {message_size}")
     keep = np.flatnonzero(size_index == sizes.index(message_size))
     picks = keep.tolist()
-    entries = zip(map(node_a.__getitem__, picks), map(node_b.__getitem__, picks), gbs[keep].tolist())
-    return build_pairwise_matrix(entries, message_size)
+    return _matrix(list(map(node_a.__getitem__, picks)), list(map(node_b.__getitem__, picks)), gbs[keep],
+                   message_size)
 
 
 def detect_weak_links(

@@ -7,8 +7,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .exceptions import EmptyComparisonError, ParameterError
-from .ingest import AppMetric, RunRecord, RunTable, aggregate
+from .exceptions import EmptyComparisonError, InvalidDataError, ParameterError
+from .ingest import AppMetric, RunRecord, RunTable, group_by, group_stats
 
 
 @dataclass(frozen=True)
@@ -110,44 +110,66 @@ def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> Com
 
     ``delta_pct`` states how much of a run the best group saves: for times,
     100 * (1 - best/value); for rates, 100 * (1 - value/best). Requires at
-    least two distinct platforms sharing an app.
+    least two distinct platforms sharing an app. Equal means rank in the order
+    their groups are first seen.
     """
     runs = RunTable.from_records(records)
     if metric == "time":
-        value, lower_is_better = "time", True
+        value, sign = "time", 1.0
     elif metric == "rate":
         runs = runs.take(np.flatnonzero(runs.is_rate()))
-        value, lower_is_better = "metric_value", False
+        value, sign = "metric_value", -1.0
     else:
         raise ParameterError(f"metric must be 'time' or 'rate', got {metric!r}")
 
-    stats = aggregate(runs, group_key=("app", "platform", "compiler"), value=value)
-    by_app: dict[str, dict[tuple[str, str], object]] = {}
-    for (app, platform, compiler), st in stats.items():
-        by_app.setdefault(app, {})[(platform, compiler)] = st
-
-    comparable = {
-        app: cols for app, cols in by_app.items() if len({p for p, _ in cols}) >= 2
-    }
+    keys, first, n, mean, stddev = group_stats(runs, ("app", "platform", "compiler"), value)
+    by_app: dict[str, list[int]] = {}
+    for g in np.argsort(first).tolist():  # groups in first-seen order
+        by_app.setdefault(keys[g][0], []).append(g)
+    comparable = {app: gs for app, gs in by_app.items() if len({keys[g][1] for g in gs}) >= 2}
     if not comparable:
-        raise EmptyComparisonError(
-            "comparison needs at least two platforms sharing an application"
-        )
+        raise EmptyComparisonError("comparison needs at least two platforms sharing an application")
 
-    columns = tuple(sorted({col for cols in comparable.values() for col in cols}))
+    columns = tuple(sorted({keys[g][1:] for gs in comparable.values() for g in gs}))
+    means, stddevs, counts = mean.tolist(), stddev.tolist(), n.tolist()
     rows = []
     for app in sorted(comparable):
-        cols = comparable[app]
-        means = {col: st.mean for col, st in cols.items()}
-        best = min(means.values()) if lower_is_better else max(means.values())
-        order = sorted(means, key=lambda c: (means[c] if lower_is_better else -means[c]))
-        ranks = {col: order.index(col) + 1 for col in means}
-        cells = {}
-        for col, st in cols.items():
-            if lower_is_better:
-                delta = 100.0 * (1.0 - best / st.mean)
-            else:
-                delta = 100.0 * (1.0 - st.mean / best)
-            cells[col] = ComparisonCell(st.mean, st.stddev, st.n, delta, ranks[col])
-        rows.append((app, cells))
+        groups = comparable[app]
+        order = sorted(groups, key=lambda g: sign * means[g])
+        best, rank = means[order[0]], {g: r for r, g in enumerate(order, start=1)}
+        if sign < 0 and best == 0:
+            raise InvalidDataError(f"app {app}: the best rate mean is 0, so delta_pct is undefined")
+        deltas = [100.0 * (1.0 - (best / means[g] if sign > 0 else means[g] / best)) for g in groups]
+        rows.append((app, {keys[g][1:]: ComparisonCell(means[g], stddevs[g], counts[g], delta, rank[g])
+                           for g, delta in zip(groups, deltas)}))
     return ComparisonTable(metric=metric, columns=columns, rows=tuple(rows))
+
+
+def speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
+    """Labels and speedup points per group in sorted key order, and the first failure.
+
+    Speedups are time ratios for ``model`` "amdahl" and rate ratios for
+    "gustafson", against the mean at each group's smallest node count. Groups
+    are reported up to the first one that fails, a weak-scaling group with a
+    record lacking a positive rate; its error is returned (None when none
+    fails), and only the groups before it are aggregated.
+    """
+    failure, value = None, "time"
+    if model == "gustafson":
+        value = "metric_value"
+        unusable = ~(runs.is_rate() & (runs.metric_value > 0))
+        if unusable.any():
+            failure = InvalidDataError("weak-scaling fits need a positive rate app_metric "
+                                       "(e.g. MLUP/s) on every record")
+            curve, _ = group_by(runs, fields)
+            runs = runs.take(np.flatnonzero(curve < curve[unusable].min()))
+    keys, first, _, mean, _ = group_stats(runs, (*fields, "nodes"), value)
+    groups = [key[:-1] for key in keys]  # each mean's group; a group's means come in node order
+    starts = [i for i, group in enumerate(groups) if i == 0 or group != groups[i - 1]]
+    ends = [*starts[1:], len(keys)]
+    base = np.repeat(mean[starts], np.diff([*starts, len(keys)]))  # the mean at the smallest node count
+    with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give them
+        speedup = mean / base if model == "gustafson" else base / mean
+    pairs = list(zip(runs.nodes[first].tolist(), speedup.tolist()))
+    labels = ["/".join(map(str, groups[i])) for i in starts]
+    return labels, [pairs[a:b] for a, b in zip(starts, ends)], failure

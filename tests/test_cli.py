@@ -120,6 +120,22 @@ class TestAnalyzeEnergy:
         assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 3:")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "row",
+        ["p,a,c,2,1,1e200,1e200,,",  # edp: 1e197 kJ times 1e200 s
+         "p,a,c,2,1,1e200,1e-10,1e200 MLUP/s,"],  # work: 1e200 MLUP/s times 1e200 s per 1e-10 J
+    )
+    def test_overflowing_derived_metric_is_one_error_line(self, row, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n# a note\np,a,c,1,1,10.0,5000.0,,\n{row}\n")
+        out = tmp_path / "energy.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would end the call
+            assert main(["analyze", "energy", "--in", str(runs), "--out", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "perfchar: error: InvalidDataError: "
+                                           f"{runs}: line 4: edp_kjs or work_per_joule overflows\n")
+
     def test_node_count_beyond_int64_is_row_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.csv"
         runs.write_text(f"{RUNS_HEADER}\np,a,c,1,1,10.0,5000.0,,\np,a,c,{10**400},1,10.0,5000.0,,\n")
@@ -770,6 +786,14 @@ class TestReportCompare:
         ))
         assert main(["report", "compare", "--in", str(runs)]) == 1
         assert_one_error_line(capsys, "InvalidDataError", "time values of group a/p/c overflow")
+
+    def test_zero_best_rate_is_one_error_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\np1,lbc,gnu,1,64,10.0,,0 MLUP/s,\np2,lbc,gnu,1,64,10.0,,-1 MLUP/s,\n")
+        out = tmp_path / "cmp.csv"
+        assert main(["report", "compare", "--metric", "rate", "--in", str(runs), "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "InvalidDataError", "app lbc", "best rate mean is 0")
+        assert not out.exists()
 
 
 class TestBenchCommands:
