@@ -25,7 +25,6 @@ from .ingest import (
     WeakLink,
     aggregate,
     detect_weak_links,
-    flag_outliers,
     parse_pairwise_bandwidth,
     parse_runs,
     serialize_runs,

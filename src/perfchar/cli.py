@@ -234,7 +234,7 @@ def _cmd_bench_mem(args) -> int:
         f"kernel={meta.kernel}"
     )
     if args.out:
-        emit_plot_data([[r.threads for r in results], [r.best for r in results]], args.out,
+        emit_plot_data([np.array([r.threads for r in results]), _floats(r.best for r in results)], args.out,
                        ["threads", "best_gbs"])
         provenance = {
             "command": "bench mem",
@@ -268,8 +268,8 @@ def _cmd_bench_flops(args) -> int:
             f"{result.gflops:.3f} GFlop/s over {result.duration:.2f} s"
         )
     if args.out:
-        columns = [[getattr(r, name) for r in results] for name in ("mode", "precision", "gflops")]
-        emit_plot_data(columns, args.out, header=["mode", "precision", "gflops"])
+        emit_plot_data([[r.mode for r in results], [r.precision for r in results],
+                        _floats(r.gflops for r in results)], args.out, header=["mode", "precision", "gflops"])
         write_sidecar_metadata(
             args.out, {"command": "bench flops", "duration": args.duration}
         )
@@ -484,6 +484,9 @@ def _cmd_analyze_network(args) -> int:
     links = detect_weak_links(matrix, threshold=args.threshold)
     out_dir = Path(args.out_dir)
 
+    # Medians first: a weak link holds inf only beside an infinite median, which fails before any write.
+    emit_plot_data([matrix.node_ids, matrix.row_medians], out_dir / "node_medians.csv",
+                   header=["node", "median_gbs"])
     links_path = out_dir / "weak_links.csv"
     if links:
         emit_plot_data(
@@ -494,8 +497,6 @@ def _cmd_analyze_network(args) -> int:
         )
     else:
         atomic_write_text(links_path, "node_a,node_b,bandwidth_gbs,reference_gbs,deficit_pct\n")
-    emit_plot_data([matrix.node_ids, matrix.row_medians], out_dir / "node_medians.csv",
-                   header=["node", "median_gbs"])
     write_sidecar_metadata(links_path, {"command": "analyze network", "message_size": matrix.message_size,
                                         "threshold": args.threshold})
 

@@ -27,7 +27,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -67,9 +67,6 @@ GROUP_FIELDS = ("platform", "app", "compiler", "nodes", "ranks_per_node", "time"
 #: Bidirectional measurements of one pair may disagree by up to this fraction
 #: before the pair is reported in the asymmetry warning list.
 SYMMETRY_TOLERANCE = 0.10
-
-#: Robust sigma estimate: 1.4826 * median absolute deviation (normal-consistent).
-MAD_SIGMA_FACTOR = 1.4826
 
 
 def _split_metric(text: str) -> tuple[float, str]:
@@ -515,23 +512,6 @@ def aggregate(records: Iterable[RunRecord], group_key=("app", "platform", "compi
             zip(seen.tolist(), mean[seen].tolist(), stddev[seen].tolist(), n[seen].tolist())}
 
 
-def flag_outliers(records: Sequence[RunRecord], k: float = 3.0) -> list[RunRecord] | None:
-    """Flag records whose time is farther than k robust sigmas from the group median.
-
-    Sigma is the MAD-based robust estimate, so a run of identical values plus
-    one stray flags exactly the stray. Returns None (not applicable) for
-    groups smaller than three; flagged records are never removed from the set.
-    """
-    if k <= 0:
-        raise ParameterError("k must be > 0")
-    if len(records) < 3:
-        return None
-    values = np.array([r.time for r in records], dtype=float)
-    median = float(np.median(values))
-    sigma = MAD_SIGMA_FACTOR * float(np.median(np.abs(values - median)))
-    return list(compress(records, np.abs(values - median) > k * sigma))
-
-
 @dataclass(frozen=True)
 class WeakLink:
     """A node pair whose bandwidth falls below its rows' typical value."""
@@ -565,8 +545,10 @@ class PairwiseBandwidthMatrix:
     @cached_property
     def row_medians(self) -> np.ndarray:
         """Each row's median, one nanmedian per row: np.nanmedian(axis=1) takes another
-        path on rows shorter than 600 that overflows to inf above 8.9e307."""
-        return np.array([np.nanmedian(row) for row in self.bandwidth], dtype=float)
+        path on rows shorter than 600 that overflows to inf above 8.9e307. The mean of two
+        middle values can still overflow to inf, which the writer refuses."""
+        with np.errstate(over="ignore"):
+            return np.array([np.nanmedian(row) for row in self.bandwidth], dtype=float)
 
     def pair_value(self, a: str, b: str) -> float:
         return float(self.bandwidth[self.node_ids.index(a), self.node_ids.index(b)])
@@ -579,12 +561,6 @@ def _check_pair(a: str, b: str, bw: float) -> None:
         raise ParameterError(f"bandwidth for pair ({a}, {b}) must be finite and > 0")
 
 
-def _bad_pairs(node_a: list[str], node_b: list[str], gbs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the self-pairs and of the bandwidths outside (0, inf)."""
-    same = np.fromiter(map(operator.eq, node_a, node_b), bool, len(node_a))
-    return same, ~((gbs > 0) & (gbs < math.inf))
-
-
 def build_pairwise_matrix(
     entries: Iterable[tuple[str, str, float]], message_size: int
 ) -> PairwiseBandwidthMatrix:
@@ -593,16 +569,11 @@ def build_pairwise_matrix(
     # the garbage collector more than the loop costs.
     node_a, node_b, gbs = [], [], []
     for a, b, bw in entries:
+        _check_pair(a, b, bw)
         node_a.append(a)
         node_b.append(b)
         gbs.append(bw)
-    gbs = np.array(gbs, dtype=float)
-    same, bad_bw = _bad_pairs(node_a, node_b, gbs)
-    bad = np.flatnonzero(same | bad_bw)
-    if bad.size:
-        first = int(bad[0])
-        _check_pair(node_a[first], node_b[first], float(gbs[first]))
-    return _matrix(node_a, node_b, gbs, message_size)
+    return _matrix(node_a, node_b, np.array(gbs, dtype=float), message_size)
 
 
 def _matrix(node_a: list, node_b: list, gbs: np.ndarray, message_size: int) -> PairwiseBandwidthMatrix:
@@ -670,7 +641,7 @@ def _pairwise_entries(source: str | Path) -> tuple[list[int], np.ndarray, list[s
         divisor = {text: _gbs_divisor(text) for text in set(unit)}
         gbs = np.array(list(map(float, bandwidth)), dtype=float)
         gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
-        valid = not any(mask.any() for mask in _bad_pairs(node_a, node_b, gbs))
+        valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs < math.inf)).all()
     except ValueError:
         valid = False
     if not valid:  # the column checks are _pairwise_row's, so _rows raises

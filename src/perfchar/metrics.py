@@ -74,7 +74,7 @@ class ComparisonTable:
     columns: tuple[tuple[str, str], ...]  # (platform, compiler)
     rows: tuple[tuple[str, dict], ...]  # (app, {column: ComparisonCell})
 
-    def to_csv_columns(self) -> dict[str, list]:
+    def to_csv_columns(self) -> dict[str, list[str] | np.ndarray]:
         """The CSV form by column name: one row per (app, platform/compiler) cell present."""
         present = [(app, column, cell) for app, cells in self.rows for column in self.columns
                    if (cell := cells.get(column)) is not None]
@@ -82,7 +82,7 @@ class ComparisonTable:
             "app": [app for app, _, _ in present],
             "platform": [column[0] for _, column, _ in present],
             "compiler": [column[1] for _, column, _ in present],
-            **{name: [getattr(cell, name) for _, _, cell in present]
+            **{name: np.array([getattr(cell, name) for _, _, cell in present])
                for name in ("mean", "stddev", "n", "delta_pct", "rank")},
         }
 
@@ -111,7 +111,8 @@ def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> Com
     ``delta_pct`` states how much of a run the best group saves: for times,
     100 * (1 - best/value); for rates, 100 * (1 - value/best). Requires at
     least two distinct platforms sharing an app. Equal means rank in the order
-    their groups are first seen.
+    their groups are first seen. An app whose best rate mean is 0, or with a
+    mean, stddev or delta_pct that is not finite, is an InvalidDataError.
     """
     runs = RunTable.from_records(records)
     if metric == "time":
@@ -140,6 +141,8 @@ def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> Com
         if sign < 0 and best == 0:
             raise InvalidDataError(f"app {app}: the best rate mean is 0, so delta_pct is undefined")
         deltas = [100.0 * (1.0 - (best / means[g] if sign > 0 else means[g] / best)) for g in groups]
+        if not np.isfinite([deltas, mean[groups], stddev[groups]]).all():
+            raise InvalidDataError(f"app {app}: a mean, stddev or delta_pct is not finite")
         rows.append((app, {keys[g][1:]: ComparisonCell(means[g], stddevs[g], counts[g], delta, rank[g])
                            for g, delta in zip(groups, deltas)}))
     return ComparisonTable(metric=metric, columns=columns, rows=tuple(rows))

@@ -3,7 +3,7 @@
 Data files never contain timestamps; identical inputs must produce
 byte-identical outputs. Run timestamps go into a sidecar ``*.meta.json``.
 ``emit_plot_data`` orders rows by every column from left to right: numbers
-(bools as 0 and 1) before blanks, then strings by code point.
+(bools as 0 and 1) before blanks, strings by code point.
 """
 
 from __future__ import annotations
@@ -21,17 +21,6 @@ import numpy as np
 from .exceptions import ParameterError
 
 BLOCK_ROWS = 1 << 16  # rows of a data file whose cell text is held at once
-
-
-def format_value(value) -> str:
-    """Stable text form: full-precision floats, plain ints, strings as-is."""
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return "" if value is None else str(value)
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
@@ -58,30 +47,20 @@ def ranks(values: Sequence[str]) -> np.ndarray:
     return np.fromiter(map(position.__getitem__, values), np.intp, len(values))
 
 
-def _cell_key(value) -> tuple[int, float, str]:
-    """(kind, number, text) of one cell: numbers, bools included, before text; None is ""."""
-    if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
-        return 0, float(value), ""
-    return 1, 0.0, "" if value is None else str(value)
-
-
-def _keys_and_cells(column) -> tuple[list[np.ndarray], np.ndarray | list[str]]:
-    """Sort keys of one column, most significant first, and its cells.
+def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
+    """Sort key of one column, and its cells.
 
     A float array is its own key, an int or bool array is keyed as float64,
-    a list of str by rank, and any other list by the three parts of _cell_key.
-    The cells are an int or float array, or else a list of text.
+    and a sequence of str by rank. The cells are an int or float array, or
+    else a list of text.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         key = column if column.dtype.kind == "f" else column.astype(float)
         if column.dtype.kind != "b":
-            return [key], column
-        return [key], list(map(("false", "true").__getitem__, column.tolist()))
+            return key, column
+        return key, list(map(("false", "true").__getitem__, column.tolist()))
     column = list(column)
-    if set(map(type, column)) == {str}:
-        return [ranks(column)], column
-    kinds, numbers, texts = zip(*map(_cell_key, column))
-    return [np.array(kinds), np.array(numbers), ranks(texts)], list(map(format_value, column))
+    return ranks(column), column
 
 
 def _text(cells: np.ndarray | list[str], order: np.ndarray) -> list[str]:
@@ -98,8 +77,9 @@ def _text(cells: np.ndarray | list[str], order: np.ndarray) -> list[str]:
 def emit_plot_data(columns: Sequence, path: str | Path, header: Sequence[str]) -> Path:
     """Write plot data as CSV: a header, then the rows of ``columns`` in sorted order.
 
-    A column is a list, or a numpy int, bool or float array whose NaN cells
-    are blank. Cells are written by format_value; equal rows keep their order.
+    A column is a sequence of str, or a numpy int, bool or float array whose
+    NaN cells are blank; an infinite cell is a ParameterError. Floats are
+    written by repr, bools as true/false; equal rows keep their order.
     """
     n = len(columns[0]) if len(columns) else 0
     if not n:
@@ -108,7 +88,10 @@ def emit_plot_data(columns: Sequence, path: str | Path, header: Sequence[str]) -
         raise ParameterError(f"columns of {sorted(set(map(len, columns)))} cells "
                              f"under a header of width {len(header)}")
     keys, cells = zip(*map(_keys_and_cells, columns))
-    order = np.lexsort([key for column_keys in keys[::-1] for key in column_keys[::-1]])
+    infinite = next((name for name, key in zip(header, keys) if np.isinf(key).any()), None)
+    if infinite is not None:
+        raise ParameterError(f"{path}: column {infinite} holds an infinite value")
+    order = np.lexsort(keys[::-1])
     # Text is made a block of rows at a time, so that a large table never holds a str per cell.
     blocks = ("\n".join(map(",".join, zip(*(_text(column, rows) for column in cells)))) + "\n"
               for rows in np.split(order, range(BLOCK_ROWS, n, BLOCK_ROWS)))

@@ -107,8 +107,6 @@ class CriticalPoint:
     """Unit count where a share expression reaches the threshold."""
 
     units: float
-    definition: str  # "lb_only" or "lb_plus_com"
-    threshold_pct: float
 
 
 @dataclass(frozen=True)
@@ -159,26 +157,24 @@ def _weighted_jacobian(a, p, w, ramp) -> np.ndarray:
     return np.stack((w * (ramp / denom**2), w), axis=2)
 
 
-def _stacked(routine, *stacks) -> tuple[np.ndarray, np.ndarray]:
-    """Apply a numpy.linalg routine to a stack of matrices; also say which were singular.
+def _stacked(routine, *stacks) -> np.ndarray:
+    """Apply a numpy.linalg routine to a stack of matrices.
 
     numpy raises for the whole stack when one matrix is singular. Then each
     matrix is taken alone, so one group never changes another's result, and
     a singular one gives NaN.
     """
     try:
-        return routine(*stacks), np.zeros(len(stacks[0]), dtype=bool)
+        return routine(*stacks)
     except np.linalg.LinAlgError:
         pass
-    results, singular = [], []
+    results = []
     for args in zip(*stacks):
         try:
             results.append(routine(*args))
-            singular.append(False)
         except np.linalg.LinAlgError:
             results.append(np.full_like(args[-1], np.nan))
-            singular.append(True)
-    return np.array(results), np.array(singular)
+    return np.array(results)
 
 
 def _levenberg_marquardt(p, s, w):
@@ -213,8 +209,7 @@ def _levenberg_marquardt(p, s, w):
             g = live[todo]
             # A singular system gives a NaN step, which is rejected like any
             # step that does not lower the SSR: lam grows tenfold.
-            trial = _stacked(np.linalg.solve, jtj[todo] + lam[g, None, None] * scale[todo],
-                             grad[todo])[0]
+            trial = _stacked(np.linalg.solve, jtj[todo] + lam[g, None, None] * scale[todo], grad[todo])
             a_new = np.minimum(np.maximum(a[g] + trial[:, 0, 0], A_LOWER_BOUND), 1.0)
             b_new = b[g] + trial[:, 1, 0]
             ssr_new = _ssr(a_new[:, None], b_new[:, None], p[g], s[g], w[g])
@@ -240,12 +235,17 @@ def _levenberg_marquardt(p, s, w):
     return a, b, ssr, converged
 
 
-def _sigmas(scale: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """(G, 2) 1-sigma uncertainties: sqrt of the diagonal of scale * inv(normal), inf if singular."""
-    inverse, singular = _stacked(np.linalg.inv, normal)
-    sigma = np.sqrt(np.maximum((scale[:, None, None] * inverse)[:, _DIAG, _DIAG], 0.0))
-    sigma[singular] = math.inf
-    return sigma
+def _sigmas(scale: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+    """(G, 2) 1-sigma uncertainties, the sqrt of the diagonal of scale * inv(normal), and
+    whether each group's variances are finite: a singular normal matrix gives NaN, and one
+    whose sums underflow can give -inf, which the clamp at 0 would hide."""
+    with np.errstate(over="ignore", invalid="ignore"):  # a group left not finite fails
+        variance = (scale[:, None, None] * _stacked(np.linalg.inv, normal))[:, _DIAG, _DIAG]
+    return np.sqrt(np.maximum(variance, 0.0)), np.isfinite(variance).all(axis=1).tolist()
+
+
+#: The error of a group whose uncertainties _sigmas finds not finite.
+_SINGULAR = "the fit's uncertainties are not finite: its normal matrix is singular or ill-conditioned"
 
 
 def _one(results: list):
@@ -312,14 +312,14 @@ def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[Amd
         w = 1.0 / s
         a, b, ssr, converged = _levenberg_marquardt(p, s, w)
         jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
-        sigma = _sigmas(ssr / (p.shape[1] - 2), jac.transpose(0, 2, 1) @ jac)
-        for k, *values, ok in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
-                                  converged.tolist()):
-            try:
-                fit = AmdahlFit(*values)
-            except ParameterError as exc:
-                results[index[k]] = exc
+        sigma, finite = _sigmas(ssr / (p.shape[1] - 2), jac.transpose(0, 2, 1) @ jac)
+        for k, *values, ok, bounded in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
+                                           converged.tolist(), finite):
+            # a is kept within [A_LOWER_BOUND, 1], so a fit with finite sigmas is a valid AmdahlFit.
+            if not bounded:
+                results[index[k]] = InvalidDataError(_SINGULAR)
                 continue
+            fit = AmdahlFit(*values)
             results[index[k]] = fit if ok else ConvergenceError(
                 f"strong-scaling fit did not converge within {AMDAHL_MAX_ITER} iterations", best_fit=fit
             )
@@ -395,16 +395,19 @@ def fit_mpi_shares_many(
         a, b = coef[:, :1], coef[:, 1:]
         fitted = a * p + b
         resid = np.sum((lb - fitted) ** 2, axis=1)
-        sigma = _sigmas(resid / (n - 2), normal)
+        sigma, finite = _sigmas(resid / (n - 2), normal)
         c = np.mean(com, axis=1)
         outside = np.any((fitted < 0) | (fitted + c[:, None] > 100.0), axis=1).tolist()
-        for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out in zip(
+        for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out, bounded in zip(
             valid, *a.T.tolist(), *b.T.tolist(), c.tolist(), *sigma.T.tolist(),
-            (np.std(com, ddof=1, axis=1) / math.sqrt(n)).tolist(), resid.tolist(), outside,
+            (np.std(com, ddof=1, axis=1) / math.sqrt(n)).tolist(), resid.tolist(), outside, finite,
         ):
-            results[index[k]] = InvalidDataError(
-                "fitted shares leave [0, 100] percent at observed p"
-            ) if out else MpiShareFit(a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res)
+            if not bounded:
+                results[index[k]] = InvalidDataError(_SINGULAR)
+            elif out:
+                results[index[k]] = InvalidDataError("fitted shares leave [0, 100] percent at observed p")
+            else:
+                results[index[k]] = MpiShareFit(a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res)
     return results
 
 
@@ -426,7 +429,7 @@ def critical_units(
     units = (threshold_pct - offset) / fit.a
     if not math.isfinite(units):
         raise InvalidDataError(f"{definition} critical point is not finite (slope a = {fit.a!r})")
-    return CriticalPoint(units=units, definition=definition, threshold_pct=threshold_pct)
+    return CriticalPoint(units)
 
 
 def project(fit: AmdahlFit | GustafsonFit, p_list: Sequence[float]) -> list[ProjectionPoint]:

@@ -12,8 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
-from perfchar.exceptions import ConvergenceError, ParameterError, UnderdeterminedError
-from perfchar.scalefit import A_LOWER_BOUND, AmdahlFit
+from perfchar.exceptions import ConvergenceError, InvalidDataError, ParameterError, UnderdeterminedError
+from perfchar.scalefit import _SINGULAR, A_LOWER_BOUND, AmdahlFit
 
 
 def _amdahl_model(a: float, b: float, p: np.ndarray) -> np.ndarray:
@@ -110,5 +110,7 @@ def _amdahl_uncertainties(a: float, p: np.ndarray, w: np.ndarray, ssr: float) ->
     try:
         cov = scale * np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        return math.inf, math.inf
+        raise InvalidDataError(_SINGULAR) from None
+    if not (math.isfinite(cov[0, 0]) and math.isfinite(cov[1, 1])):
+        raise InvalidDataError(_SINGULAR)
     return math.sqrt(max(cov[0, 0], 0.0)), math.sqrt(max(cov[1, 1], 0.0))

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from perfchar.exceptions import InvalidDataError, ParameterError, UnderdeterminedError
-from perfchar.scalefit import AmdahlFit, GustafsonFit, MpiShareFit, ProjectionPoint
+from perfchar.scalefit import _SINGULAR, AmdahlFit, GustafsonFit, MpiShareFit, ProjectionPoint
 
 
 def eval_amdahl(a: float, b: float, p: float) -> float:
@@ -84,7 +84,12 @@ def fit_mpi_shares_reference(points: Iterable[tuple[float, float, float]]) -> Mp
     resid = float(np.sum((lb - (a * p + b)) ** 2))
     dof = n - 2
     scale = resid / dof if dof > 0 else 0.0
-    cov = scale * np.linalg.inv(design.T @ design)
+    try:
+        cov = scale * np.linalg.inv(design.T @ design)
+    except np.linalg.LinAlgError:
+        raise InvalidDataError(_SINGULAR) from None
+    if not (math.isfinite(cov[0, 0]) and math.isfinite(cov[1, 1])):
+        raise InvalidDataError(_SINGULAR)
     sigma_a = math.sqrt(max(cov[0, 0], 0.0))
     sigma_b = math.sqrt(max(cov[1, 1], 0.0))
 

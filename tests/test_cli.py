@@ -291,6 +291,21 @@ class TestAnalyzeScaling:
         assert_one_error_line(capsys, "InvalidDataError", "group p:", "not finite")
         assert not (tmp_path / "out" / "mpi_share_fits.csv").exists()
 
+    def test_singular_fit_is_one_error_line(self, tmp_path, capsys):
+        # The group before it is reported; the singular one writes no uncertainties of inf.
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(
+            f"p,{app},c,{nodes},1,{time},,,\n" for app, scale in (("a", 1), ("b", 10**17))
+            for nodes, time in ((scale, 10), (2 * scale, 5), (3 * scale, 4))))
+        code = main(["analyze", "scaling", "--model", "amdahl", "--in", str(runs), "--group", "app",
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out.startswith("a: a = ") and captured.out.count("\n") == 1
+        assert captured.err == ("perfchar: error: InvalidDataError: the fit's uncertainties are not finite: "
+                                "its normal matrix is singular or ill-conditioned\n")
+        assert not (tmp_path / "out" / "scaling_fits.csv").exists()
+
     def test_non_numeric_share_is_row_error(self, tmp_path, capsys):
         shares = tmp_path / "shares.csv"
         shares.write_text(
@@ -565,6 +580,16 @@ class TestAnalyzeNetwork:
         assert_one_error_line(capsys, "ParameterError", "threshold")
         assert not (tmp_path / "out").exists()
 
+    def test_pair_mean_that_overflows_is_one_error_line(self, tmp_path, capsys):
+        source = tmp_path / "pairs.csv"
+        source.write_text("node_a,node_b,msg_bytes,bandwidth_gbs\n"
+                          "n1,n2,4096,1.7e308\nn2,n1,4096,1.7e308\nn1,n3,4096,1\nn2,n3,4096,1\n")
+        code = main(["analyze", "network", "--in", str(source), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError",
+                              "node_medians.csv: column median_gbs holds an infinite value")
+        assert not (tmp_path / "out").exists()
+
     def test_clean_matrix_writes_header_only(self, tmp_path):
         source = tmp_path / "clean.csv"
         lines = ["node_a,node_b,msg_bytes,bandwidth_gbs"]
@@ -794,6 +819,84 @@ class TestReportCompare:
         assert main(["report", "compare", "--metric", "rate", "--in", str(runs), "--out", str(out)]) == 1
         assert_one_error_line(capsys, "InvalidDataError", "app lbc", "best rate mean is 0")
         assert not out.exists()
+
+
+    @pytest.mark.parametrize("metric, rows", [
+        ("time", [("p1", "1e308", ""), ("p1", "1e308", ""), ("p2", "1.0", "")]),
+        ("rate", [("p1", "10.0", "1e-300 MLUP/s"), ("p2", "10.0", "-1e300 MLUP/s")]),
+    ])
+    def test_cell_that_is_not_finite_is_one_error_line(self, metric, rows, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(f"{p},lbc,gnu,1,64,{t},,{m},\n" for p, t, m in rows))
+        out = tmp_path / "cmp.csv"
+        assert main(["report", "compare", "--metric", metric, "--in", str(runs), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("perfchar: error: InvalidDataError: "
+                                "app lbc: a mean, stddev or delta_pct is not finite\n")
+        assert not out.exists()
+
+
+# Finite numbers at the ends of the float range, whose sums, means and ratios overflow or underflow.
+EXTREMES = st.sampled_from(["1.0", "2.5", "1e308", "1.7e308", "8.9e307", "5e-324", "1e-300", "1e-310"])
+
+
+def assert_two_way_contract(code, err, caught, data_files):
+    """Exit 0 with an empty stderr and no inf or nan in a data file, or exit 1 with one error line."""
+    assert not caught  # a warning would be printed on stderr outside the test
+    if code == 0:
+        assert err == ""
+        for path in data_files:
+            cells = path.read_text().replace("\n", ",").split(",")
+            assert not {"inf", "-inf", "nan"} & {cell.lower() for cell in cells}
+    else:
+        assert code == 1
+        assert err.startswith("perfchar: error: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
+
+def run_quietly(argv):
+    """main's exit code, stderr and warnings, with stdout dropped."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue(), caught
+
+
+class TestExtremeInputsProperty:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        metric=st.sampled_from(["time", "rate"]),
+        rows=st.lists(st.tuples(st.sampled_from(["p1", "p2"]), st.sampled_from(["a", "b"]), EXTREMES,
+                                st.one_of(EXTREMES, EXTREMES.map("-{}".format), st.just("0"))),
+                      min_size=1, max_size=6),
+    )
+    def test_report_compare(self, tmp_path_factory, metric, rows):
+        tmp = tmp_path_factory.mktemp("compare")
+        runs = tmp / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(f"{p},{app},c,1,1,{t},,{rate} MLUP/s,\n"
+                                                     for p, app, t, rate in rows))
+        out = tmp / "cmp.csv"
+        code, err, caught = run_quietly(["report", "compare", "--metric", metric, "--in", str(runs),
+                                         "--out", str(out)])
+        assert_two_way_contract(code, err, caught, [out])
+
+    @settings(max_examples=150, deadline=None)
+    @given(forward=st.lists(EXTREMES, min_size=3, max_size=3),
+           backward=st.lists(st.one_of(st.none(), EXTREMES), min_size=3, max_size=3))
+    def test_analyze_network(self, tmp_path_factory, forward, backward):
+        tmp = tmp_path_factory.mktemp("network")
+        pairs = [("n1", "n2"), ("n1", "n3"), ("n2", "n3")]
+        lines = [f"{a},{b},4096,{bw}" for (a, b), bw in zip(pairs, forward)]
+        lines += [f"{b},{a},4096,{bw}" for (a, b), bw in zip(pairs, backward) if bw is not None]
+        source = tmp / "pairs.csv"
+        source.write_text("\n".join(["node_a,node_b,msg_bytes,bandwidth_gbs", *lines]) + "\n")
+        out = tmp / "net"
+        code, err, caught = run_quietly(["analyze", "network", "--in", str(source), "--out-dir", str(out)])
+        assert_two_way_contract(code, err, caught, [out / "node_medians.csv", out / "weak_links.csv"])
 
 
 class TestBenchCommands:

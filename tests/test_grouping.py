@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouping_reference as ref
+from perfchar.exceptions import EmptyComparisonError
 from perfchar.ingest import GROUP_FIELDS, AppMetric, RunRecord, RunTable, aggregate
 from perfchar.metrics import compare_platforms, speedup_points
 
@@ -99,11 +100,26 @@ class TestComparePlatforms:
     def test_matches_reference(self, metric, rows):
         expected = outcome(ref.compare_platforms, rows, metric)
         got = outcome(compare_platforms, RunTable.from_records(rows), metric)
-        if expected[0] == "ZeroDivisionError":  # a best rate mean of 0
+        refused = first_refused_app(rows, metric) if expected[0] in ("ok", "ZeroDivisionError") else None
+        if refused is not None:  # a best rate mean of 0, or a cell that is not finite
             assert got[0] == "InvalidDataError"
-            assert got[1].startswith(f"app {first_app_with_zero_best(rows)}: the best rate mean is 0")
+            assert got[1].startswith(f"app {refused[0]}: {refused[1]}")
         else:
             assert got == expected
+
+    @pytest.mark.parametrize("metric, cells, app", [
+        ("time", [("p1", 1e308), ("p1", 1e308), ("p2", 1.0)], "a"),  # a mean and stddev of inf
+        ("rate", [("p1", 1e-300), ("p2", -1e300)], "a"),  # a delta_pct of inf
+        ("time", [("p1", 1.7e308), ("p1", 1.7e308), ("p2", 1.7e308), ("p2", 1.7e308)], "a"),  # inf / inf
+    ])
+    def test_cell_that_is_not_finite_names_the_app(self, metric, cells, app):
+        rows = [RunRecord("q", "b", "c", 1, 1, 1.0, None, AppMetric(1.0, "MLUP/s")),
+                RunRecord("r", "b", "c", 1, 1, 2.0, None, AppMetric(2.0, "MLUP/s")),
+                *(RunRecord(platform, app, "c", 1, 1, value if metric == "time" else 1.0, None,
+                            AppMetric(value, "MLUP/s")) for platform, value in cells)]
+        assert outcome(compare_platforms, rows, metric) == \
+            ("InvalidDataError", f"app {app}: a mean, stddev or delta_pct is not finite")
+        assert first_refused_app(rows, metric) == (app, "a mean, stddev or delta_pct is not finite")
 
     def test_equal_means_rank_in_first_seen_order(self):
         rows = [RunRecord(platform, "a", compiler, 1, 1, 2.0) for platform, compiler in
@@ -114,15 +130,20 @@ class TestComparePlatforms:
         assert repr(table) == repr(ref.compare_platforms(rows))
 
 
-def first_app_with_zero_best(rows) -> str:
-    """The first app, in sorted order, of two or more platforms whose best rate mean is 0."""
-    rates = [r for r in rows if r.app_metric is not None and r.app_metric.is_rate()]
-    best: dict[str, float] = {}
-    platforms: dict[str, set] = {}
-    for (app, platform, _), stats in ref.aggregate(rates, value="metric_value").items():
-        best[app] = max(best.get(app, stats.mean), stats.mean)
-        platforms.setdefault(app, set()).add(platform)
-    return min(app for app in best if len(platforms[app]) >= 2 and best[app] == 0)
+def first_refused_app(rows, metric):
+    """The first app, in sorted order, whose reference row divides by a best rate mean of 0 or
+    holds a mean, stddev or delta_pct that is not finite, and why; None when there is none."""
+    for app in sorted({r.app for r in rows}):
+        try:
+            table = ref.compare_platforms([r for r in rows if r.app == app], metric)
+        except ZeroDivisionError:
+            return app, "the best rate mean is 0"
+        except EmptyComparisonError:  # one platform only: not compared
+            continue
+        cells = table.rows[0][1].values()
+        if not np.isfinite([(c.mean, c.stddev, c.delta_pct) for c in cells]).all():
+            return app, "a mean, stddev or delta_pct is not finite"
+    return None
 
 
 def speedups(runs, fields, model, fn):

@@ -13,7 +13,6 @@ from perfchar import (
     RunTable,
     aggregate,
     detect_weak_links,
-    flag_outliers,
     parse_pairwise_bandwidth,
     parse_runs,
     serialize_runs,
@@ -214,29 +213,6 @@ class TestAggregate:
         records = [record(platform="x"), record(platform="y")]
         stats = aggregate(records, group_key="platform")
         assert set(stats) == {("x",), ("y",)}
-
-
-class TestFlagOutliers:
-    def test_single_stray_flagged(self):
-        records = [record(time=t) for t in (10.0, 10.0, 10.0, 10.0, 30.0)]
-        flagged = flag_outliers(records, k=3.0)
-        assert [r.time for r in flagged] == [30.0]
-
-    def test_uniform_group(self):
-        records = [record(time=10.0) for _ in range(5)]
-        assert flag_outliers(records) == []
-
-    def test_too_small_is_not_applicable(self):
-        assert flag_outliers([record(), record()]) is None
-
-    def test_flags_never_remove_data(self):
-        records = [record(time=t) for t in (10.0, 10.0, 10.0, 30.0)]
-        flag_outliers(records)
-        assert len(records) == 4
-
-    def test_bad_k(self):
-        with pytest.raises(ParameterError):
-            flag_outliers([record()] * 3, k=0.0)
 
 
 PAIRWISE_HEADER = "node_a,node_b,msg_bytes,bandwidth_gbs"
