@@ -17,13 +17,11 @@ from .hwmodel import (
     stream_min_elements,
 )
 from .ingest import (
-    AggregateStats,
     AppMetric,
     PairwiseBandwidthMatrix,
     RunRecord,
     RunTable,
     WeakLink,
-    aggregate,
     detect_weak_links,
     parse_pairwise_bandwidth,
     parse_runs,

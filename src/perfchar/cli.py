@@ -484,7 +484,6 @@ def _cmd_analyze_network(args) -> int:
     links = detect_weak_links(matrix, threshold=args.threshold)
     out_dir = Path(args.out_dir)
 
-    # Medians first: a weak link holds inf only beside an infinite median, which fails before any write.
     emit_plot_data([matrix.node_ids, matrix.row_medians], out_dir / "node_medians.csv",
                    header=["node", "median_gbs"])
     links_path = out_dir / "weak_links.csv"
@@ -515,8 +514,7 @@ def _cmd_analyze_network(args) -> int:
 
 
 def _cmd_report_compare(args) -> int:
-    records = parse_runs(args.input)
-    table = compare_platforms(records, metric=args.metric)
+    table = compare_platforms(parse_runs(args.input), metric=args.metric)
     print(table.to_text())
     if args.out:
         columns = table.to_csv_columns()

@@ -23,6 +23,7 @@ import io
 import json
 import math
 import operator
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
@@ -63,6 +64,10 @@ KERNEL_POINT_COLUMNS = ("intensity", "flops", "loads", "stores", "access_bytes",
 
 #: RunRecord fields whose values always order, so groups keyed on them sort.
 GROUP_FIELDS = ("platform", "app", "compiler", "nodes", "ranks_per_node", "time", "timestamp")
+
+#: The largest bandwidth (GB/s) read: the mean of two such values, a pair's
+#: or a median's, stays finite.
+MAX_GBS = sys.float_info.max / 2
 
 #: Bidirectional measurements of one pair may disagree by up to this fraction
 #: before the pair is reported in the asymmetry warning list.
@@ -148,9 +153,7 @@ class RunTable(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> "RunTable":
-        """The table of ``records``; a RunTable is returned as it is."""
-        if isinstance(records, cls):
-            return records
+        """The table of ``records``."""
         no_metric = AppMetric(math.nan, "")
         rows = [(r.platform, r.app, r.compiler, r.nodes, r.ranks_per_node, r.time,
                  math.nan if r.energy is None else r.energy, (r.app_metric or no_metric).value,
@@ -180,13 +183,6 @@ class RunTable(Sequence):
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
-    def __eq__(self, other):
-        # Equal to a table or list holding the same records, as the list of
-        # records parse_runs once returned was.
-        if isinstance(other, (RunTable, list)):
-            return list(self) == list(other)
-        return NotImplemented
-
     def column(self, name: str) -> list:
         """The values of one field as a list of Python objects."""
         values = getattr(self, name)
@@ -205,23 +201,6 @@ class RunTable(Sequence):
         """Which records carry a rate app metric (a unit ending in ``/s``)."""
         rate = {unit: unit.endswith("/s") for unit in set(self.metric_unit)}
         return np.fromiter(map(rate.__getitem__, self.metric_unit), bool, len(self))
-
-
-@dataclass(frozen=True)
-class AggregateStats:
-    """Per-group sample statistics; stddev is the (n-1) sample deviation."""
-
-    mean: float
-    stddev: float
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ParameterError("a group must contain at least one record")
-        if self.stddev < 0:
-            raise ParameterError("stddev must be >= 0")
-        if self.n == 1 and self.stddev != 0.0:
-            raise ParameterError("a single-record group has zero stddev")
 
 
 def _validate_iso8601(text: str) -> None:
@@ -498,20 +477,6 @@ def group_stats(runs: RunTable, fields: tuple[str, ...], value: str):
     return keys, first, n, mean, np.where(n > 1, np.sqrt(spread / np.maximum(n - 1, 1)), 0.0)
 
 
-def aggregate(records: Iterable[RunRecord], group_key=("app", "platform", "compiler"),
-              value: str = "time") -> dict[tuple, AggregateStats]:
-    """Group records and compute the mean and the sample stddev of each group.
-
-    ``value`` names the numeric RunTable column aggregated: ``time``,
-    ``energy`` or ``metric_value``. Groups come in first-seen order.
-    """
-    fields = (group_key,) if isinstance(group_key, str) else tuple(group_key)
-    keys, first, n, mean, stddev = group_stats(RunTable.from_records(records), fields, value)
-    seen = np.argsort(first)
-    return {keys[g]: AggregateStats(*stats) for g, *stats in
-            zip(seen.tolist(), mean[seen].tolist(), stddev[seen].tolist(), n[seen].tolist())}
-
-
 @dataclass(frozen=True)
 class WeakLink:
     """A node pair whose bandwidth falls below its rows' typical value."""
@@ -544,11 +509,8 @@ class PairwiseBandwidthMatrix:
 
     @cached_property
     def row_medians(self) -> np.ndarray:
-        """Each row's median, one nanmedian per row: np.nanmedian(axis=1) takes another
-        path on rows shorter than 600 that overflows to inf above 8.9e307. The mean of two
-        middle values can still overflow to inf, which the writer refuses."""
-        with np.errstate(over="ignore"):
-            return np.array([np.nanmedian(row) for row in self.bandwidth], dtype=float)
+        """Each row's median; finite for bandwidths up to ``MAX_GBS``."""
+        return np.nanmedian(self.bandwidth, axis=1)
 
     def pair_value(self, a: str, b: str) -> float:
         return float(self.bandwidth[self.node_ids.index(a), self.node_ids.index(b)])
@@ -559,6 +521,8 @@ def _check_pair(a: str, b: str, bw: float) -> None:
         raise ParameterError(f"self-pair {a!r} is not a network measurement")
     if not 0 < bw < math.inf:
         raise ParameterError(f"bandwidth for pair ({a}, {b}) must be finite and > 0")
+    if bw > MAX_GBS:
+        raise ParameterError(f"bandwidth for pair ({a}, {b}) must be at most {MAX_GBS!r} GB/s")
 
 
 def build_pairwise_matrix(
@@ -592,9 +556,8 @@ def _matrix(node_a: list, node_b: list, gbs: np.ndarray, message_size: int) -> P
     forward[src[last], dst[last]] = gbs[last]
     backward = forward.T
     both = ~np.isnan(forward) & ~np.isnan(backward)
-    with np.errstate(over="ignore"):  # overflow to inf without a warning, as Python floats do
-        mean = (forward + backward) / 2.0
-        rel = np.abs(forward - backward) / mean
+    mean = (forward + backward) / 2.0
+    rel = np.abs(forward - backward) / mean
     value = np.where(both, mean, np.where(np.isnan(forward), backward, forward))
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     missing = [(node_ids[i], node_ids[j]) for i, j in zip(*np.nonzero(upper & np.isnan(value)))]
@@ -641,7 +604,7 @@ def _pairwise_entries(source: str | Path) -> tuple[list[int], np.ndarray, list[s
         divisor = {text: _gbs_divisor(text) for text in set(unit)}
         gbs = np.array(list(map(float, bandwidth)), dtype=float)
         gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
-        valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs < math.inf)).all()
+        valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs <= MAX_GBS)).all()
     except ValueError:
         valid = False
     if not valid:  # the column checks are _pairwise_row's, so _rows raises

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -105,7 +104,7 @@ class ComparisonTable:
         return "\n".join(lines)
 
 
-def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> ComparisonTable:
+def compare_platforms(runs: RunTable, metric: str = "time") -> ComparisonTable:
     """Cross-platform comparison of shared applications.
 
     ``delta_pct`` states how much of a run the best group saves: for times,
@@ -114,7 +113,6 @@ def compare_platforms(records: Iterable[RunRecord], metric: str = "time") -> Com
     their groups are first seen. An app whose best rate mean is 0, or with a
     mean, stddev or delta_pct that is not finite, is an InvalidDataError.
     """
-    runs = RunTable.from_records(records)
     if metric == "time":
         value, sign = "time", 1.0
     elif metric == "rate":

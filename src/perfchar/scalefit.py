@@ -373,9 +373,9 @@ def fit_mpi_shares_many(
     for index, pts in stacks:
         p, lb, com = (pts[:, :, j].copy() for j in range(3))
         design = np.stack((p, np.ones_like(p)), axis=2)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):  # a group that overflows fails below
             normal = design.transpose(0, 2, 1) @ design
-        over = lb + com > 100.0
+            over = lb + com > 100.0
         valid = _screen(index, results, pts, [
             (_distinct(p) < 3,
              lambda k: UnderdeterminedError("share fit needs >= 3 distinct p values")),

@@ -1,11 +1,12 @@
 """The per-group loops behind aggregation, comparison and speedups, as they were.
 
-``perfchar.ingest.aggregate``, ``perfchar.metrics.compare_platforms`` and
-``perfchar.metrics.speedup_points`` now share one columnar group-by
-(``ingest.group_stats``). They must give exactly the results, and the errors,
+``perfchar.ingest.group_stats`` is now the one columnar group-by, and
+``perfchar.metrics.compare_platforms`` and ``perfchar.metrics.speedup_points``
+are built on it. Together they must give exactly the results, and the errors,
 that these functions give: the same statistics bit for bit, groups in the same
 order, the same ranks for equal means, and an overflowing square named by the
-same group. The code is kept as it was, as the reference for that comparison.
+same group. The code is kept as it was, as the reference for that comparison,
+with ``AggregateStats``, the per-group result ``aggregate`` returns.
 The one change: where ``compare_platforms`` divides by a best rate mean of 0,
 it raised ZeroDivisionError, and the columnar code raises InvalidDataError.
 """
@@ -13,14 +14,32 @@ it raised ZeroDivisionError, and the columnar code raises InvalidDataError.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable
 
 import numpy as np
 
 from perfchar.exceptions import EmptyComparisonError, InvalidDataError, ParameterError
-from perfchar.ingest import AggregateStats, RunRecord, RunTable
+from perfchar.ingest import RunRecord, RunTable
 from perfchar.metrics import ComparisonCell, ComparisonTable
+
+
+@dataclass(frozen=True)
+class AggregateStats:
+    """Per-group sample statistics; stddev is the (n-1) sample deviation."""
+
+    mean: float
+    stddev: float
+    n: int
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ParameterError("a group must contain at least one record")
+        if self.stddev < 0:
+            raise ParameterError("stddev must be >= 0")
+        if self.n == 1 and self.stddev != 0.0:
+            raise ParameterError("a single-record group has zero stddev")
 
 
 def group_records(

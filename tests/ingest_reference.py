@@ -4,7 +4,9 @@
 accept and reject exactly the rows these functions accept and reject, with
 the same messages, and give bit-identical records, group statistics,
 matrices, warnings and weak links. The code is kept as it was, as the
-reference for that comparison.
+reference for that comparison. The one change: ``_check_pair`` refuses a
+bandwidth above half the largest float, as perfchar now does, so that no pair
+mean or row median overflows.
 """
 
 from __future__ import annotations
@@ -12,18 +14,19 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from grouping_reference import AggregateStats
 from perfchar.exceptions import IncompleteMatrixError, ParameterError, RowError, SchemaError
 from perfchar.ingest import (
     PAIRWISE_COLUMNS,
     RUNS_COLUMNS,
     SYMMETRY_TOLERANCE,
-    AggregateStats,
     AppMetric,
     PairwiseBandwidthMatrix,
     RunRecord,
@@ -146,6 +149,8 @@ def _check_pair(a: str, b: str, bw: float) -> None:
         raise ParameterError(f"self-pair {a!r} is not a network measurement")
     if not 0 < bw < math.inf:
         raise ParameterError(f"bandwidth for pair ({a}, {b}) must be finite and > 0")
+    if bw > sys.float_info.max / 2:
+        raise ParameterError(f"bandwidth for pair ({a}, {b}) must be at most {sys.float_info.max / 2!r} GB/s")
 
 
 def build_pairwise_matrix(

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import sys
 import warnings
 
 import numpy as np
@@ -346,6 +347,14 @@ class TestAnalyzeScaling:
         assert_one_error_line(capsys, "InvalidDataError", "p = 1e+308 overflow the share fit")
         assert not (tmp_path / "out").exists()
 
+    def test_share_sum_that_overflows_prints_no_warning(self, tmp_path):
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\np,1,1e308,1e308\np,2,10,20\np,4,12,20\n")
+        code, err, caught = run_quietly(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                                         "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert (code, caught) == (1, [])
+        assert err == "perfchar: error: InvalidDataError: shares must lie within [0, 100] percent\n"
+
     def test_share_file_lacking_a_group_column_is_schema_error(self, fixtures_dir, tmp_path, capsys):
         code = main(["analyze", "scaling", "--model", "mpi-shares",
                      "--in", str(fixtures_dir / "mpi_shares.csv"),
@@ -532,7 +541,7 @@ class TestAnalyzeNetwork:
         code = main(["analyze", "network", "--in", str(fixtures_dir / "pairwise_8node.csv"),
                      "--out-dir", str(tmp_path / "net")])
         assert code == 0
-        assert len(calls) == 8  # shared by the weak links and node_medians.csv
+        assert len(calls) == 1  # all 8 rows at once, shared by the weak links and node_medians.csv
 
     def write_two_sizes(self, tmp_path, *extra_rows):
         """Complete 4096 B rows over four nodes; 65536 B rows lack (n2, n3)."""
@@ -586,9 +595,28 @@ class TestAnalyzeNetwork:
                           "n1,n2,4096,1.7e308\nn2,n1,4096,1.7e308\nn1,n3,4096,1\nn2,n3,4096,1\n")
         code = main(["analyze", "network", "--in", str(source), "--out-dir", str(tmp_path / "out")])
         assert code == 1
-        assert_one_error_line(capsys, "ParameterError",
-                              "node_medians.csv: column median_gbs holds an infinite value")
+        assert_one_error_line(capsys, "RowError", "2 invalid row(s): line 2:", "; line 3:",
+                              f"must be at most {sys.float_info.max / 2!r} GB/s")
         assert not (tmp_path / "out").exists()
+
+    def test_one_direction_above_the_bound_is_row_error(self, tmp_path, capsys):
+        source = tmp_path / "pairs.csv"
+        source.write_text("node_a,node_b,msg_bytes,bandwidth_gbs\n"
+                          "n1,n2,4096,1.7e308\nn1,n3,4096,1\nn2,n3,4096,1\n")
+        code = main(["analyze", "network", "--in", str(source), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "RowError", "1 invalid row(s): line 2: bandwidth for pair (n1, n2)")
+
+    def test_bandwidth_at_the_bound_gives_finite_medians(self, tmp_path):
+        bound = sys.float_info.max / 2
+        source = tmp_path / "pairs.csv"
+        source.write_text("node_a,node_b,msg_bytes,bandwidth_gbs\n"
+                          f"n1,n2,4096,{bound!r}\nn2,n1,4096,{bound!r}\nn1,n3,4096,1\nn2,n3,4096,1\n")
+        out_dir = tmp_path / "out"
+        code, err, caught = run_quietly(["analyze", "network", "--in", str(source), "--out-dir", str(out_dir)])
+        assert (code, err, caught) == (0, "", [])
+        medians = {r["node"]: float(r["median_gbs"]) for r in read_csv(out_dir / "node_medians.csv")}
+        assert medians == {"n1": (bound + 1.0) / 2.0, "n2": (bound + 1.0) / 2.0, "n3": 1.0}
 
     def test_clean_matrix_writes_header_only(self, tmp_path):
         source = tmp_path / "clean.csv"
@@ -839,6 +867,7 @@ class TestReportCompare:
 
 # Finite numbers at the ends of the float range, whose sums, means and ratios overflow or underflow.
 EXTREMES = st.sampled_from(["1.0", "2.5", "1e308", "1.7e308", "8.9e307", "5e-324", "1e-300", "1e-310"])
+SIGNED_EXTREMES = st.one_of(EXTREMES, EXTREMES.map("-{}".format), st.just("0"))
 
 
 def assert_two_way_contract(code, err, caught, data_files):
@@ -897,6 +926,31 @@ class TestExtremeInputsProperty:
         out = tmp / "net"
         code, err, caught = run_quietly(["analyze", "network", "--in", str(source), "--out-dir", str(out)])
         assert_two_way_contract(code, err, caught, [out / "node_medians.csv", out / "weak_links.csv"])
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(SIGNED_EXTREMES, SIGNED_EXTREMES, SIGNED_EXTREMES), min_size=3, max_size=5))
+    def test_share_fit(self, tmp_path_factory, rows):
+        tmp = tmp_path_factory.mktemp("shares")
+        shares = tmp / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n" + "".join(f"p,{','.join(row)}\n"
+                                                                           for row in rows))
+        out = tmp / "out"
+        code, err, caught = run_quietly(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                                         "--in", str(shares), "--out-dir", str(out)])
+        assert_two_way_contract(code, err, caught, sorted(out.glob("*.csv")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(rows=st.lists(st.tuples(*[st.one_of(SIGNED_EXTREMES, st.just(""))] * 3,
+                                   st.sampled_from(["MLUP/s", "GFlop/s", "steps"])), min_size=1, max_size=5))
+    def test_analyze_energy(self, tmp_path_factory, rows):
+        tmp = tmp_path_factory.mktemp("energy")
+        runs = tmp / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(f"p,a,c,1,1,{t},{e},{f'{rate} {unit}' if rate else ''},\n"
+                                                     for t, e, rate, unit in rows))
+        out = tmp / "energy.csv"
+        code, err, caught = run_quietly(["analyze", "energy", "--in", str(runs), "--out", str(out)])
+        assert_two_way_contract(code, err, caught, [out])
 
 
 class TestBenchCommands:

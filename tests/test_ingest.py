@@ -11,7 +11,6 @@ from perfchar import (
     AppMetric,
     RunRecord,
     RunTable,
-    aggregate,
     detect_weak_links,
     parse_pairwise_bandwidth,
     parse_runs,
@@ -24,7 +23,8 @@ from perfchar.exceptions import (
     RowError,
     SchemaError,
 )
-from perfchar.ingest import build_pairwise_matrix, read_columns
+from perfchar.ingest import MAX_GBS, PairwiseBandwidthMatrix, build_pairwise_matrix, read_columns
+from test_grouping import stats_by_key
 
 RUNS_HEADER = "platform,app,compiler,nodes,ranks_per_node,time_s,energy_j,app_metric,timestamp"
 
@@ -45,7 +45,7 @@ def record(time=10.0, **overrides) -> RunRecord:
 
 class TestParseRuns:
     def test_header_only(self, tmp_path):
-        assert parse_runs(write_runs(tmp_path)) == []
+        assert list(parse_runs(write_runs(tmp_path))) == []
 
     def test_energy_row(self, tmp_path):
         path = write_runs(
@@ -157,62 +157,60 @@ class TestParseRuns:
         assert len(records) == 20
         out = tmp_path / "canonical.csv"
         out.write_text(serialize_runs(records))
-        assert parse_runs(out) == records
+        assert list(parse_runs(out)) == list(records)
 
     def test_run_table_slices_and_compares_as_records(self, fixtures_dir):
         runs = parse_runs(fixtures_dir / "energy_node_runs.csv")
         records = list(runs)
         assert isinstance(runs[2:6], RunTable)
         assert list(runs[2:6]) == records[2:6]
-        assert runs[::-3] == records[::-3]
+        assert list(runs[::-3]) == records[::-3]
         assert runs[-1] == records[-1]
-        assert runs == records and records == runs
-        assert runs != records[:-1]
+
+
+def stats(records):
+    """The statistics of the one group (a, p, c) of ``records``, by group_stats."""
+    return stats_by_key(RunTable.from_records(records))[("a", "p", "c")]
 
 
 class TestAggregate:
     def test_mean_and_sample_stddev(self):
         records = [record(time=t) for t in (1.0, 2.0, 3.0)]
-        stats = aggregate(records)[("a", "p", "c")]
-        assert stats.mean == 2.0
-        assert stats.stddev == pytest.approx(1.0)
-        assert stats.n == 3
+        group = stats(records)
+        assert group.mean == 2.0
+        assert group.stddev == pytest.approx(1.0)
+        assert group.n == 3
 
     def test_single_record(self):
-        stats = aggregate([record(time=5.0)])[("a", "p", "c")]
-        assert stats.stddev == 0.0
-        assert stats.n == 1
+        group = stats([record(time=5.0)])
+        assert group.stddev == 0.0
+        assert group.n == 1
 
     def test_identical_pair(self):
-        stats = aggregate([record(time=5.0), record(time=5.0)])[("a", "p", "c")]
-        assert stats.stddev == 0.0
+        group = stats([record(time=5.0), record(time=5.0)])
+        assert group.stddev == 0.0
 
     def test_mean_within_group_range(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             times = rng.uniform(1.0, 100.0, rng.integers(1, 12))
-            stats = aggregate([record(time=float(t)) for t in times])[("a", "p", "c")]
-            assert min(times) <= stats.mean <= max(times)
+            group = stats([record(time=float(t)) for t in times])
+            assert min(times) <= group.mean <= max(times)
 
     def test_stddev_shift_invariant(self):
         rng = np.random.default_rng(4)
         times = rng.uniform(10.0, 20.0, 8)
-        base = aggregate([record(time=float(t)) for t in times])[("a", "p", "c")]
-        shifted = aggregate([record(time=float(t + 123.0)) for t in times])[("a", "p", "c")]
+        base = stats([record(time=float(t)) for t in times])
+        shifted = stats([record(time=float(t + 123.0)) for t in times])
         assert shifted.stddev == pytest.approx(base.stddev, rel=1e-9)
 
     def test_overflowing_spread_is_invalid_data(self):
         with pytest.raises(InvalidDataError, match="time values of group a/p/c overflow"):
-            aggregate([record(time=t) for t in (1e200, 1.0)])
+            stats([record(time=t) for t in (1e200, 1.0)])
 
     def test_overflowing_sum_keeps_inf_statistics(self):
-        stats = aggregate([record(time=1.7e308)] * 2)[("a", "p", "c")]
-        assert stats.mean == math.inf and stats.stddev == math.inf
-
-    def test_custom_grouping(self):
-        records = [record(platform="x"), record(platform="y")]
-        stats = aggregate(records, group_key="platform")
-        assert set(stats) == {("x",), ("y",)}
+        group = stats([record(time=1.7e308)] * 2)
+        assert group.mean == math.inf and group.stddev == math.inf
 
 
 PAIRWISE_HEADER = "node_a,node_b,msg_bytes,bandwidth_gbs"
@@ -288,6 +286,29 @@ class TestPairwiseMatrix:
         assert matrix.node_ids == tuple(f"node{i:02d}" for i in range(1, 9))
         for i in range(8):
             assert matrix.row_medians[i] == 9.5
+
+
+@st.composite
+def bounded_matrices(draw):
+    """Symmetric bandwidth matrices of 3 to 320 nodes, values in [5e-324, MAX_GBS], NaN diagonal."""
+    n = draw(st.integers(3, 320))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    exponents = rng.uniform(math.log(5e-324), math.log(MAX_GBS), (n, n))
+    edges = np.array([5e-324, 1e-310, 1.0, 8.9e307, MAX_GBS])
+    values = np.where(rng.random((n, n)) < draw(st.floats(0, 1)), rng.choice(edges, (n, n)), np.exp(exponents))
+    upper = np.triu(np.clip(values, 5e-324, MAX_GBS), 1)
+    bandwidth = upper + upper.T
+    np.fill_diagonal(bandwidth, np.nan)
+    return PairwiseBandwidthMatrix(tuple(f"n{i}" for i in range(n)), bandwidth, 4096)
+
+
+class TestRowMedians:
+    @settings(max_examples=100, deadline=None)
+    @given(matrix=bounded_matrices())
+    def test_matches_one_median_per_row(self, matrix):
+        per_row = np.array([np.nanmedian(row) for row in matrix.bandwidth])
+        assert np.isfinite(matrix.row_medians).all()
+        assert matrix.row_medians.tobytes() == per_row.tobytes()
 
 
 class TestWeakLinks:

@@ -3,6 +3,7 @@ import pytest
 from perfchar import (
     AppMetric,
     RunRecord,
+    RunTable,
     compare_platforms,
     energy_metrics,
 )
@@ -69,7 +70,7 @@ class TestComparePlatforms:
             record("dibona-x86", "alya", "gnu", 236.13),
             record("dibona-tx2", "alya", "gnu", 347.40),
         ]
-        table = compare_platforms(records)
+        table = compare_platforms(RunTable.from_records(records))
         cells = dict(table.rows)["alya"]
         tx2 = cells[("dibona-tx2", "gnu")]
         x86 = cells[("dibona-x86", "gnu")]
@@ -82,7 +83,7 @@ class TestComparePlatforms:
             record("p1", "app", "gnu", 100.0),
             record("p2", "app", "gnu", 100.0),
         ]
-        cells = dict(compare_platforms(records).rows)["app"]
+        cells = dict(compare_platforms(RunTable.from_records(records)).rows)["app"]
         assert all(cell.delta_pct == 0.0 for cell in cells.values())
 
     def test_single_platform_rejected(self):
@@ -91,19 +92,19 @@ class TestComparePlatforms:
             record("only", "app", "intel", 90.0),
         ]
         with pytest.raises(EmptyComparisonError):
-            compare_platforms(records)
+            compare_platforms(RunTable.from_records(records))
 
     def test_no_shared_app_rejected(self):
         records = [record("p1", "app1", "gnu", 10.0), record("p2", "app2", "gnu", 10.0)]
         with pytest.raises(EmptyComparisonError):
-            compare_platforms(records)
+            compare_platforms(RunTable.from_records(records))
 
     def test_rate_metric_ranks_higher_better(self):
         records = [
             record("p1", "lbc", "gnu", 100.0, rate=266.7),
             record("p2", "lbc", "gnu", 100.0, rate=285.2),
         ]
-        cells = dict(compare_platforms(records, metric="rate").rows)["lbc"]
+        cells = dict(compare_platforms(RunTable.from_records(records), metric="rate").rows)["lbc"]
         assert cells[("p2", "gnu")].rank == 1
         assert cells[("p1", "gnu")].delta_pct == pytest.approx(
             100.0 * (1.0 - 266.7 / 285.2), rel=1e-12
