@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .exceptions import InvalidDataError, ParameterError, PerfcharError
 from .hwmodel import (
+    PRECISION_BITS,
     load_platform_spec,
     node_peak_flops,
     peak_bandwidth,
@@ -44,6 +45,9 @@ from .ingest import (
 )
 from .metrics import compare_platforms, energy_terms, per_joule_unit, speedup_points
 from .microbench import (
+    MODES,
+    PINNING_POLICIES,
+    PRECISION_DTYPES,
     TRIAD_ALIGNMENT,
     TRIAD_BYTES_PER_ELEMENT,
     TRIAD_SCALAR_Q,
@@ -117,14 +121,14 @@ def _build_parser() -> argparse.ArgumentParser:
     mem.add_argument("--elements", type=int, required=True, help="8-byte elements per array")
     mem.add_argument("--threads", default="1", help="thread count, or comma list for a sweep")
     mem.add_argument("--reps", type=int, default=200, help="repetitions per run (best is kept)")
-    mem.add_argument("--pin", default="interleaved", choices=["interleaved", "compact", "none"])
+    mem.add_argument("--pin", default="interleaved", choices=PINNING_POLICIES)
     mem.add_argument("--spec", help="platform spec JSON; enforces the sizing rule")
     mem.add_argument("--out", help="CSV output path (threads,best_gbs)")
     mem.set_defaults(handler=_cmd_bench_mem)
 
     flops = bench_sub.add_parser("flops", help="FMA floating-point throughput")
-    flops.add_argument("--precision", default="double", choices=["single", "double"])
-    flops.add_argument("--mode", default="vector", choices=["scalar", "vector"])
+    flops.add_argument("--precision", default="double", choices=PRECISION_DTYPES)
+    flops.add_argument("--mode", default="vector", choices=MODES)
     flops.add_argument("--duration", type=float, default=1.0, help="seconds per measurement")
     flops.add_argument("--threads", default="1", help="thread count, or comma list for a sweep")
     flops.add_argument("--out", help="CSV output path (mode,precision,gflops)")
@@ -138,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roof.add_argument("--flops-gflops", type=float, help="compute peak override, GFlop/s")
     roof.add_argument("--bandwidth-gbs", type=float, help="bandwidth peak override, GB/s")
     roof.add_argument("--scope", default="node", choices=["node", "core"])
-    roof.add_argument("--precision", default="double", choices=["single", "double"])
+    roof.add_argument("--precision", default="double", choices=PRECISION_BITS)
     roof.add_argument("--mode", default="vector", choices=["scalar", "vector"])
     roof.add_argument("--points", help="kernel points CSV: label,intensity[,gflops]")
     roof.add_argument("--out-dir", required=True)
@@ -259,6 +263,8 @@ def _cmd_bench_mem(args) -> int:
 def _cmd_bench_flops(args) -> int:
     counts = _parse_thread_list(args.threads)
     require_cpus(max(counts))  # before any thread starts
+    if min(counts) < 1:
+        raise ParameterError("threads must be >= 1")
     results = []
     for count in counts:
         result = run_fma_kernel(args.precision, args.mode, args.duration, threads=count)
@@ -277,20 +283,14 @@ def _cmd_bench_flops(args) -> int:
 
 
 def _cmd_analyze_roofline(args) -> int:
-    if args.spec:
+    flops, bandwidth, label = args.flops_gflops, args.bandwidth_gbs, "model"
+    if args.spec:  # a peak given by its flag is used; the spec gives only the others
         spec = load_platform_spec(args.spec)
-        if args.scope == "node":
-            flops = node_peak_flops(spec, args.precision, args.mode)
-        else:
-            flops = peak_flops(spec, args.precision, args.mode)
-        bandwidth = peak_bandwidth(spec) if args.bandwidth_gbs is None else args.bandwidth_gbs
-        label = spec.name
-    else:
-        if args.flops_gflops is None or args.bandwidth_gbs is None:
-            raise ParameterError("need --spec, or both --flops-gflops and --bandwidth-gbs")
-        flops, bandwidth, label = args.flops_gflops, args.bandwidth_gbs, "model"
-    if args.flops_gflops is not None:
-        flops = args.flops_gflops
+        if flops is None:
+            flops = (node_peak_flops if args.scope == "node" else peak_flops)(spec, args.precision, args.mode)
+        bandwidth, label = peak_bandwidth(spec) if bandwidth is None else bandwidth, spec.name
+    elif flops is None or bandwidth is None:
+        raise ParameterError("need --spec, or both --flops-gflops and --bandwidth-gbs")
     model = build_roofline(flops, bandwidth, scope=args.scope)
 
     points = parse_kernel_points(args.points) if args.points else []
@@ -312,7 +312,7 @@ def _cmd_analyze_roofline(args) -> int:
     curve_path = out_dir / "roofline_curve.csv"
     emit_plot_data([*np.array(curve).T, labels], curve_path, header=["intensity", "gflops", "label"])
 
-    files = [curve_path]
+    series = [(curve_path.name, "1:2")]  # intensity, gflops
     if classifications:
         points_path = out_dir / "roofline_points.csv"
         emit_plot_data(
@@ -323,11 +323,11 @@ def _cmd_analyze_roofline(args) -> int:
             points_path,
             header=["label", "intensity", "measured_gflops", "sustained_gflops", "bound", "headroom", "above_roof"],
         )
-        files.append(points_path)
+        series.append((points_path.name, "2:3"))  # intensity, measured_gflops
 
     if args.gnuplot:
         script = gnuplot_loglog_script(
-            [f.name for f in files], "roofline.png", f"{label} roofline ({model.scope})",
+            series, "roofline.png", f"{label} roofline ({model.scope})",
             "arithmetic intensity [Flop/Byte]", "performance [GFlop/s]",
         )
         atomic_write_text(out_dir / "roofline.gp", script)
@@ -353,10 +353,6 @@ def _cmd_analyze_scaling(args) -> int:
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
     if not fields:
         raise ParameterError(f"--group names no field: {args.group!r}")
-    try:
-        p_list = [float(p) for p in args.project.split(",") if p.strip()]
-    except ValueError as exc:
-        raise ParameterError(f"bad projection list {args.project!r}") from exc
     out_dir = Path(args.out_dir)
 
     if args.model == "mpi-shares":
@@ -395,6 +391,10 @@ def _cmd_analyze_scaling(args) -> int:
         write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
         return 0
 
+    try:
+        p_list = [float(p) for p in args.project.split(",") if p.strip()]
+    except ValueError as exc:
+        raise ParameterError(f"bad projection list {args.project!r}") from exc
     unknown = [f for f in fields if f not in GROUP_FIELDS]
     if unknown:
         raise ParameterError(
@@ -438,7 +438,7 @@ def _cmd_analyze_scaling(args) -> int:
     emit_plot_data(proj_columns, proj_path, header=["group", "p", "speedup", "efficiency"])
     if args.gnuplot:
         script = gnuplot_loglog_script(
-            [proj_path.name], "scaling.png", f"{args.model} projection", "units", "speedup"
+            [(proj_path.name, "2:3")], "scaling.png", f"{args.model} projection", "units", "speedup"
         )
         atomic_write_text(out_dir / "scaling.gp", script)
     provenance = {"command": "analyze scaling", "model": args.model}

@@ -263,26 +263,21 @@ def read_columns(
         missing = [c for c in columns if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
-        # Short rows read "" past their last field, and fields past the
-        # header's width are ignored: each row gives ``width`` cells of ``flat``.
-        width, pad = len(header), [""] * len(header)
-        # A line within the csv field limit holds no field above it.
-        if plain and max(map(len, lines)) <= csv.field_size_limit():
-            # Lines are dropped in place, as the reader holds the list too.
-            del lines[0]  # the header, which spans no lines without a quote
+        width = len(header)
+        # Rows of ``width`` fields with no blank line between them split on commas as
+        # one text; a line within the csv field limit holds no field above it.
+        if (plain and len(lines) > 1 and "" not in lines and max(map(len, lines)) <= csv.field_size_limit()
+                and {line.count(",") for line in lines} == {width - 1}):
+            del lines[0]  # the header, dropped in place as the reader holds the list too
             row_lines = list(numbers[1:])
-            if "" in lines:
-                kept = [i for i, line in enumerate(lines) if line]
-                lines[:], row_lines = [lines[i] for i in kept], [row_lines[i] for i in kept]
-            if lines and {line.count(",") for line in lines} == {width - 1}:
-                text = ",".join(lines)
-                lines.clear()  # the text holds them again
-                flat = text.split(",")
-                del text
-            else:
-                flat = [cell for line in lines for cell in (line.split(",") + pad)[:width]]
+            text = ",".join(lines)
+            lines.clear()  # the text holds them again
+            flat = text.split(",")
+            del text
         else:
-            row_lines = []
+            # Short rows read "" past their last field, and fields past the
+            # header's width are ignored: each row gives ``width`` cells of ``flat``.
+            row_lines, pad = [], [""] * width
 
             def numbered_rows():
                 for row in reader:
@@ -589,11 +584,11 @@ def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> 
     return size, a, b, gbs
 
 
-def _pairwise_entries(source: str | Path) -> tuple[list[int], np.ndarray, list[str], list[str], np.ndarray]:
+def _pairwise_entries(source: str | Path) -> tuple[dict[str, int], list[str], list[str], list[str], np.ndarray]:
     """Read and validate every pairwise row.
 
-    Returns the sorted distinct message sizes, each row's index into them,
-    and the node_a, node_b and GB/s columns.
+    Returns the message size of each distinct msg_bytes text, and the
+    msg_bytes, node_a, node_b and GB/s columns.
     """
     lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(
         source, PAIRWISE_COLUMNS, optional=("unit",)
@@ -609,11 +604,7 @@ def _pairwise_entries(source: str | Path) -> tuple[list[int], np.ndarray, list[s
         valid = False
     if not valid:  # the column checks are _pairwise_row's, so _rows raises
         _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
-    sizes = sorted(set(size_of.values()))
-    position = {size: i for i, size in enumerate(sizes)}
-    code = {text: position[size] for text, size in size_of.items()}
-    size_index = np.fromiter(map(code.__getitem__, msg_bytes), np.intp, len(msg_bytes))
-    return sizes, size_index, node_a, node_b, gbs
+    return size_of, msg_bytes, node_a, node_b, gbs
 
 
 def parse_pairwise_bandwidth(
@@ -623,7 +614,8 @@ def parse_pairwise_bandwidth(
 
     Rows of every size are validated; only the selected size is assembled.
     """
-    sizes, size_index, node_a, node_b, gbs = _pairwise_entries(source)
+    size_of, msg_bytes, node_a, node_b, gbs = _pairwise_entries(source)
+    sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
     if message_size is None:
@@ -632,7 +624,8 @@ def parse_pairwise_bandwidth(
         (message_size,) = sizes
     elif message_size not in sizes:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    keep = np.flatnonzero(size_index == sizes.index(message_size))
+    chosen = {text for text, size in size_of.items() if size == message_size}
+    keep = np.flatnonzero(np.fromiter(map(chosen.__contains__, msg_bytes), bool, len(msg_bytes)))
     picks = keep.tolist()
     return _matrix(list(map(node_a.__getitem__, picks)), list(map(node_b.__getitem__, picks)), gbs[keep],
                    message_size)

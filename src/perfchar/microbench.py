@@ -400,14 +400,11 @@ def run_fma_kernel(
             barrier.wait()
             totals[index], elapsed[index] = _fma_spin(acc, addend, mult, duration)
 
-        if threads == 1:
-            body(0)
-        else:
-            ts = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(threads)]
-            for t in ts:
-                t.start()
-            for t in ts:
-                t.join()
+        ts = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(threads)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join()
 
         wall = max(elapsed)
         flops = 2.0 * elements * FMA_CHAINS * sum(totals)

@@ -111,13 +111,11 @@ def write_sidecar_metadata(data_path: str | Path, payload: dict) -> Path:
 
 
 def gnuplot_loglog_script(
-    data_files: Sequence[str], output_png: str, title: str, xlabel: str, ylabel: str
+    series: Sequence[tuple[str, str]], output_png: str, title: str, xlabel: str, ylabel: str
 ) -> str:
-    """A minimal gnuplot script plotting CSV series on log-log axes."""
-    plots = ", ".join(
-        f"'{name}' using 1:2 with linespoints title '{Path(name).stem}'"
-        for name in data_files
-    )
+    """A minimal gnuplot script plotting CSV series, each a (file name, "x:y" columns), on log-log axes."""
+    plots = ", ".join(f"'{name}' using {columns} with linespoints title '{Path(name).stem}'"
+                      for name, columns in series)
     return (
         "set datafile separator ','\n"
         "set logscale xy\n"

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import re
 import sys
 import warnings
 
@@ -155,6 +156,18 @@ class TestAnalyzeEnergy:
         assert main(["analyze", "energy", "--in", str(runs), "--out", str(out)]) == 1
         assert_one_error_line(capsys, "SchemaError", f"{runs}: line 4:", "field limit")
         assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, message", [
+        ("runs.json", "[{", "not valid JSON"),
+        ("runs.json", "{}", "JSON input must be an array of objects"),
+        ("runs.json", "[[]]", "entry 1 is not an object"),
+        ("runs.csv", "", "empty file, header row is mandatory"),
+    ])
+    def test_unreadable_runs_file_is_schema_error(self, name, text, message, tmp_path, capsys):
+        runs = tmp_path / name
+        runs.write_text(text)
+        assert main(["analyze", "energy", "--in", str(runs)]) == 1
+        assert_one_error_line(capsys, "SchemaError", f"{runs}: {message}")
 
     def test_blank_json_app_metric_is_row_error(self, tmp_path, capsys):
         runs = tmp_path / "runs.json"
@@ -362,6 +375,15 @@ class TestAnalyzeScaling:
         assert code == 1
         assert_one_error_line(capsys, "SchemaError", "missing mandatory column(s) ['nosuchfield']")
 
+    def test_share_file_without_rows_is_schema_error(self, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--in", str(shares),
+                     "--group", "platform", "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "SchemaError", "no share rows")
+        assert not (tmp_path / "out").exists()
+
     def test_projection_grid_override(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "proj"
         main(
@@ -421,15 +443,22 @@ class TestAnalyzeScaling:
         assert_one_error_line(capsys, "ParameterError", "must be finite", "2,inf")
         assert not (tmp_path / "out").exists()
 
-    def test_mpi_shares_ignores_the_projection_list(self, fixtures_dir, tmp_path, capsys):
+    @staticmethod
+    def assert_mpi_shares_ignore(project, fixtures_dir, tmp_path, capsys):
         argv = ["analyze", "scaling", "--model", "mpi-shares",
                 "--in", str(fixtures_dir / "mpi_shares.csv")]
         assert main([*argv, "--out-dir", str(tmp_path / "a")]) == 0
         expected = capsys.readouterr()
-        assert main([*argv, "--project", "2,nan,inf", "--out-dir", str(tmp_path / "b")]) == 0
+        assert main([*argv, "--project", project, "--out-dir", str(tmp_path / "b")]) == 0
         assert capsys.readouterr() == expected
         for name in ("mpi_share_fits.csv", "mpi_share_curves.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_mpi_shares_ignores_the_projection_list(self, fixtures_dir, tmp_path, capsys):
+        self.assert_mpi_shares_ignore("2,nan,inf", fixtures_dir, tmp_path, capsys)
+
+    def test_mpi_shares_ignores_an_unparsable_projection_list(self, fixtures_dir, tmp_path, capsys):
+        self.assert_mpi_shares_ignore("0,abc", fixtures_dir, tmp_path, capsys)
 
     @pytest.mark.parametrize("model", ["amdahl", "gustafson"])
     @pytest.mark.parametrize("body", ["", "# no runs yet\n"])
@@ -682,6 +711,24 @@ class TestAnalyzeRoofline:
         assert code == 1
         assert_one_error_line(capsys, "RowError", "line 4:", "abc")
 
+    def test_core_scope_takes_the_per_core_peak(self, fixtures_dir, tmp_path, capsys):
+        code = main(["analyze", "roofline", "--spec", str(fixtures_dir / "platforms" / "dibona-tx2.json"),
+                     "--scope", "core", "--out-dir", str(tmp_path / "r")])
+        assert code == 0
+        assert capsys.readouterr().out == (
+            "dibona-tx2 (core): peak 16.00 GFlop/s, 170.64 GB/s, ridge 0.09376 Flop/Byte\n")
+
+    def test_flag_peak_is_used_without_the_spec_peak(self, fixtures_dir, tmp_path, capsys):
+        spec = json.loads((fixtures_dir / "platforms" / "dibona-tx2.json").read_text())
+        novec = tmp_path / "novec.json"
+        novec.write_text(json.dumps({**spec, "name": "novec", "vector_units": []}))
+        argv = ["analyze", "roofline", "--spec", str(novec), "--out-dir", str(tmp_path / "r")]
+        assert main(argv) == 1  # the spec alone gives no vector peak
+        assert_one_error_line(capsys, "MissingVectorUnitError", "spec 'novec' declares no vector unit")
+        assert main([*argv, "--flops-gflops", "100"]) == 0
+        assert capsys.readouterr().out == (
+            "novec (node): peak 100.00 GFlop/s, 170.64 GB/s, ridge 0.58603 Flop/Byte\n")
+
     def test_needs_peaks(self, tmp_path):
         assert main(["analyze", "roofline", "--out-dir", str(tmp_path / "r")]) == 1
 
@@ -721,11 +768,17 @@ class TestAnalyzeRoofline:
             ("label,intensity,gflops", "k,1,inf", "measured_perf must be finite"),
             ("label,intensity,gflops", "k,1,nan", "measured_perf must be finite"),
             ("label,flops,loads,stores", "k,1e400,1,1", "intensity must be finite"),
+            ("label,gflops", "k,1", "a kernel point needs 'intensity' or 'flops,loads,stores'"),
         ],
     )
     def test_non_finite_kernel_point_is_row_error(self, header, row, message, tmp_path, capsys):
         assert self.run_points(tmp_path, f"{header}\n{row}\n") == 1
         assert_one_error_line(capsys, "RowError", "line 2:", message)
+        assert not (tmp_path / "roof").exists()
+
+    def test_header_only_kernel_file_is_schema_error(self, tmp_path, capsys):
+        assert self.run_points(tmp_path, "label,intensity\n") == 1
+        assert_one_error_line(capsys, "SchemaError", "no kernel points")
         assert not (tmp_path / "roof").exists()
 
     def test_overflowing_headroom_is_parameter_error(self, tmp_path, capsys):
@@ -823,6 +876,16 @@ class TestReportCompare:
         }
         assert alya[("dibona-x86", "intel")]["rank"] == "1"
         assert float(alya[("dibona-x86", "intel")]["delta_pct"]) == 0.0
+
+    def test_missing_platform_cell_prints_a_dash(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\np1,a,c,1,1,2.0,,,\np2,a,c,1,1,3.0,,,\n"
+                        "p1,b,c,1,1,4.0,,,\np2,b,d,1,1,8.0,,,\n")
+        assert main(["report", "compare", "--in", str(runs)]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "a    2.00 (+0.0%, r1)  3.00 (+33.3%, r2)  -                ",
+            "b    4.00 (+0.0%, r1)  -                  8.00 (+50.0%, r2)",
+        ]
 
     def test_rate_comparison(self, fixtures_dir, tmp_path):
         out = tmp_path / "cmp.csv"
@@ -991,6 +1054,19 @@ class TestBenchCommands:
         assert main(["bench", "flops", "--duration", duration]) == 1
         assert_one_error_line(capsys, "ParameterError", "duration must be finite")
 
+    def test_bench_flops_count_below_one_runs_nothing(self, capsys):
+        assert main(["bench", "flops", "--duration", "0.1", "--threads", "1,0"]) == 1
+        assert capsys.readouterr() == ("", "perfchar: error: ParameterError: threads must be >= 1\n")
+
+    @pytest.mark.parametrize("threads, message", [
+        ("1,x", "bad thread list '1,x'"),
+        (",", "no thread counts given"),
+        ("2,1", "thread counts must be sorted ascending"),
+    ])
+    def test_bench_mem_bad_thread_list(self, threads, message, capsys):
+        assert main(["bench", "mem", "--elements", "1000", "--threads", threads]) == 1
+        assert_one_error_line(capsys, "ParameterError", message)
+
     def test_bench_flops_threads_beyond_cpus(self, monkeypatch, capsys):
         import perfchar.cli
 
@@ -1041,6 +1117,29 @@ class TestBenchCommands:
         )
         assert code == 1
         assert "SizingError" in capsys.readouterr().err
+
+
+class TestGnuplotScripts:
+    @pytest.mark.parametrize("argv, script, series", [
+        (["analyze", "scaling", "--model", "amdahl", "--in", "{fx}/amdahl_runs.csv"], "scaling.gp", 1),
+        (["analyze", "roofline", "--flops-gflops", "100", "--bandwidth-gbs", "10", "--points", "{points}"],
+         "roofline.gp", 2),
+    ])
+    def test_plotted_columns_are_numeric(self, argv, script, series, fixtures_dir, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("label,intensity,gflops\nk,1,5\nj,20,50\n")
+        out_dir = tmp_path / "out"
+        argv = [a.format(fx=fixtures_dir, points=points) for a in argv]
+        assert main([*argv, "--out-dir", str(out_dir), "--gnuplot"]) == 0
+        plotted = re.findall(r"'([^']+)' using (\d+):(\d+)", (out_dir / script).read_text())
+        assert len(plotted) == series
+        for name, *columns in plotted:
+            with open(out_dir / name, newline="") as handle:
+                rows = list(csv.reader(handle))[1:]
+            for column in map(int, columns):
+                cells = [row[column - 1] for row in rows]
+                numeric = [re.fullmatch(r"-?\d+(\.\d+)?(e[-+]\d+)?", cell) for cell in cells]
+                assert cells and all(numeric), (name, column)
 
 
 class TestDeterminismAndAtomicity:

@@ -59,7 +59,7 @@ CASES = {
             "stdout":
                 "ad36032d949bbd2d7cf0891be1be0d08c343138877ee795d4cf11d9530a64af3",
             "scaling.gp":
-                "a5c121ae5b8f858c79e0de3ac1f6e5e12975dd4762b966b3c493c77ae9d6255f",
+                "cea00822fa9dce2655fff2ef329c490e38b88f97ee6172d9a52d604385301f2a",
             "scaling_fits.csv":
                 "b2e15cb1a48cac26c496fbc2dc9fcb66cd59ab5fffc135c84a2126338dd606cc",
             "scaling_projection.csv":

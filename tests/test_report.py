@@ -198,7 +198,7 @@ class TestSidecar:
 
 class TestGnuplot:
     def test_script_references_inputs(self):
-        script = gnuplot_loglog_script(["a.csv", "b.csv"], "out.png", "t", "x", "y")
+        script = gnuplot_loglog_script([("a.csv", "1:2"), ("b.csv", "2:3")], "out.png", "t", "x", "y")
         assert "set logscale xy" in script
-        assert "'a.csv'" in script and "'b.csv'" in script
+        assert "'a.csv' using 1:2 " in script and "'b.csv' using 2:3 " in script
         assert "out.png" in script
