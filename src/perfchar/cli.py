@@ -250,6 +250,7 @@ def _cmd_bench_mem(args) -> int:
             "kernel": meta.kernel,
             "counted_bytes_per_element": TRIAD_BYTES_PER_ELEMENT,
             "moved_bytes_per_element": meta.moved_bytes_per_element,
+            "streaming_stores": meta.streaming_stores,
             "array_alignment_bytes": TRIAD_ALIGNMENT,
         }
         if spec is not None:

@@ -5,8 +5,10 @@ elements, best of N repetitions, with 24 bytes counted per element (two
 reads, one write, the STREAM convention) and a bit-exact verification pass
 at the end. The kernel is one C loop built once per process with the local
 ``cc`` and called through ctypes, which releases the interpreter lock so
-worker threads overlap; without a usable compiler it is two numpy passes,
-which move 40 bytes per element for the same 24 counted.
+worker threads overlap. On x86-64 it writes ``a`` with streaming stores and
+moves exactly the 24 bytes it counts; elsewhere ordinary stores also read
+``a``'s lines in (write-allocate). Without a usable compiler it is two numpy
+passes, which move 40 bytes per element for the same 24 counted.
 
 FMA throughput is a portable numpy loop (numpy also releases the lock in its
 inner loops): eight independent accumulator chains of ``acc = acc * m + d``
@@ -51,13 +53,40 @@ TRIAD_BYTES_PER_ELEMENT = 24  # two 8-byte reads and one 8-byte write per elemen
 #: Bytes each kernel reads and writes per element, write-allocate traffic not included.
 TRIAD_MOVED_BYTES = {"native": 24, "numpy": 40}
 TRIAD_ALIGNMENT = mmap.PAGESIZE  # every triad array starts on a page boundary
+#: On x86-64 (every compiler there defines __SSE2__) ``a`` is written with streaming stores,
+#: which skip the read of its lines that an ordinary store's write-allocate costs; other ISAs
+#: compile the plain loop. The multiply and the add stay separate, so verify_triad is
+#: bit-exact. ``triad_streaming_stores`` tells the caller which branch was built.
 TRIAD_SOURCE = """
+#ifdef __SSE2__
+#include <emmintrin.h>
+#include <stdint.h>
+
+const int triad_streaming_stores = 1;
+
+void triad(double *restrict a, const double *restrict b, const double *restrict c,
+           double q, long lo, long hi)
+{
+    long i = lo;
+    for (; i < hi && (uintptr_t)(a + i) % 16 != 0; i++)
+        a[i] = b[i] + q * c[i];
+    const __m128d vq = _mm_set1_pd(q);
+    for (; i + 2 <= hi; i += 2)
+        _mm_stream_pd(a + i, _mm_add_pd(_mm_loadu_pd(b + i), _mm_mul_pd(vq, _mm_loadu_pd(c + i))));
+    for (; i < hi; i++)
+        a[i] = b[i] + q * c[i];
+    _mm_sfence();
+}
+#else
+const int triad_streaming_stores = 0;
+
 void triad(double *restrict a, const double *restrict b, const double *restrict c,
            double q, long lo, long hi)
 {
     for (long i = lo; i < hi; i++)
         a[i] = b[i] + q * c[i];
 }
+#endif
 """
 #: The triad inputs repeat one seeded block in [1, 2), cheaper than a draw per element; a
 #: prime length keeps a pass at a shifted power-of-two offset from verifying by chance.
@@ -102,22 +131,33 @@ def require_cpus(threads: int) -> None:
 @functools.cache
 def _native_triad():
     """The C triad ``triad(a, b, c, q, lo, hi)``, or None when it cannot be built or loaded."""
+    return _build_triad()
+
+
+def _build_triad(*flags: str):
+    """Compile TRIAD_SOURCE with ``cc`` plus ``flags`` and load its kernel, or return None.
+
+    The kernel's ``streaming_stores`` attribute is the value the built branch exports.
+    """
     import subprocess  # here, not at the top: it adds about 5 ms to every CLI start
     compiler = shutil.which("cc")
     if compiler is None:
         return None
     try:
         with tempfile.TemporaryDirectory() as tmp:
-            source, library = Path(tmp, "triad.c"), Path(tmp, "triad.so")
+            source, path = Path(tmp, "triad.c"), Path(tmp, "triad.so")
             source.write_text(TRIAD_SOURCE)
             # No FMA contraction (gcc's default on aarch64): verify_triad is bit-exact.
-            command = [compiler, "-O3", "-ffp-contract=off", "-shared", "-fPIC", "-o", library, source]
+            command = [compiler, "-O3", "-ffp-contract=off", *flags, "-shared", "-fPIC", "-o", path, source]
             subprocess.run(command, check=True, capture_output=True)
-            kernel = ctypes.CDLL(str(library)).triad  # stays mapped once the file is gone
+            library = ctypes.CDLL(str(path))  # stays mapped once the file is gone
+            kernel = library.triad
+            streaming = ctypes.c_int.in_dll(library, "triad_streaming_stores").value
     except (OSError, subprocess.CalledProcessError):
         return None
     kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_double, ctypes.c_long, ctypes.c_long]
     kernel.restype = None
+    kernel.streaming_stores = bool(streaming)
     return kernel
 
 
@@ -184,6 +224,7 @@ class BandwidthResult:
     pinning: str = "interleaved"
     pinned: bool = False
     kernel: str = "native"  # a key of TRIAD_MOVED_BYTES
+    streaming_stores: bool = False  # the native kernel wrote ``a`` bypassing the caches
 
     def __post_init__(self):
         if not self.per_repetition:
@@ -327,6 +368,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             pinning=config.pinning,
             pinned=cpus is not None,
             kernel="numpy" if native is None else "native",
+            streaming_stores=native is not None and native.streaming_stores,
         )
 
 
@@ -392,19 +434,26 @@ def run_fma_kernel(
         totals = [0] * threads
         elapsed = [0.0] * threads
         barrier = threading.Barrier(threads)
+        errors = []  # a failed worker's exception comes first, then the ones its abort raised
 
         def body(index: int) -> None:
-            acc = [np.full(elements, 1.0, dtype=dtype) for _ in range(FMA_CHAINS)]
-            addend = [np.full(elements, 1e-6, dtype=dtype) for _ in range(FMA_CHAINS)]
-            _fma_spin(acc, addend, mult, FMA_WARMUP_SECONDS)
-            barrier.wait()
-            totals[index], elapsed[index] = _fma_spin(acc, addend, mult, duration)
+            try:
+                acc = [np.full(elements, 1.0, dtype=dtype) for _ in range(FMA_CHAINS)]
+                addend = [np.full(elements, 1e-6, dtype=dtype) for _ in range(FMA_CHAINS)]
+                _fma_spin(acc, addend, mult, FMA_WARMUP_SECONDS)
+                barrier.wait()
+                totals[index], elapsed[index] = _fma_spin(acc, addend, mult, duration)
+            except Exception as exc:
+                errors.append(exc)
+                barrier.abort()  # a worker still warming up would wait for this one forever
 
         ts = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(threads)]
         for t in ts:
             t.start()
         for t in ts:
             t.join()
+        if errors:
+            raise errors[0]
 
         wall = max(elapsed)
         flops = 2.0 * elements * FMA_CHAINS * sum(totals)

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import platform
 import re
 import sys
 import warnings
@@ -1089,6 +1090,8 @@ class TestBenchCommands:
         assert meta["kernel"] in ("native", "numpy")
         assert meta["counted_bytes_per_element"] == 24
         assert meta["moved_bytes_per_element"] == {"native": 24, "numpy": 40}[meta["kernel"]]
+        streaming = meta["kernel"] == "native" and platform.machine() in ("x86_64", "AMD64")
+        assert meta["streaming_stores"] is streaming
         assert meta["array_alignment_bytes"] % 4096 == 0
         assert "peak_bandwidth_gbs" not in meta
         assert "elements=100000 " in capsys.readouterr().out

@@ -1,5 +1,7 @@
 import ctypes
+import itertools
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from perfchar.exceptions import (
     SizingError,
 )
 from perfchar import microbench
-from perfchar.microbench import _native_triad, _page_aligned, _run_lock, verify_triad
+from perfchar.microbench import _build_triad, _native_triad, _page_aligned, _run_lock, verify_triad
 
 SMALL = 100_000  # big enough to time, small enough to keep the suite quick
 
@@ -99,12 +101,41 @@ def fresh_native_build():
     _native_triad.cache_clear()
 
 
+@pytest.fixture
+def native():
+    """The built C triad kernel; the test is skipped where it cannot be built."""
+    kernel = _native_triad()
+    if kernel is None:
+        pytest.skip("no C compiler on PATH")
+    return kernel
+
+
+#: Slice starts of both alignments and lengths that leave no pair, an odd tail or many pairs.
+SLICE_STARTS = (0, 1, 2, 3)
+SLICE_LENGTHS = (0, 1, 2, 3, 5, 4099)
+SENTINEL = -7.25
+
+
+def _kernel_slice(kernel, lo, hi):
+    """Run ``kernel`` over [lo, hi) of page-aligned arrays; return a, b, c.
+
+    ``a`` starts as SENTINEL everywhere, with four elements beyond ``hi``.
+    """
+    rng = np.random.default_rng(lo * 7919 + hi)
+    a, b, c = (_page_aligned(hi + 4) for _ in range(3))
+    a.fill(SENTINEL)
+    b[:], c[:] = 1.0 + rng.random(hi + 4), 1.0 + rng.random(hi + 4)
+    kernel(a.ctypes.data, b.ctypes.data, c.ctypes.data, 3.0, lo, hi)
+    return a, b, c
+
+
 class TestTriadKernels:
     def test_numpy_kernel_when_native_unavailable(self, monkeypatch):
         monkeypatch.setattr(microbench, "_native_triad", lambda: None)
         result = run_stream_triad(TriadConfig(elements=SMALL, threads=2, repetitions=2))
         assert result.kernel == "numpy"
         assert result.moved_bytes_per_element == 40
+        assert result.streaming_stores is False
 
     def test_numpy_kernel_without_compiler(self, monkeypatch, tmp_path, fresh_native_build):
         monkeypatch.setenv("PATH", str(tmp_path))  # an empty directory: no cc
@@ -121,14 +152,31 @@ class TestTriadKernels:
         assert _native_triad() is None
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_native_kernel_verifies(self, threads):
-        if _native_triad() is None:
-            pytest.skip("no C compiler on PATH")
+    def test_native_kernel_verifies(self, threads, native):
         # An odd length leaves each worker a slice that is not a multiple of the vector width.
         config = TriadConfig(elements=SMALL + 3, threads=threads, repetitions=2)
         result = run_stream_triad(config)  # verify_triad raises on any mismatch
         assert result.kernel == "native"
         assert result.moved_bytes_per_element == 24
+        assert result.streaming_stores is native.streaming_stores
+
+    @pytest.mark.parametrize("lo", SLICE_STARTS)
+    @pytest.mark.parametrize("length", SLICE_LENGTHS)
+    def test_native_kernel_writes_exactly_its_slice(self, native, lo, length):
+        hi = lo + length
+        a, b, c = _kernel_slice(native, lo, hi)
+        expected = b[lo:hi] + 3.0 * c[lo:hi]
+        assert np.array_equal(a[lo:hi].view(np.uint64), expected.view(np.uint64))
+        outside = np.concatenate([a[:lo], a[hi:]])
+        assert np.array_equal(outside, np.full(len(outside), SENTINEL))
+
+    def test_plain_loop_matches_the_native_kernel(self, native):
+        # -U__SSE2__ builds the branch other ISAs compile: ordinary stores, no movntpd.
+        plain = _build_triad("-U__SSE2__")
+        assert plain.streaming_stores is False
+        for lo, length in itertools.product(SLICE_STARTS, SLICE_LENGTHS):
+            built = [_kernel_slice(kernel, lo, lo + length)[0] for kernel in (native, plain)]
+            assert np.array_equal(built[0].view(np.uint64), built[1].view(np.uint64)), (lo, length)
 
     def test_native_corruption_is_not_a_fallback(self, monkeypatch):
         def corrupt(a, b, c, q, lo, hi):  # writes nothing but one wrong value per slice
@@ -222,6 +270,31 @@ class TestFmaKernel:
     def test_result_invariants(self):
         with pytest.raises(ParameterError):
             ThroughputResult(gflops=0.0, precision="double", mode="vector", duration=1.0)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_exception_is_raised(self, monkeypatch, threads):
+        real_spin = microbench._fma_spin
+        calls = itertools.count()
+
+        def spin(*args):
+            if next(calls) == 0:  # only the first worker to start fails
+                raise MemoryError("worker out of memory")
+            return real_spin(*args)
+
+        monkeypatch.setattr(microbench, "_fma_spin", spin)
+        raised = []
+
+        def call():
+            try:
+                run_fma_kernel("double", "vector", 0.1, threads=threads)
+            except Exception as exc:
+                raised.append(exc)
+
+        helper = threading.Thread(target=call, daemon=True)
+        helper.start()
+        helper.join(timeout=30)
+        assert not helper.is_alive(), "run_fma_kernel hung after a worker failed"
+        assert [type(exc) for exc in raised] == [MemoryError]
 
 
 class TestThreadSweep:
