@@ -233,8 +233,8 @@ def _cmd_bench_mem(args) -> int:
     for result in results:
         print(f"{result.threads:>8}  {result.best:>10.2f}")
     print(
-        f"elements={meta.elements} reps={len(meta.per_repetition)} q={meta.q} "
-        f"warmup={meta.warmup_passes} pinning={meta.pinning} pinned={meta.pinned} "
+        f"elements={meta.elements} reps={len(meta.per_repetition)} q={TRIAD_SCALAR_Q} "
+        f"warmup={TRIAD_WARMUP_PASSES} pinning={meta.pinning} pinned={meta.pinned} "
         f"kernel={meta.kernel}"
     )
     if args.out:
@@ -313,7 +313,8 @@ def _cmd_analyze_roofline(args) -> int:
     curve_path = out_dir / "roofline_curve.csv"
     emit_plot_data([*np.array(curve).T, labels], curve_path, header=["intensity", "gflops", "label"])
 
-    series = [(curve_path.name, "1:2")]  # intensity, gflops
+    # intensity, gflops of the roof rows only: the kernel rows are drawn from roofline_points.csv
+    series = [(curve_path.name, "1:(strcol(3) eq 'roof' ? $2 : 1/0) with lines")]
     if classifications:
         points_path = out_dir / "roofline_points.csv"
         emit_plot_data(
@@ -324,7 +325,7 @@ def _cmd_analyze_roofline(args) -> int:
             points_path,
             header=["label", "intensity", "measured_gflops", "sustained_gflops", "bound", "headroom", "above_roof"],
         )
-        series.append((points_path.name, "2:3"))  # intensity, measured_gflops
+        series.append((points_path.name, "2:3 with points"))  # intensity, measured_gflops
 
     if args.gnuplot:
         script = gnuplot_loglog_script(
@@ -439,7 +440,8 @@ def _cmd_analyze_scaling(args) -> int:
     emit_plot_data(proj_columns, proj_path, header=["group", "p", "speedup", "efficiency"])
     if args.gnuplot:
         script = gnuplot_loglog_script(
-            [(proj_path.name, "2:3")], "scaling.png", f"{args.model} projection", "units", "speedup"
+            [(proj_path.name, "2:3 with linespoints")], "scaling.png", f"{args.model} projection",
+            "units", "speedup",
         )
         atomic_write_text(out_dir / "scaling.gp", script)
     provenance = {"command": "analyze scaling", "model": args.model}

@@ -3,7 +3,10 @@
 Triad: ``a[i] = b[i] + q * c[i]`` over three page-aligned arrays of 8-byte
 elements, best of N repetitions, with 24 bytes counted per element (two
 reads, one write, the STREAM convention) and a bit-exact verification pass
-at the end. The kernel is one C loop built once per process with the local
+at the end. The workers meet at one barrier before each pass and after the
+last; a pass is timed between consecutive moments at which the last worker
+reaches it, with no other thread taking part, and two warm-up passes are
+not reported. The kernel is one C loop built once per process with the local
 ``cc`` and called through ctypes, which releases the interpreter lock so
 worker threads overlap. On x86-64 it writes ``a`` with streaming stores and
 moves exactly the 24 bytes it counts; elsewhere ordinary stores also read
@@ -219,8 +222,6 @@ class BandwidthResult:
     per_repetition: tuple[float, ...]
     threads: int
     elements: int
-    q: float = TRIAD_SCALAR_Q
-    warmup_passes: int = TRIAD_WARMUP_PASSES
     pinning: str = "interleaved"
     pinned: bool = False
     kernel: str = "native"  # a key of TRIAD_MOVED_BYTES
@@ -248,8 +249,6 @@ class ThroughputResult:
     mode: str
     duration: float  # measured seconds, not the requested budget
     threads: int = 1
-    chains: int = FMA_CHAINS
-    elements_per_operation: int = FMA_VECTOR_ELEMENTS
 
     def __post_init__(self):
         if not self.gflops > 0 or not self.duration > 0:
@@ -260,6 +259,42 @@ class ThroughputResult:
 class SweepPoint:
     threads: int
     value: float  # GB/s for triad sweeps, GFlop/s for FMA sweeps
+
+
+def _on_workers(body, barrier: threading.Barrier, cpus: list[int] | None = None) -> None:
+    """Run ``body(index)`` on one daemon thread per party of ``barrier``, pinned to ``cpus[index]``.
+
+    A worker that raises aborts the barrier, so the others leave their next wait; once all
+    have ended, the first exception raised is raised here. An interrupt of the caller aborts
+    the barrier too and gives each worker 10 s to end.
+    """
+    errors = []  # a failed worker's exception comes first, then the ones its abort raised
+
+    def run(index: int) -> None:
+        if cpus is not None:
+            try:
+                os.sched_setaffinity(0, {cpus[index]})
+            except OSError:
+                pass
+        try:
+            body(index)
+        except BaseException as exc:  # raised again in the caller below
+            errors.append(exc)
+            barrier.abort()
+
+    workers = [threading.Thread(target=run, args=(i,), daemon=True) for i in range(barrier.parties)]
+    for w in workers:
+        w.start()
+    try:
+        for w in workers:
+            w.join()
+    except BaseException:
+        barrier.abort()
+        for w in workers:
+            w.join(timeout=10.0)
+        raise
+    if errors:
+        raise errors[0]
 
 
 def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> BandwidthResult:
@@ -302,59 +337,26 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             for i in range(config.threads)
         ]
 
-        start = threading.Barrier(config.threads + 1)
-        done = threading.Barrier(config.threads + 1)
-        stop = threading.Event()
+        stamps = []  # the barrier action runs once per crossing, in the last worker to arrive
+        barrier = threading.Barrier(config.threads, action=lambda: stamps.append(time.perf_counter()))
 
-        def worker(index: int) -> None:
-            if cpus is not None:
-                try:
-                    os.sched_setaffinity(0, {cpus[index]})
-                except OSError:
-                    pass
+        def body(index: int) -> None:
             lo, hi = bounds[index]
             a_s, b_s, c_s = a[lo:hi], b[lo:hi], c[lo:hi]
             pointers = (a.ctypes.data, b.ctypes.data, c.ctypes.data)
-            while True:
-                try:
-                    start.wait()
-                    if stop.is_set():
-                        return
-                    if native is not None:
-                        native(*pointers, q, lo, hi)
-                    else:
-                        np.multiply(c_s, q, out=a_s)
-                        np.add(a_s, b_s, out=a_s)
-                    done.wait()
-                except threading.BrokenBarrierError:
-                    return
+            for _ in range(TRIAD_WARMUP_PASSES + config.repetitions):
+                barrier.wait()
+                if native is not None:
+                    native(*pointers, q, lo, hi)
+                else:
+                    np.multiply(c_s, q, out=a_s)
+                    np.add(a_s, b_s, out=a_s)
+            barrier.wait()
 
-        workers = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(config.threads)
-        ]
-        for w in workers:
-            w.start()
-
+        _on_workers(body, barrier, cpus)
         counted_bytes = TRIAD_BYTES_PER_ELEMENT * config.elements
-        timings = []
-        try:
-            for rep in range(TRIAD_WARMUP_PASSES + config.repetitions):
-                t0 = time.perf_counter()
-                start.wait()
-                done.wait()
-                t1 = time.perf_counter()
-                if rep >= TRIAD_WARMUP_PASSES:
-                    timings.append(counted_bytes / 1e9 / (t1 - t0))
-        finally:
-            stop.set()
-            try:
-                start.wait(timeout=10.0)
-            except threading.BrokenBarrierError:
-                pass
-            done.abort()  # release workers caught mid-pass by an interrupt
-            for w in workers:
-                w.join(timeout=10.0)
+        timed = stamps[TRIAD_WARMUP_PASSES:]
+        timings = [counted_bytes / 1e9 / (t1 - t0) for t0, t1 in zip(timed, timed[1:])]
 
         verify_triad(a, b, c, q)
 
@@ -363,8 +365,6 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             per_repetition=tuple(timings),
             threads=config.threads,
             elements=config.elements,
-            q=q,
-            warmup_passes=TRIAD_WARMUP_PASSES,
             pinning=config.pinning,
             pinned=cpus is not None,
             kernel="numpy" if native is None else "native",
@@ -425,6 +425,7 @@ def run_fma_kernel(
         raise ParameterError(f"duration must be finite and >= {FMA_MIN_DURATION} s, got {duration}")
     if threads < 1:
         raise ParameterError("threads must be >= 1")
+    require_cpus(threads)
 
     dtype = PRECISION_DTYPES[precision]
     elements = FMA_VECTOR_ELEMENTS if mode == "vector" else 1
@@ -434,26 +435,15 @@ def run_fma_kernel(
         totals = [0] * threads
         elapsed = [0.0] * threads
         barrier = threading.Barrier(threads)
-        errors = []  # a failed worker's exception comes first, then the ones its abort raised
 
         def body(index: int) -> None:
-            try:
-                acc = [np.full(elements, 1.0, dtype=dtype) for _ in range(FMA_CHAINS)]
-                addend = [np.full(elements, 1e-6, dtype=dtype) for _ in range(FMA_CHAINS)]
-                _fma_spin(acc, addend, mult, FMA_WARMUP_SECONDS)
-                barrier.wait()
-                totals[index], elapsed[index] = _fma_spin(acc, addend, mult, duration)
-            except Exception as exc:
-                errors.append(exc)
-                barrier.abort()  # a worker still warming up would wait for this one forever
+            acc = [np.full(elements, 1.0, dtype=dtype) for _ in range(FMA_CHAINS)]
+            addend = [np.full(elements, 1e-6, dtype=dtype) for _ in range(FMA_CHAINS)]
+            _fma_spin(acc, addend, mult, FMA_WARMUP_SECONDS)
+            barrier.wait()
+            totals[index], elapsed[index] = _fma_spin(acc, addend, mult, duration)
 
-        ts = [threading.Thread(target=body, args=(i,), daemon=True) for i in range(threads)]
-        for t in ts:
-            t.start()
-        for t in ts:
-            t.join()
-        if errors:
-            raise errors[0]
+        _on_workers(body, barrier)
 
         wall = max(elapsed)
         flops = 2.0 * elements * FMA_CHAINS * sum(totals)
@@ -463,8 +453,6 @@ def run_fma_kernel(
             mode=mode,
             duration=wall,
             threads=threads,
-            chains=FMA_CHAINS,
-            elements_per_operation=elements,
         )
 
 

@@ -113,9 +113,11 @@ def write_sidecar_metadata(data_path: str | Path, payload: dict) -> Path:
 def gnuplot_loglog_script(
     series: Sequence[tuple[str, str]], output_png: str, title: str, xlabel: str, ylabel: str
 ) -> str:
-    """A minimal gnuplot script plotting CSV series, each a (file name, "x:y" columns), on log-log axes."""
-    plots = ", ".join(f"'{name}' using {columns} with linespoints title '{Path(name).stem}'"
-                      for name, columns in series)
+    """A minimal gnuplot script plotting CSV series on log-log axes.
+
+    Each series is a (file name, using clause) pair, e.g. ``("f.csv", "2:3 with linespoints")``.
+    """
+    plots = ", ".join(f"'{name}' using {using} title '{Path(name).stem}'" for name, using in series)
     return (
         "set datafile separator ','\n"
         "set logscale xy\n"

@@ -1134,7 +1134,10 @@ class TestGnuplotScripts:
         out_dir = tmp_path / "out"
         argv = [a.format(fx=fixtures_dir, points=points) for a in argv]
         assert main([*argv, "--out-dir", str(out_dir), "--gnuplot"]) == 0
-        plotted = re.findall(r"'([^']+)' using (\d+):(\d+)", (out_dir / script).read_text())
+        # a y column is a number or the $N of an expression such as the roof's row filter
+        using = r"'([^']+)' using (\d+):(?:(\d+)|\(.*?\$(\d+).*?\))"
+        plotted = [(name, x, y or y_expr) for name, x, y, y_expr
+                   in re.findall(using, (out_dir / script).read_text())]
         assert len(plotted) == series
         for name, *columns in plotted:
             with open(out_dir / name, newline="") as handle:
@@ -1143,6 +1146,23 @@ class TestGnuplotScripts:
                 cells = [row[column - 1] for row in rows]
                 numeric = [re.fullmatch(r"-?\d+(\.\d+)?(e[-+]\d+)?", cell) for cell in cells]
                 assert cells and all(numeric), (name, column)
+
+    def test_roof_line_leaves_the_kernel_points_out(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("label,intensity,gflops\nk,1,5\nj,20,50\n")
+        out_dir = tmp_path / "out"
+        assert main(["analyze", "roofline", "--flops-gflops", "100", "--bandwidth-gbs", "10",
+                     "--points", str(points), "--out-dir", str(out_dir), "--gnuplot"]) == 0
+        plot = (out_dir / "roofline.gp").read_text().splitlines()[-1]
+        roof, kernels = plot.removeprefix("plot ").split(", ")
+        column, label = re.search(r"using 1:\(strcol\((\d)\) eq '(\w+)' \? \$2 : 1/0\) with lines ",
+                                  roof).groups()
+        assert kernels.startswith("'roofline_points.csv' using 2:3 with points ")
+        with open(out_dir / "roofline_curve.csv", newline="") as handle:
+            rows = list(csv.reader(handle))[1:]
+        line = [float(row[1]) for row in rows if row[int(column) - 1] == label]
+        assert len(line) == len(rows) - 2
+        assert line == sorted(line)  # the roof never dips to a kernel point
 
 
 class TestDeterminismAndAtomicity:

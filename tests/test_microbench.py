@@ -24,9 +24,44 @@ from perfchar.exceptions import (
     SizingError,
 )
 from perfchar import microbench
-from perfchar.microbench import _build_triad, _native_triad, _page_aligned, _run_lock, verify_triad
+from perfchar.microbench import (
+    _available_cpus,
+    _build_triad,
+    _native_triad,
+    _page_aligned,
+    _run_lock,
+    verify_triad,
+)
 
 SMALL = 100_000  # big enough to time, small enough to keep the suite quick
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread it started running, rather than hang a later one."""
+    before = set(threading.enumerate())
+    yield
+    leftover = [t for t in threading.enumerate() if t not in before]
+    for thread in leftover:
+        thread.join(timeout=2.0)
+    assert not [t.name for t in leftover if t.is_alive()]
+
+
+def raised_by(call, *args, **kwargs):
+    """Run ``call`` on a helper thread; fail if it hangs, else return what it raised."""
+    raised = []
+
+    def run():
+        try:
+            call(*args, **kwargs)
+        except Exception as exc:
+            raised.append(exc)
+
+    helper = threading.Thread(target=run, daemon=True)
+    helper.start()
+    helper.join(timeout=30)
+    assert not helper.is_alive(), f"{call.__name__} hung"
+    return raised
 
 
 class TestTriadConfig:
@@ -62,8 +97,6 @@ class TestTriad:
         assert len(result.per_repetition) == 5
         assert result.best == max(result.per_repetition)
         assert all(v > 0 for v in result.per_repetition)
-        assert result.q == 3.0
-        assert result.warmup_passes == 2
 
     def test_two_threads_verify(self):
         config = TriadConfig(elements=SMALL, threads=2, repetitions=3)
@@ -78,6 +111,30 @@ class TestTriad:
         config = TriadConfig(elements=SMALL, threads=count + 1, repetitions=1)
         with pytest.raises(ParameterError):
             run_stream_triad(config)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_worker_exception_is_raised(self, monkeypatch, threads):
+        def failing(*args):
+            raise MemoryError("worker out of memory")
+
+        failing.streaming_stores = False
+        monkeypatch.setattr(microbench, "_native_triad", lambda: failing)
+        raised = raised_by(run_stream_triad, TriadConfig(elements=SMALL, threads=threads, repetitions=2))
+        assert [type(exc) for exc in raised] == [MemoryError]
+        assert not _run_lock.locked()
+
+    def test_interrupt_releases_the_workers(self, monkeypatch):
+        real_join = threading.Thread.join
+
+        def join(thread, timeout=None):  # the caller's wait for its workers is interrupted
+            if timeout is None:
+                raise KeyboardInterrupt
+            real_join(thread, timeout)
+
+        monkeypatch.setattr(threading.Thread, "join", join)
+        with pytest.raises(KeyboardInterrupt):
+            run_stream_triad(TriadConfig(elements=SMALL, threads=2, repetitions=1000))
+        assert not _run_lock.locked()
 
     def test_best_result_invariant(self):
         with pytest.raises(ParameterError):
@@ -178,6 +235,19 @@ class TestTriadKernels:
             built = [_kernel_slice(kernel, lo, lo + length)[0] for kernel in (native, plain)]
             assert np.array_equal(built[0].view(np.uint64), built[1].view(np.uint64)), (lo, length)
 
+    def test_warmup_passes_are_not_reported(self, native, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            native(*args)
+
+        counting.streaming_stores = native.streaming_stores
+        monkeypatch.setattr(microbench, "_native_triad", lambda: counting)
+        result = run_stream_triad(TriadConfig(elements=SMALL, threads=1, repetitions=5))
+        assert len(calls) == microbench.TRIAD_WARMUP_PASSES + 5
+        assert len(result.per_repetition) == 5
+
     def test_native_corruption_is_not_a_fallback(self, monkeypatch):
         def corrupt(a, b, c, q, lo, hi):  # writes nothing but one wrong value per slice
             ctypes.c_double.from_address(a + 8 * lo).value = -1.0
@@ -213,16 +283,29 @@ class TestVerifyTriad:
             verify_triad(a, b, c, 3.0)
 
 
+def spied_chains(monkeypatch):
+    """Record the accumulator chains every ``_fma_spin`` call updates."""
+    real_spin, chains = microbench._fma_spin, []
+
+    def spin(acc, *args):
+        chains.append(acc)
+        return real_spin(acc, *args)
+
+    monkeypatch.setattr(microbench, "_fma_spin", spin)
+    return chains
+
+
 class TestFmaKernel:
-    def test_vector_double(self):
+    def test_vector_double(self, monkeypatch):
+        chains = spied_chains(monkeypatch)
         result = run_fma_kernel("double", "vector", 0.15)
         assert result.gflops > 0
-        assert result.chains >= 8
-        assert result.elements_per_operation > 1
+        assert chains and all(len(acc) >= 8 and acc[0].size > 1 for acc in chains)
 
-    def test_scalar_uses_one_element(self):
-        result = run_fma_kernel("double", "scalar", 0.1)
-        assert result.elements_per_operation == 1
+    def test_scalar_uses_one_element(self, monkeypatch):
+        chains = spied_chains(monkeypatch)
+        run_fma_kernel("double", "scalar", 0.1)
+        assert chains and all(chain.size == 1 for acc in chains for chain in acc)
 
     def test_vector_at_least_scalar(self):
         vector = run_fma_kernel("double", "vector", 0.15)
@@ -282,19 +365,17 @@ class TestFmaKernel:
             return real_spin(*args)
 
         monkeypatch.setattr(microbench, "_fma_spin", spin)
-        raised = []
-
-        def call():
-            try:
-                run_fma_kernel("double", "vector", 0.1, threads=threads)
-            except Exception as exc:
-                raised.append(exc)
-
-        helper = threading.Thread(target=call, daemon=True)
-        helper.start()
-        helper.join(timeout=30)
-        assert not helper.is_alive(), "run_fma_kernel hung after a worker failed"
+        raised = raised_by(run_fma_kernel, "double", "vector", 0.1, threads=threads)
         assert [type(exc) for exc in raised] == [MemoryError]
+        assert not _run_lock.locked()
+
+    def test_threads_beyond_cpus_start_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        with pytest.raises(ParameterError, match="exceed available cpus"):
+            run_fma_kernel("double", "vector", 0.1, threads=len(_available_cpus()) + 1)
 
 
 class TestThreadSweep:
@@ -314,8 +395,9 @@ class TestThreadSweep:
         assert best >= points[0].value
 
     def test_fma_sweep_three_counts(self):
-        points = thread_sweep("fma", [1, 2, 4], duration=0.12)
-        assert [p.threads for p in points] == [1, 2, 4]
+        counts = [min(count, len(_available_cpus())) for count in (1, 2, 4)]
+        points = thread_sweep("fma", counts, duration=0.12)
+        assert [p.threads for p in points] == counts
         assert all(p.value > 0 for p in points)
 
     def test_unsorted_counts_rejected(self):
