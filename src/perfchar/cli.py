@@ -26,6 +26,7 @@ import numpy as np
 from . import __version__
 from .exceptions import InvalidDataError, ParameterError, PerfcharError
 from .hwmodel import (
+    MODES,
     PRECISION_BITS,
     load_platform_spec,
     node_peak_flops,
@@ -45,9 +46,7 @@ from .ingest import (
 )
 from .metrics import compare_platforms, energy_terms, per_joule_unit, speedup_points
 from .microbench import (
-    MODES,
     PINNING_POLICIES,
-    PRECISION_DTYPES,
     TRIAD_ALIGNMENT,
     TRIAD_BYTES_PER_ELEMENT,
     TRIAD_SCALAR_Q,
@@ -127,7 +126,7 @@ def _build_parser() -> argparse.ArgumentParser:
     mem.set_defaults(handler=_cmd_bench_mem)
 
     flops = bench_sub.add_parser("flops", help="FMA floating-point throughput")
-    flops.add_argument("--precision", default="double", choices=PRECISION_DTYPES)
+    flops.add_argument("--precision", default="double", choices=PRECISION_BITS)
     flops.add_argument("--mode", default="vector", choices=MODES)
     flops.add_argument("--duration", type=float, default=1.0, help="seconds per measurement")
     flops.add_argument("--threads", default="1", help="thread count, or comma list for a sweep")
@@ -143,7 +142,7 @@ def _build_parser() -> argparse.ArgumentParser:
     roof.add_argument("--bandwidth-gbs", type=float, help="bandwidth peak override, GB/s")
     roof.add_argument("--scope", default="node", choices=["node", "core"])
     roof.add_argument("--precision", default="double", choices=PRECISION_BITS)
-    roof.add_argument("--mode", default="vector", choices=["scalar", "vector"])
+    roof.add_argument("--mode", default="vector", choices=MODES)
     roof.add_argument("--points", help="kernel points CSV: label,intensity[,gflops]")
     roof.add_argument("--out-dir", required=True)
     roof.add_argument("--gnuplot", action="store_true", help="also emit a gnuplot script")
@@ -202,9 +201,9 @@ def _cmd_spec_show(args) -> int:
     print(f"platform: {spec.name}")
     print(f"cores/node: {spec.cores_per_node} ({spec.sockets} sockets x {spec.cores_per_socket})")
     print(f"frequency: {spec.frequency:.2f} GHz")
-    for unit in spec.vector_units:
-        single = peak_flops(spec, "single", "vector")
-        double = peak_flops(spec, "double", "vector")
+    if spec.vector_units:  # the unit peak_flops takes; no other declared unit enters a peak
+        unit = spec.widest_vector_unit()
+        single, double = (peak_flops(spec, precision, "vector") for precision in ("single", "double"))
         print(
             f"vector unit {unit.extension_name}: {unit.register_width}-bit, "
             f"{single:.2f} / {double:.2f} GFlop/s per core (single/double)"
@@ -228,16 +227,7 @@ def _cmd_bench_mem(args) -> int:
     require_cpus(max(counts))  # before any run of a sweep
     results = [run_stream_triad(config, spec=spec) for config in configs]
     meta = results[-1]
-
-    print(f"{'threads':>8}  {'best GB/s':>10}")
-    for result in results:
-        print(f"{result.threads:>8}  {result.best:>10.2f}")
-    print(
-        f"elements={meta.elements} reps={len(meta.per_repetition)} q={TRIAD_SCALAR_Q} "
-        f"warmup={TRIAD_WARMUP_PASSES} pinning={meta.pinning} pinned={meta.pinned} "
-        f"kernel={meta.kernel}"
-    )
-    if args.out:
+    if args.out:  # written before stdout, so a failed write prints nothing
         emit_plot_data([np.array([r.threads for r in results]), _floats(r.best for r in results)], args.out,
                        ["threads", "best_gbs"])
         provenance = {
@@ -258,6 +248,14 @@ def _cmd_bench_mem(args) -> int:
             provenance["peak_bandwidth_gbs"] = peak
             provenance["best_over_peak"] = {str(r.threads): r.best / peak for r in results}
         write_sidecar_metadata(args.out, provenance)
+    print(f"{'threads':>8}  {'best GB/s':>10}")
+    for result in results:
+        print(f"{result.threads:>8}  {result.best:>10.2f}")
+    print(
+        f"elements={meta.elements} reps={len(meta.per_repetition)} q={TRIAD_SCALAR_Q} "
+        f"warmup={TRIAD_WARMUP_PASSES} pinning={meta.pinning} pinned={meta.pinned} "
+        f"kernel={meta.kernel}"
+    )
     return 0
 
 
@@ -266,19 +264,15 @@ def _cmd_bench_flops(args) -> int:
     require_cpus(max(counts))  # before any thread starts
     if min(counts) < 1:
         raise ParameterError("threads must be >= 1")
-    results = []
-    for count in counts:
-        result = run_fma_kernel(args.precision, args.mode, args.duration, threads=count)
-        results.append(result)
+    results = [run_fma_kernel(args.precision, args.mode, args.duration, threads=count) for count in counts]
+    if args.out:  # written before stdout, so a failed write prints nothing
+        emit_plot_data([[r.mode for r in results], [r.precision for r in results],
+                        _floats(r.gflops for r in results)], args.out, header=["mode", "precision", "gflops"])
+        write_sidecar_metadata(args.out, {"command": "bench flops", "duration": args.duration})
+    for result in results:
         print(
             f"{result.mode}/{result.precision} threads={result.threads}: "
             f"{result.gflops:.3f} GFlop/s over {result.duration:.2f} s"
-        )
-    if args.out:
-        emit_plot_data([[r.mode for r in results], [r.precision for r in results],
-                        _floats(r.gflops for r in results)], args.out, header=["mode", "precision", "gflops"])
-        write_sidecar_metadata(
-            args.out, {"command": "bench flops", "duration": args.duration}
         )
     return 0
 
@@ -469,6 +463,9 @@ def _cmd_analyze_energy(args) -> int:
     columns = [runs.app, runs.platform, runs.compiler, runs.nodes, runs.time, e2s, edp, work, units]
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",
               "work_per_joule", "work_unit"]
+    if args.out:  # written before stdout, so a failed write prints nothing
+        emit_plot_data(columns, args.out, header=header)
+        write_sidecar_metadata(args.out, {"command": "analyze energy"})
     g6 = "{:.6g}".format
     sys.stdout.write("  ".join(header) + "\n")
     for start in range(0, len(runs), BLOCK_ROWS):  # the cell text of one block of rows at a time
@@ -476,9 +473,6 @@ def _cmd_analyze_energy(args) -> int:
         cells = [*block[:3], list(map(str, block[3].tolist())), list(map(g6, block[4].tolist())),
                  *([g6(v) if v == v else "" for v in d.tolist()] for d in block[5:8]), block[8]]
         sys.stdout.write("\n".join(map("  ".join, zip(*cells))) + "\n")
-    if args.out:
-        emit_plot_data(columns, args.out, header=header)
-        write_sidecar_metadata(args.out, {"command": "analyze energy"})
     return 0
 
 
@@ -490,15 +484,15 @@ def _cmd_analyze_network(args) -> int:
     emit_plot_data([matrix.node_ids, matrix.row_medians], out_dir / "node_medians.csv",
                    header=["node", "median_gbs"])
     links_path = out_dir / "weak_links.csv"
+    header = ["node_a", "node_b", "bandwidth_gbs", "reference_gbs", "deficit_pct"]
     if links:
         emit_plot_data(
             [[w.node_a for w in links], [w.node_b for w in links], _floats(w.bandwidth for w in links),
              _floats(w.reference for w in links), 100.0 * _floats(w.deficit for w in links)],
-            links_path,
-            header=["node_a", "node_b", "bandwidth_gbs", "reference_gbs", "deficit_pct"],
+            links_path, header=header,
         )
     else:
-        atomic_write_text(links_path, "node_a,node_b,bandwidth_gbs,reference_gbs,deficit_pct\n")
+        atomic_write_text(links_path, ",".join(header) + "\n")
     write_sidecar_metadata(links_path, {"command": "analyze network", "message_size": matrix.message_size,
                                         "threshold": args.threshold})
 
@@ -518,11 +512,11 @@ def _cmd_analyze_network(args) -> int:
 
 def _cmd_report_compare(args) -> int:
     table = compare_platforms(parse_runs(args.input), metric=args.metric)
-    print(table.to_text())
-    if args.out:
+    if args.out:  # written before stdout, so a failed write prints nothing
         columns = table.to_csv_columns()
         emit_plot_data(list(columns.values()), args.out, header=list(columns))
         write_sidecar_metadata(args.out, {"command": "report compare", "metric": args.metric})
+    print(table.to_text())
     return 0
 
 

@@ -7,12 +7,14 @@ one-to-one; nothing is probed from the running host.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+import math
+from dataclasses import dataclass
 from pathlib import Path
 
 from .exceptions import InvalidSpecError, MissingVectorUnitError, ParameterError
 
 PRECISION_BITS = {"single": 32, "double": 64}
+MODES = ("scalar", "vector")
 VALID_REGISTER_WIDTHS = (64, 128, 256, 512)
 
 #: STREAM-style sizing floor: arrays never shrink below ten million elements.
@@ -20,6 +22,13 @@ STREAM_ELEMENT_FLOOR = 10_000_000
 
 #: Size of one array element in the sizing rule (double precision).
 STREAM_ELEMENT_BYTES = 8
+
+
+def _refuse_non_finite(spec) -> None:
+    """Raise InvalidSpecError for the first field of ``spec`` that is a NaN or infinite float."""
+    for name, value in vars(spec).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            raise InvalidSpecError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,6 +50,7 @@ class VectorUnitSpec:
             raise InvalidSpecError("issue_per_cycle must be >= 1")
         if self.flops_per_instruction < 1:
             raise InvalidSpecError("flops_per_instruction must be >= 1")
+        _refuse_non_finite(self)
 
 
 @dataclass(frozen=True)
@@ -82,6 +92,15 @@ class PlatformSpec:
         if self.scalar_issue_per_cycle is not None and self.scalar_issue_per_cycle < 1:
             raise InvalidSpecError("scalar_issue_per_cycle must be >= 1 when set")
         object.__setattr__(self, "vector_units", tuple(self.vector_units))
+        _refuse_non_finite(self)
+        try:  # and so must every limit derived from them, as a float; single precision has the top peaks
+            defined = [m for m in MODES if self.vector_units or m == "scalar" and self.scalar_issue_per_cycle]
+            largest = max(map(float, [self.cores_per_node, peak_bandwidth(self), 4 * self.llc_per_socket,
+                                      *(peak_flops(self, "single", m) for m in defined)]))
+        except OverflowError:  # an int that no float holds
+            largest = math.inf
+        if largest == math.inf:
+            raise InvalidSpecError(f"spec '{self.name}': a peak, core count or cache bound overflows")
 
     @property
     def cores_per_node(self) -> int:
@@ -101,7 +120,7 @@ def peak_flops(spec: PlatformSpec, precision: str = "double", mode: str = "vecto
     """
     if precision not in PRECISION_BITS:
         raise ParameterError(f"precision must be one of {sorted(PRECISION_BITS)}, got {precision!r}")
-    if mode not in ("scalar", "vector"):
+    if mode not in MODES:
         raise ParameterError(f"mode must be 'scalar' or 'vector', got {mode!r}")
 
     if mode == "vector":
@@ -157,12 +176,6 @@ def platform_spec_from_dict(data: dict) -> PlatformSpec:
         return PlatformSpec(vector_units=unit_specs, **payload)
     except TypeError as exc:
         raise InvalidSpecError(f"bad platform spec fields: {exc}") from exc
-
-
-def platform_spec_to_dict(spec: PlatformSpec) -> dict:
-    data = asdict(spec)
-    data["vector_units"] = [asdict(u) for u in spec.vector_units]
-    return data
 
 
 def load_platform_spec(path: str | Path) -> PlatformSpec:

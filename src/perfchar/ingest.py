@@ -584,18 +584,16 @@ def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> 
     return size, a, b, gbs
 
 
-def _pairwise_entries(source: str | Path) -> tuple[dict[str, int], list[str], list[str], list[str], np.ndarray]:
-    """Read and validate every pairwise row.
+def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None) -> PairwiseBandwidthMatrix:
+    """Parse one matrix; a multi-size file needs an explicit message_size.
 
-    Returns the message size of each distinct msg_bytes text, and the
-    msg_bytes, node_a, node_b and GB/s columns.
+    Rows of every size are validated; only the selected size is assembled.
     """
-    lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(
-        source, PAIRWISE_COLUMNS, optional=("unit",)
-    )
+    lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(source, PAIRWISE_COLUMNS,
+                                                                       optional=("unit",))
     # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
     try:
-        size_of = {text: int(text) for text in set(msg_bytes)}
+        size_of = {text: int(text) for text in set(msg_bytes)}  # each distinct msg_bytes text
         divisor = {text: _gbs_divisor(text) for text in set(unit)}
         gbs = np.array(list(map(float, bandwidth)), dtype=float)
         gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
@@ -604,17 +602,7 @@ def _pairwise_entries(source: str | Path) -> tuple[dict[str, int], list[str], li
         valid = False
     if not valid:  # the column checks are _pairwise_row's, so _rows raises
         _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
-    return size_of, msg_bytes, node_a, node_b, gbs
-
-
-def parse_pairwise_bandwidth(
-    source: str | Path, message_size: int | None = None
-) -> PairwiseBandwidthMatrix:
-    """Parse one matrix; a multi-size file needs an explicit message_size.
-
-    Rows of every size are validated; only the selected size is assembled.
-    """
-    size_of, msg_bytes, node_a, node_b, gbs = _pairwise_entries(source)
+    del lines, bandwidth, unit  # their cell text is not held while the matrix is built
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")

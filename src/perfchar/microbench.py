@@ -48,7 +48,7 @@ from .exceptions import (
     ResourceError,
     SizingError,
 )
-from .hwmodel import PlatformSpec, stream_min_elements
+from .hwmodel import MODES, PRECISION_BITS, PlatformSpec, stream_min_elements
 
 TRIAD_SCALAR_Q = 3.0
 TRIAD_WARMUP_PASSES = 2
@@ -100,8 +100,6 @@ FMA_VECTOR_ELEMENTS = 16384  # 8 chains * 16384 doubles = 1 MiB working set
 FMA_WARMUP_SECONDS = 0.1
 FMA_MIN_DURATION = 0.1
 
-PRECISION_DTYPES = {"single": np.float32, "double": np.float64}
-MODES = ("scalar", "vector")
 PINNING_POLICIES = ("interleaved", "compact", "none")
 VERIFY_BLOCK = 1 << 20
 
@@ -132,15 +130,11 @@ def require_cpus(threads: int) -> None:
 
 
 @functools.cache
-def _native_triad():
-    """The C triad ``triad(a, b, c, q, lo, hi)``, or None when it cannot be built or loaded."""
-    return _build_triad()
+def _native_triad(*flags: str):
+    """The C triad ``triad(a, b, c, q, lo, hi)``, or None when it cannot be built or loaded.
 
-
-def _build_triad(*flags: str):
-    """Compile TRIAD_SOURCE with ``cc`` plus ``flags`` and load its kernel, or return None.
-
-    The kernel's ``streaming_stores`` attribute is the value the built branch exports.
+    TRIAD_SOURCE is compiled with ``cc``, the module's flags and then ``flags``, once per process
+    and flag set; the kernel's ``streaming_stores`` attribute is the value the built branch exports.
     """
     import subprocess  # here, not at the top: it adds about 5 ms to every CLI start
     compiler = shutil.which("cc")
@@ -216,9 +210,8 @@ class TriadConfig:
 
 @dataclass(frozen=True)
 class BandwidthResult:
-    """Best-of-N triad bandwidth plus every repetition for variance reporting."""
+    """Every repetition's triad bandwidth, in GB/s, and the best of them."""
 
-    best: float  # GB/s
     per_repetition: tuple[float, ...]
     threads: int
     elements: int
@@ -232,8 +225,10 @@ class BandwidthResult:
             raise ParameterError("at least one repetition is required")
         if any(v <= 0 for v in self.per_repetition):
             raise ParameterError("bandwidth values must be positive")
-        if self.best != max(self.per_repetition):
-            raise ParameterError("best must equal the per-repetition maximum")
+
+    @property
+    def best(self) -> float:
+        return max(self.per_repetition)
 
     @property
     def moved_bytes_per_element(self) -> int:
@@ -361,7 +356,6 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
         verify_triad(a, b, c, q)
 
         return BandwidthResult(
-            best=max(timings),
             per_repetition=tuple(timings),
             threads=config.threads,
             elements=config.elements,
@@ -412,10 +406,10 @@ def run_fma_kernel(
     run length and array content. A short untimed warm-up precedes the
     measurement to let the clock settle.
     """
-    if precision not in PRECISION_DTYPES:
+    if precision not in PRECISION_BITS:
         raise CapabilityError(
-            f"precision {precision!r} not supported; supported: {sorted(PRECISION_DTYPES)}",
-            supported=tuple(sorted(PRECISION_DTYPES)),
+            f"precision {precision!r} not supported; supported: {sorted(PRECISION_BITS)}",
+            supported=tuple(sorted(PRECISION_BITS)),
         )
     if mode not in MODES:
         raise CapabilityError(
@@ -427,7 +421,7 @@ def run_fma_kernel(
         raise ParameterError("threads must be >= 1")
     require_cpus(threads)
 
-    dtype = PRECISION_DTYPES[precision]
+    dtype = np.dtype(f"float{PRECISION_BITS[precision]}").type
     elements = FMA_VECTOR_ELEMENTS if mode == "vector" else 1
     mult = dtype(0.999999)
 
@@ -474,14 +468,13 @@ def thread_sweep(
         raise ParameterError("thread_counts must not be empty")
     if list(thread_counts) != sorted(thread_counts):
         raise ParameterError("thread counts must be sorted ascending")
-    points = []
-    for count in thread_counts:
-        if kind == "triad":
-            if elements is None:
-                raise ParameterError("a triad sweep needs the array length")
-            config = TriadConfig(elements=elements, threads=count, repetitions=repetitions)
-            value = run_stream_triad(config).best
-        else:
-            value = run_fma_kernel("double", "vector", duration, threads=count).gflops
-        points.append(SweepPoint(threads=count, value=value))
-    return points
+    if kind == "triad" and elements is None:
+        raise ParameterError("a triad sweep needs the array length")
+    if min(thread_counts) < 1:
+        raise ParameterError("threads must be >= 1")
+    require_cpus(max(thread_counts))  # every count is checked before the first run
+    if kind == "fma":
+        return [SweepPoint(count, run_fma_kernel("double", "vector", duration, threads=count).gflops)
+                for count in thread_counts]
+    configs = [TriadConfig(elements, count, repetitions) for count in thread_counts]
+    return [SweepPoint(config.threads, run_stream_triad(config).best) for config in configs]

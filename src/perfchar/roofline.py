@@ -55,8 +55,8 @@ class CounterSample:
     def __post_init__(self):
         if self.flops < 0:
             raise ParameterError("flops must be >= 0")
-        if self.loads < 0 or self.stores < 0:
-            raise ParameterError("loads and stores must be >= 0")
+        if not (0 <= self.loads < math.inf and 0 <= self.stores < math.inf):
+            raise ParameterError("loads and stores must be finite and >= 0")
         if not 0 < self.access_bytes < 2**63:  # a larger int does not convert to float
             raise ParameterError("access_bytes must be > 0 and < 2**63")
 
@@ -104,10 +104,12 @@ def sustained_perf(model: RooflineModel, intensity: float) -> float:
 
 def arithmetic_intensity(sample: CounterSample) -> float:
     """Flops per byte moved: flops / ((loads + stores) * access_bytes)."""
-    accesses = sample.loads + sample.stores
-    if accesses <= 0:
+    moved = (sample.loads + sample.stores) * sample.access_bytes
+    if moved <= 0:
         raise ParameterError("intensity is undefined without memory accesses")
-    return sample.flops / (accesses * sample.access_bytes)
+    if moved == math.inf:
+        raise ParameterError("bytes moved, (loads + stores) * access_bytes, overflows")
+    return sample.flops / moved
 
 
 def classify(model: RooflineModel, point: KernelPoint) -> Classification:

@@ -83,6 +83,84 @@ class TestSpecShow:
         assert "153.60 GB/s" in out
         assert "17301504" in out
 
+    def test_prints_the_unit_its_peaks_come_from(self, fixtures_dir, tmp_path, capsys):
+        data = json.loads((fixtures_dir / "platforms" / "marenostrum4.json").read_text())
+        avx2 = {"extension_name": "AVX2", "register_width": 256, "issue_per_cycle": 2, "flops_per_instruction": 2}
+        data["vector_units"].insert(0, avx2)
+        spec = tmp_path / "mn4-avx2.json"
+        spec.write_text(json.dumps(data))
+        assert main(["spec", "show", str(spec)]) == 0
+        assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("vector unit")] == [
+            "vector unit AVX512: 512-bit, 134.40 / 67.20 GFlop/s per core (single/double)"
+        ]
+
+    @pytest.mark.parametrize("field, value", [
+        ("frequency", "NaN"),
+        ("channel_peak", "Infinity"),
+        ("memory_channels", "Infinity"),
+        ("sockets", "Infinity"),
+        ("cores_per_socket", "Infinity"),
+        ("llc_per_socket", "Infinity"),
+        ("llc_per_socket", "NaN"),
+    ])
+    def test_non_finite_spec_number_is_one_error_line(self, fixtures_dir, tmp_path, capsys, field, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text(fixtures_dir, **{field: value}))
+        assert main(["spec", "show", str(spec)]) == 1
+        assert capsys.readouterr() == ("", f"perfchar: error: InvalidSpecError: {field} must be finite, "
+                                           f"got {float(value)!r}\n")
+
+    def test_infinite_channel_peak_runs_no_triad(self, fixtures_dir, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text(fixtures_dir, channel_peak="Infinity"))
+        out = tmp_path / "m.csv"
+        assert main(["bench", "mem", "--elements", "16777216", "--reps", "1", "--spec", str(spec),
+                     "--out", str(out)]) == 1
+        assert_one_error_line(capsys, "InvalidSpecError", "channel_peak must be finite")
+        assert not out.exists()
+
+
+def spec_text(fixtures_dir, **numbers):
+    """The dibona-tx2 spec's JSON text with the given top-level fields set to raw JSON values."""
+    data = json.loads((fixtures_dir / "platforms" / "dibona-tx2.json").read_text())
+    data.update({field: f"@{field}@" for field in numbers})
+    text = json.dumps(data)
+    for field, value in numbers.items():
+        text = text.replace(f'"@{field}@"', value)
+    return text
+
+
+#: Numbers for a spec field: finite ones, non-finite ones, 0, negatives and one near the top of the
+#: float range, all as JSON text (Python's json reads NaN and Infinity).
+SPEC_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(min_value=-4, max_value=4096).map(str),
+    st.sampled_from(["NaN", "Infinity", "-Infinity", "0", "0.0", "-1", "-2.5", "1e308", "1.7e308", "9" * 400]),
+)
+SPEC_FIELDS = ["sockets", "cores_per_socket", "frequency", "memory_channels", "channel_peak",
+               "llc_per_socket", "l1_size", "l2_size"]
+UNIT_FIELDS = ["register_width", "issue_per_cycle", "flops_per_instruction"]
+
+
+class TestSpecNumbersProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(numbers=st.dictionaries(st.sampled_from(SPEC_FIELDS + UNIT_FIELDS), SPEC_NUMBERS, max_size=4))
+    def test_exit_zero_without_inf_or_nan_or_one_error_line(self, tmp_path_factory, fixtures_dir, numbers):
+        spec = tmp_path_factory.mktemp("spec") / "spec.json"
+        text = spec_text(fixtures_dir, **{f: v for f, v in numbers.items() if f in SPEC_FIELDS})
+        for field in UNIT_FIELDS:  # the one vector unit's fields
+            if field in numbers:
+                text = re.sub(rf'("{field}": )[^,}}]+', rf"\g<1>{numbers[field]}", text)
+        spec.write_text(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["spec", "show", str(spec)])
+        assert_two_way_contract(code, err.getvalue(), caught, [])
+        if code == 0:
+            assert not {"inf", "nan"} & set(re.findall(r"[a-z]+", out.getvalue().lower()))
+
 
 class TestAnalyzeEnergy:
     def test_edp_matches_reference_table(self, fixtures_dir, tmp_path, capsys):
@@ -769,6 +847,8 @@ class TestAnalyzeRoofline:
             ("label,intensity,gflops", "k,1,inf", "measured_perf must be finite"),
             ("label,intensity,gflops", "k,1,nan", "measured_perf must be finite"),
             ("label,flops,loads,stores", "k,1e400,1,1", "intensity must be finite"),
+            ("label,flops,loads,stores", "k,1,inf,0", "loads and stores must be finite"),
+            ("label,flops,loads,stores", "j,5,1e308,1e308", "(loads + stores) * access_bytes, overflows"),
             ("label,gflops", "k,1", "a kernel point needs 'intensity' or 'flops,loads,stores'"),
         ],
     )
@@ -1120,6 +1200,24 @@ class TestBenchCommands:
         )
         assert code == 1
         assert "SizingError" in capsys.readouterr().err
+
+
+class TestWriteBeforePrint:
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "energy", "--in", "{fixtures}/energy_node_runs.csv"],
+        ["report", "compare", "--in", "{fixtures}/energy_node_runs.csv"],
+        ["bench", "mem", "--elements", "100000", "--reps", "2", "--pin", "none"],
+        ["bench", "flops", "--duration", "0.1"],
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_failed_out_write_prints_nothing(self, argv, fixtures_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("a regular file, so no directory can be made under it\n")
+        argv = [arg.format(fixtures=fixtures_dir) for arg in argv] + ["--out", str(blocker / "out.csv")]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("perfchar: error: FileExistsError:")
+        assert captured.err.count("\n") == 1
 
 
 class TestGnuplotScripts:

@@ -16,7 +16,7 @@ from perfchar.exceptions import (
     MissingVectorUnitError,
     ParameterError,
 )
-from perfchar.hwmodel import platform_spec_from_dict, platform_spec_to_dict
+from perfchar.hwmodel import platform_spec_from_dict
 
 
 def make_spec(**overrides) -> PlatformSpec:
@@ -160,6 +160,41 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError):
             VectorUnitSpec("vu", 96, 2, 2)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["sockets", "cores_per_socket", "frequency", "memory_channels",
+                                       "channel_peak", "llc_per_socket", "l1_size", "l2_size",
+                                       "scalar_issue_per_cycle"])
+    def test_non_finite_number_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=field):
+            make_spec(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["issue_per_cycle", "flops_per_instruction"])
+    def test_non_finite_unit_number_rejected(self, field, value):
+        numbers = {"register_width": 128, "issue_per_cycle": 2, "flops_per_instruction": 2, field: value}
+        with pytest.raises(InvalidSpecError, match=field):
+            VectorUnitSpec("vu", **numbers)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(frequency=1e308),  # every flops peak
+        dict(channel_peak=1e308),  # the bandwidth peak
+        dict(sockets=1e200, cores_per_socket=1e200),  # the core count
+        dict(llc_per_socket=1e308),  # four times the cache, the sizing rule's bound
+        dict(vector_units=(), scalar_issue_per_cycle=1e308),  # the scalar peak alone
+        dict(vector_units=(VectorUnitSpec("vu", 128, 10**400, 2),)),  # no float holds the product
+        dict(frequency=10**400),  # an int peak no float holds
+        dict(channel_peak=10**400),
+        dict(sockets=10**400),
+    ])
+    def test_overflowing_limit_rejected(self, overrides):
+        with pytest.raises(InvalidSpecError, match="overflows"):
+            make_spec(**overrides)
+
+    def test_finite_limits_accepted(self):
+        spec = make_spec(sockets=2, cores_per_socket=10**6, frequency=1e6, llc_per_socket=1 << 40)
+        assert peak_flops(spec, "single", "vector") == 16e6
+        assert stream_min_elements(spec) == 1 << 39
+
     def test_cores_per_node(self, dibona_tx2):
         assert dibona_tx2.cores_per_node == 64
 
@@ -169,9 +204,6 @@ class TestSpecSerialization:
         assert dibona_tx2.name == "dibona-tx2"
         assert marenostrum4.frequency == 2.1
         assert marenostrum4.vector_units[0].register_width == 512
-
-    def test_dict_round_trip(self, dibona_tx2):
-        assert platform_spec_from_dict(platform_spec_to_dict(dibona_tx2)) == dibona_tx2
 
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidSpecError):

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from perfchar import (
-    BandwidthResult,
     ThroughputResult,
     TriadConfig,
     peak_bandwidth,
@@ -26,7 +25,6 @@ from perfchar.exceptions import (
 from perfchar import microbench
 from perfchar.microbench import (
     _available_cpus,
-    _build_triad,
     _native_triad,
     _page_aligned,
     _run_lock,
@@ -136,10 +134,6 @@ class TestTriad:
             run_stream_triad(TriadConfig(elements=SMALL, threads=2, repetitions=1000))
         assert not _run_lock.locked()
 
-    def test_best_result_invariant(self):
-        with pytest.raises(ParameterError):
-            BandwidthResult(best=5.0, per_repetition=(1.0, 2.0), threads=1, elements=10)
-
     def test_concurrent_runs_rejected(self):
         config = TriadConfig(elements=SMALL, repetitions=1)
         assert _run_lock.acquire(blocking=False)
@@ -229,7 +223,7 @@ class TestTriadKernels:
 
     def test_plain_loop_matches_the_native_kernel(self, native):
         # -U__SSE2__ builds the branch other ISAs compile: ordinary stores, no movntpd.
-        plain = _build_triad("-U__SSE2__")
+        plain = _native_triad("-U__SSE2__")
         assert plain.streaming_stores is False
         for lo, length in itertools.product(SLICE_STARTS, SLICE_LENGTHS):
             built = [_kernel_slice(kernel, lo, lo + length)[0] for kernel in (native, plain)]
@@ -411,6 +405,24 @@ class TestThreadSweep:
     def test_unknown_kind(self):
         with pytest.raises(ParameterError):
             thread_sweep("netperf", [1])
+
+    @pytest.mark.parametrize("kind, counts, elements, message", [
+        ("triad", "too many", SMALL, "exceed available cpus"),
+        ("triad", [1, 2], 1, "need at least one element per thread"),
+        ("fma", "too many", None, "exceed available cpus"),
+        ("fma", [0, 1], None, "threads must be >= 1"),
+    ], ids=["triad-too-many-threads", "triad-fewer-elements-than-threads", "fma-too-many-threads",
+            "fma-zero-threads"])
+    def test_every_count_is_checked_before_the_first_run(self, monkeypatch, kind, counts, elements, message):
+        def no_run(*args, **kwargs):
+            raise AssertionError("a kernel ran before every count was checked")
+
+        monkeypatch.setattr(microbench, "run_stream_triad", no_run)
+        monkeypatch.setattr(microbench, "run_fma_kernel", no_run)
+        if counts == "too many":
+            counts = [1, len(_available_cpus()) + 1]
+        with pytest.raises(ParameterError, match=message):
+            thread_sweep(kind, counts, elements=elements, repetitions=1, duration=0.1)
 
 
 class TestBandwidthBound:
