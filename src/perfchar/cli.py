@@ -457,7 +457,7 @@ def _cmd_analyze_energy(args) -> int:
                                       np.where(runs.is_rate(), runs.metric_value, np.nan))
     overflow = np.isinf(edp) | np.isinf(work)
     if overflow.any():  # name the first such run in the file; a RunTable keeps no line numbers
-        line = read_columns(args.input, RUNS_COLUMNS)[0][order[overflow].min()]
+        line = [n for b, _ in read_columns(args.input, RUNS_COLUMNS) for n in b][order[overflow].min()]
         raise InvalidDataError(f"{args.input}: line {line}: edp_kjs or work_per_joule overflows")
     units = [per_joule_unit(u) if w == w else "" for u, w in zip(runs.metric_unit, work.tolist())]
     columns = [runs.app, runs.platform, runs.compiler, runs.nodes, runs.time, e2s, edp, work, units]

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .exceptions import InvalidSpecError, MissingVectorUnitError, ParameterError
@@ -24,11 +24,14 @@ STREAM_ELEMENT_FLOOR = 10_000_000
 STREAM_ELEMENT_BYTES = 8
 
 
-def _refuse_non_finite(spec) -> None:
-    """Raise InvalidSpecError for the first field of ``spec`` that is a NaN or infinite float."""
-    for name, value in vars(spec).items():
+def _refuse_bad_numbers(spec) -> None:
+    """Raise InvalidSpecError at the first field of ``spec`` that is NaN, infinite, or a fractional int."""
+    for field in fields(spec):
+        name, value = field.name, getattr(spec, field.name)
         if isinstance(value, float) and not math.isfinite(value):
             raise InvalidSpecError(f"{name} must be finite, got {value!r}")
+        if isinstance(value, float) and field.type.startswith("int") and not value.is_integer():
+            raise InvalidSpecError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -50,7 +53,7 @@ class VectorUnitSpec:
             raise InvalidSpecError("issue_per_cycle must be >= 1")
         if self.flops_per_instruction < 1:
             raise InvalidSpecError("flops_per_instruction must be >= 1")
-        _refuse_non_finite(self)
+        _refuse_bad_numbers(self)
 
 
 @dataclass(frozen=True)
@@ -89,10 +92,12 @@ class PlatformSpec:
             raise InvalidSpecError("channel_peak must be > 0")
         if self.llc_per_socket <= 0:
             raise InvalidSpecError("llc_per_socket must be > 0")
+        if min(self.l1_size, self.l2_size) < 0:
+            raise InvalidSpecError("l1_size and l2_size must be >= 0")
         if self.scalar_issue_per_cycle is not None and self.scalar_issue_per_cycle < 1:
             raise InvalidSpecError("scalar_issue_per_cycle must be >= 1 when set")
         object.__setattr__(self, "vector_units", tuple(self.vector_units))
-        _refuse_non_finite(self)
+        _refuse_bad_numbers(self)
         try:  # and so must every limit derived from them, as a float; single precision has the top peaks
             defined = [m for m in MODES if self.vector_units or m == "scalar" and self.scalar_issue_per_cycle]
             largest = max(map(float, [self.cores_per_node, peak_bandwidth(self), 4 * self.llc_per_socket,

@@ -10,10 +10,11 @@ JSON array of objects with the same field names:
 * kernel points: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
   ``access_bytes``); optional ``gflops,time_share_pct``
 
-Files are read as whole columns (``read_columns``). Runs come back as a
-``RunTable``, which holds them as columns and builds a ``RunRecord`` only when
-a row is asked for. Energy is stored in joules; presentation layers convert
-to kJ. The app metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
+``read_columns`` holds a file's text, one block of rows as cells, and what
+the parser has made of the blocks before. Runs come back as a ``RunTable``,
+which holds them as columns and builds a ``RunRecord`` only when a row is
+asked for. Energy is stored in joules; presentation layers convert to kJ.
+The app metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .exceptions import (
     RowError,
     SchemaError,
 )
-from .report import ranks
+from .report import BLOCK_ROWS, ranks
 from .roofline import CounterSample, KernelPoint, arithmetic_intensity
 
 RUNS_COLUMNS = (
@@ -210,21 +211,50 @@ def _validate_iso8601(text: str) -> None:
         raise ParameterError(f"timestamp {text!r} is not ISO-8601") from exc
 
 
+def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[str]]]:
+    """(line numbers, lines) of ``text``, about BLOCK_ROWS lines at a time, comment lines left out."""
+    step, start, first, commented = BLOCK_ROWS * (len(text) // (text.count("\n") + 1) + 1), 0, 1, "#" in text
+    while start < len(text):
+        end = text.find("\n", start + step) + 1 or len(text)  # cut after "\n": lines break as in splitlines()
+        lines = text[start:end].splitlines()
+        numbers, start, first = range(first, first + len(lines)), end, first + len(lines)
+        if commented:  # a leading '#'; line numbers still count every line
+            kept = [i for i, line in enumerate(lines) if not line.lstrip().startswith("#")]
+            lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
+        yield numbers, lines
+
+
+def _csv_rows(path: Path, blocks: Iterable[tuple[Sequence[int], list[str]]]) -> Iterator[tuple[int, list]]:
+    """(number of its last line, fields) of each row one csv.reader takes from the lines of ``blocks``."""
+    last = [0]
+    try:
+        for row in csv.reader(line for numbers, lines in blocks for last[0], line in zip(numbers, lines)):
+            yield last[0], row
+    except csv.Error as exc:
+        raise SchemaError(f"{path}: line {last[0]}: {exc}") from exc
+
+
+def _flat(rows: Iterable[tuple[int, list[str]]], width: int) -> tuple[list[int], list[str]]:
+    """Line numbers and ``width`` cells of the rows not blank; a short row reads "" past its end."""
+    rows, pad = [(line, row) for line, row in rows if row], [""] * width
+    return [line for line, _ in rows], [cell for _, row in rows for cell in (row + pad)[:width]]
+
+
 def read_columns(
     source: str | Path, columns: tuple[str, ...], optional: tuple[str, ...] = ()
-) -> tuple[Sequence[int], list[list[str]]]:
-    """Line numbers and cell columns of a CSV or JSON file, validating the header.
+) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
+    """Line numbers and cell columns of a CSV or JSON file, about BLOCK_ROWS rows at a time.
 
-    Returns the line numbers of the data rows (entry numbers for JSON) and
-    one list of cell strings per name in ``columns`` then ``optional``, in that
-    order. CSV cells are stripped; an optional column the file lacks reads "".
-    A CSV row is numbered by its last line: a quoted field may hold commas and
-    line breaks. A file without quotes is split on commas, every line one row;
-    a cell longer than ``csv.field_size_limit()`` is a SchemaError either way.
+    Checks the header, or every JSON entry, then gives one block or more: its
+    rows' line numbers (entry numbers for JSON) and one list of cells per name
+    in ``columns`` then ``optional``. CSV cells are stripped; an optional
+    column the file lacks reads "". A row is numbered by its last line, as a
+    quoted field may hold commas and line breaks; a cell longer than
+    ``csv.field_size_limit()`` is a SchemaError.
     """
     path = Path(source)
     text = path.read_text(encoding="utf-8")
-    names = (*columns, *optional)
+    names, required = (*columns, *optional), set(columns)
     if path.suffix.lower() == ".json" or text.lstrip().startswith("["):
         try:
             entries = json.loads(text)
@@ -232,73 +262,60 @@ def read_columns(
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise SchemaError(f"{path}: JSON input must be an array of objects")
-        required = set(columns)
         for i, entry in enumerate(entries, start=1):
             if not isinstance(entry, dict):
                 raise SchemaError(f"{path}: entry {i} is not an object")
             if not entry.keys() >= required:
                 missing = [c for c in columns if c not in entry]
                 raise SchemaError(f"{path}: entry {i} lacks mandatory fields {missing}")
-        cells = [["" if e.get(k) is None else str(e[k]) for e in entries] for k in names]
-        return range(1, len(entries) + 1), cells
+        for lo in range(0, max(len(entries), 1), BLOCK_ROWS):
+            block = entries[lo:lo + BLOCK_ROWS]
+            yield range(lo + 1, lo + len(block) + 1), [["" if e.get(k) is None else str(e[k]) for e in block]
+                                                         for k in names]
+        return
 
-    # Without a quote no row spans lines: csv.reader would give each
-    # non-empty line split on commas. A NUL is left to csv.reader, which
-    # rejects it before Python 3.11.
-    plain = '"' not in text and "\0" not in text
-    # Comment lines (leading '#') are tolerated so fixtures can carry notes;
-    # reported line numbers always refer to the original file.
-    commented, lines = "#" in text, text.splitlines()
-    del text  # the lines hold it again; a large file should not be held twice
-    numbers = range(1, len(lines) + 1)
-    if commented:
-        kept = [i for i, line in enumerate(lines) if not line.lstrip().startswith("#")]
-        lines, numbers = [lines[i] for i in kept], [numbers[i] for i in kept]
-        plain = plain or not any('"' in line or "\0" in line for line in lines)
-    if not lines:
+    blocks = _line_blocks(text)
+    quoted = '"' in text or "\0" in text  # a NUL is left to csv.reader, which rejects it before Python 3.11
+    if not quoted:  # the header line alone, then each block of lines
+        numbers, lines = next(((numbers, lines) for numbers, lines in blocks if lines), ((), []))
+        blocks = chain([(numbers[1:], lines[1:])], blocks)
+    rows = _csv_rows(path, blocks if quoted else [(numbers[:1], lines[:1])])
+    header = next(rows, (0, None))[1]
+    if header is None:
         raise SchemaError(f"{path}: empty file, header row is mandatory")
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
-        width = len(header)
-        # Rows of ``width`` fields with no blank line between them split on commas as
-        # one text; a line within the csv field limit holds no field above it.
-        if (plain and len(lines) > 1 and "" not in lines and max(map(len, lines)) <= csv.field_size_limit()
-                and {line.count(",") for line in lines} == {width - 1}):
-            del lines[0]  # the header, dropped in place as the reader holds the list too
-            row_lines = list(numbers[1:])
-            text = ",".join(lines)
-            lines.clear()  # the text holds them again
-            flat = text.split(",")
-            del text
-        else:
-            # Short rows read "" past their last field, and fields past the
-            # header's width are ignored: each row gives ``width`` cells of ``flat``.
-            row_lines, pad = [], [""] * width
-
-            def numbered_rows():
-                for row in reader:
-                    if row:  # a row is numbered by its last line
-                        row_lines.append(numbers[reader.line_num - 1])
-                        yield row
-
-            flat = [cell for row in numbered_rows() for cell in (row + pad)[:width]]
-    except csv.Error as exc:
-        raise SchemaError(f"{path}: line {numbers[reader.line_num - 1]}: {exc}") from exc
-    del lines, reader  # the cells hold the text again
-    # A repeated column name reads its last occurrence.
-    position = {name: i for i, name in enumerate(header)}
-    return row_lines, [[""] * len(row_lines) if i is None else list(map(str.strip, flat[i::width]))
-                       for i in map(position.get, names)]
+    if missing := [c for c in columns if c not in header]:
+        raise SchemaError(f"{path}: missing mandatory column(s) {missing}")
+    width, picks = len(header), list(map({name: i for i, name in enumerate(header)}.get, names))
+    if quoted:  # the one reader's rows, BLOCK_ROWS at a time after an empty first block
+        blocks = ((None, batch) for batch in chain([[]], iter(lambda: list(islice(rows, BLOCK_ROWS)), [])))
+    for numbers, lines in blocks:
+        # Quote-free lines of ``width`` fields, none blank nor above the csv field limit: one comma split.
+        if (not quoted and lines and "" not in lines and max(map(len, lines)) <= csv.field_size_limit()
+                and set(map(str.count, lines, repeat(","))) == {width - 1}):
+            flat = ",".join(lines).split(",")
+        else:  # without quotes, csv.reader on this block alone gives the same cells: no row spans lines
+            numbers, flat = _flat(lines if quoted else _csv_rows(path, [(numbers, lines)]), width)
+        yield numbers, [[""] * len(numbers) if i is None else list(map(str.strip, flat[i::width]))
+                        for i in picks]  # a repeated column name reads its last column
 
 
-def _rows(lines: Sequence[int], rows: Iterable[tuple], make: Callable) -> list:
-    """``make(*row)`` of every row; one RowError lists every row on which it raises ValueError."""
+def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable) -> list:
+    """``convert(lines, cells)`` of every block; one RowError lists every block's failures in file order."""
     values, failures = [], []
-    for line, row in zip(lines, rows):
+    for lines, cells in blocks:
+        try:
+            values.append(convert(lines, cells))
+        except RowError as exc:
+            failures.extend(exc.failures)
+    if failures:
+        raise RowError(failures)
+    return values
+
+
+def _rows(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], make: Callable) -> list:
+    """``make(*row)`` of each row of ``blocks``; one RowError lists every row where it raises ValueError."""
+    values, failures = [], []
+    for line, row in chain.from_iterable(zip(lines, zip(*cells)) for lines, cells in blocks):
         try:
             values.append(make(*row))
         except ValueError as exc:  # ParameterError is a ValueError
@@ -306,6 +323,11 @@ def _rows(lines: Sequence[int], rows: Iterable[tuple], make: Callable) -> list:
     if failures:
         raise RowError(failures)
     return values
+
+
+def _shared(texts: list[str], seen: dict[str, str]) -> list[str]:
+    """``texts`` with each text replaced by the equal one first kept in ``seen``."""
+    return list(map(seen.setdefault, texts, texts))
 
 
 def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp):
@@ -316,11 +338,11 @@ def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_met
                      energy, metric, timestamp)
 
 
-def _run_table(cells: list[list[str]]) -> RunTable | None:
+def _run_table(cells: list[list[str]], texts: dict[str, str], stamps: dict[str, str]) -> RunTable | None:
     """The RunTable of the runs columns, or None when some row fails ``_run_record``.
 
     Converts and checks whole columns at once. Which rows fail, and why, is
-    left to ``_run_record``.
+    left to ``_run_record``. Equal texts are one object, kept in ``texts`` or ``stamps``.
     """
     platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = cells
     try:
@@ -330,7 +352,7 @@ def _run_table(cells: list[list[str]]) -> RunTable | None:
         nodes = np.array(list(map(int, nodes)), dtype=np.int64)
         ranks = np.array(list(map(int, ranks)), dtype=np.int64)
         time = np.array(list(map(float, time_s)), dtype=float)
-        for stamp in set(timestamp) - {""}:
+        for stamp in set(timestamp).difference(stamps, [""]):
             _validate_iso8601(stamp)
     except (ValueError, OverflowError):  # OverflowError: a count beyond int64
         return None
@@ -342,8 +364,8 @@ def _run_table(cells: list[list[str]]) -> RunTable | None:
              & (~has_metric | np.isfinite(metric_value)))
     if not valid.all():
         return None
-    return RunTable(platform, app, compiler, nodes, ranks, time, energy, metric_value,
-                    [unit for _, unit in metric], timestamp)
+    return RunTable(*(_shared(c, texts) for c in (platform, app, compiler)), nodes, ranks, time, energy,
+                    metric_value, _shared([unit for _, unit in metric], texts), _shared(timestamp, stamps))
 
 
 def parse_runs(source: str | Path) -> RunTable:
@@ -352,17 +374,25 @@ def parse_runs(source: str | Path) -> RunTable:
     Each bad line is reported with the first check its row fails in
     ``_run_record``: the cell conversions, then RunRecord's own checks.
     """
-    lines, cells = read_columns(source, RUNS_COLUMNS)
-    runs = _run_table(cells)
-    return RunTable.from_records(_rows(lines, zip(*cells), _run_record)) if runs is None else runs
+    texts, stamps = {}, {}  # one object per distinct text of a text column, and per timestamp checked
+
+    def convert(lines, cells):
+        runs = _run_table(cells, texts, stamps)
+        return RunTable.from_records(_rows([(lines, cells)], _run_record)) if runs is None else runs
+
+    tables = _each_block(read_columns(source, RUNS_COLUMNS), convert)
+    columns = zip(*([getattr(table, f.name) for f in dataclass_fields(table)] for table in tables))
+    return RunTable(*(np.concatenate(parts) if isinstance(parts[0], np.ndarray) else
+                      list(chain.from_iterable(parts)) for parts in columns))
 
 
-def _share_point(procs: str, lb: str, com: str) -> tuple[float, float, float]:
-    """(procs, lb_share_pct, com_share_pct) of one share row; raises ValueError unless finite."""
+def _share_point(*row: str) -> tuple[tuple[str, ...], tuple[float, float, float]]:
+    """(leading cells, (procs, lb_share_pct, com_share_pct)) of a share row; ValueError unless finite."""
+    *key, procs, lb, com = row
     point = (float(procs), float(lb), float(com))
     if not all(map(math.isfinite, point)):
         raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
-    return point
+    return tuple(key), point
 
 
 def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
@@ -371,11 +401,9 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
     The ``fields`` columns are mandatory; groups come back in sorted key order.
     Raises RowError listing every line with a share or count that is not finite.
     """
-    lines, cells = read_columns(source, (*fields, *SHARE_COLUMNS))
-    points = _rows(lines, zip(*cells[len(fields):]), _share_point)
     groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    for *key, point in zip(*cells[:len(fields)], points):
-        groups.setdefault(tuple(key), []).append(point)
+    for key, point in _rows(read_columns(source, (*fields, *SHARE_COLUMNS)), _share_point):
+        groups.setdefault(key, []).append(point)
     if not groups:
         raise SchemaError(f"{source}: no share rows")
     return dict(sorted(groups.items()))
@@ -402,8 +430,7 @@ def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
     ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
     listing every line that is not a valid point.
     """
-    lines, cells = read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS)
-    points = _rows(lines, zip(*cells), _kernel_point)
+    points = _rows(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), _kernel_point)
     if not points:
         raise SchemaError(f"{source}: no kernel points")
     return points
@@ -589,20 +616,27 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
 
     Rows of every size are validated; only the selected size is assembled.
     """
-    lines, (node_a, node_b, msg_bytes, bandwidth, unit) = read_columns(source, PAIRWISE_COLUMNS,
-                                                                       optional=("unit",))
-    # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
-    try:
-        size_of = {text: int(text) for text in set(msg_bytes)}  # each distinct msg_bytes text
-        divisor = {text: _gbs_divisor(text) for text in set(unit)}
-        gbs = np.array(list(map(float, bandwidth)), dtype=float)
-        gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
-        valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs <= MAX_GBS)).all()
-    except ValueError:
-        valid = False
-    if not valid:  # the column checks are _pairwise_row's, so _rows raises
-        _rows(lines, zip(node_a, node_b, msg_bytes, bandwidth, unit), _pairwise_row)
-    del lines, bandwidth, unit  # their cell text is not held while the matrix is built
+    texts, size_of, divisor = {}, {}, {}  # each distinct node name and msg_bytes, msg_bytes and unit text
+
+    def convert(lines, cells):
+        node_a, node_b, msg_bytes, bandwidth, unit = cells
+        # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
+        try:
+            size_of.update((text, int(text)) for text in set(msg_bytes).difference(size_of))
+            divisor.update((text, _gbs_divisor(text)) for text in set(unit).difference(divisor))
+            gbs = np.array(list(map(float, bandwidth)), dtype=float)
+            gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
+            valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs <= MAX_GBS)).all()
+        except ValueError:
+            valid = False
+        if not valid:  # the column checks are _pairwise_row's, so _rows raises
+            _rows([(lines, cells)], _pairwise_row)
+        return _shared(node_a, texts), _shared(node_b, texts), _shared(msg_bytes, texts), gbs
+
+    blocks = read_columns(source, PAIRWISE_COLUMNS, optional=("unit",))
+    node_a, node_b, msg_bytes, gbs = zip(*_each_block(blocks, convert))
+    node_a, node_b, msg_bytes = (list(chain.from_iterable(column)) for column in (node_a, node_b, msg_bytes))
+    gbs = np.concatenate(gbs)
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")

@@ -101,7 +101,7 @@ FMA_WARMUP_SECONDS = 0.1
 FMA_MIN_DURATION = 0.1
 
 PINNING_POLICIES = ("interleaved", "compact", "none")
-VERIFY_BLOCK = 1 << 20
+VERIFY_BLOCK = 1 << 16  # triad elements checked at once: 512 KiB of scratch
 
 _run_lock = threading.Lock()
 
@@ -367,10 +367,11 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
 
 
 def verify_triad(a: np.ndarray, b: np.ndarray, c: np.ndarray, q: float) -> None:
-    """Check a == b + q*c bit-exactly, block by block; raise on any mismatch."""
+    """Check a == b + q*c bit-exactly, VERIFY_BLOCK elements at a time; raise on any mismatch."""
+    scratch = np.empty(min(VERIFY_BLOCK, len(a)))
     for lo in range(0, len(a), VERIFY_BLOCK):
         hi = min(lo + VERIFY_BLOCK, len(a))
-        expected = np.multiply(c[lo:hi], q)
+        expected = np.multiply(c[lo:hi], q, out=scratch[:hi - lo])
         np.add(expected, b[lo:hi], out=expected)
         if not np.array_equal(a[lo:hi], expected):
             bad = int(np.flatnonzero(a[lo:hi] != expected)[0]) + lo

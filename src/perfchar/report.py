@@ -20,7 +20,7 @@ import numpy as np
 
 from .exceptions import ParameterError
 
-BLOCK_ROWS = 1 << 16  # rows of a data file whose cell text is held at once
+BLOCK_ROWS = 1 << 12  # rows of a data file whose cell text is held at once
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:

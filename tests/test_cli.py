@@ -110,6 +110,19 @@ class TestSpecShow:
         assert capsys.readouterr() == ("", f"perfchar: error: InvalidSpecError: {field} must be finite, "
                                            f"got {float(value)!r}\n")
 
+    @pytest.mark.parametrize("numbers, message", [
+        (dict(sockets="1.5"), "sockets must be a whole number, got 1.5"),
+        (dict(llc_per_socket="33554432.5"), "llc_per_socket must be a whole number, got 33554432.5"),
+        (dict(l1_size="-5"), "l1_size and l2_size must be >= 0"),
+        (dict(sockets="1.5", llc_per_socket="33554432.5", l1_size="-5"), "l1_size and l2_size must be >= 0"),
+    ])
+    def test_fractional_count_or_negative_size_is_one_error_line(self, fixtures_dir, tmp_path, capsys,
+                                                                   numbers, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(spec_text(fixtures_dir, **numbers))
+        assert main(["spec", "show", str(spec)]) == 1
+        assert capsys.readouterr() == ("", f"perfchar: error: InvalidSpecError: {message}\n")
+
     def test_infinite_channel_peak_runs_no_triad(self, fixtures_dir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(spec_text(fixtures_dir, channel_peak="Infinity"))

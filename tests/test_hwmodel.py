@@ -175,6 +175,28 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpecError, match=field):
             VectorUnitSpec("vu", **numbers)
 
+    @pytest.mark.parametrize("field, value", [
+        ("sockets", 1.5), ("cores_per_socket", 32.5), ("memory_channels", 7.9), ("llc_per_socket", 33554432.5),
+        ("l1_size", 0.5), ("l2_size", 1.25), ("scalar_issue_per_cycle", 1.5),
+    ])
+    def test_fractional_count_rejected(self, field, value):
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be a whole number, got {value!r}$"):
+            make_spec(**{field: value})
+
+    @pytest.mark.parametrize("field", ["issue_per_cycle", "flops_per_instruction"])
+    def test_fractional_unit_count_rejected(self, field):
+        numbers = {"register_width": 128, "issue_per_cycle": 2, "flops_per_instruction": 2, field: 2.5}
+        with pytest.raises(InvalidSpecError, match=f"^{field} must be a whole number"):
+            VectorUnitSpec("vu", **numbers)
+
+    @pytest.mark.parametrize("field", ["l1_size", "l2_size"])
+    def test_negative_cache_size_rejected(self, field):
+        with pytest.raises(InvalidSpecError, match="l1_size and l2_size must be >= 0"):
+            make_spec(**{field: -5})
+
+    def test_whole_float_count_accepted(self):
+        assert make_spec(sockets=2.0, l1_size=0).cores_per_node == 2.0 * make_spec().cores_per_socket
+
     @pytest.mark.parametrize("overrides", [
         dict(frequency=1e308),  # every flops peak
         dict(channel_peak=1e308),  # the bandwidth peak

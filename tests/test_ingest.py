@@ -375,6 +375,13 @@ def dict_reader_rows(text, columns, optional=()):
         ]
 
 
+def read_all(path, columns, optional=()):
+    """The blocks of read_columns joined: every row's line number, and each column's cells."""
+    blocks = list(read_columns(path, columns, optional))
+    return ([line for lines, _ in blocks for line in lines],
+            [[cell for _, cells in blocks for cell in cells[i]] for i in range(len(columns) + len(optional))])
+
+
 csv_fields = st.sampled_from(["a", " b ", "", "1.5", '"q,x"', '"two\nlines"', "c\td"])
 csv_lines = st.one_of(
     st.lists(csv_fields, min_size=1, max_size=6).map(",".join),
@@ -415,7 +422,7 @@ class TestReadColumns:
         path = tmp_path_factory.mktemp("rows") / "rows.csv"
         path.write_text(text)
         columns, optional = tuple(header[:2]), ("u", "y", "w")
-        lines, cells = read_columns(path, columns, optional)
+        lines, cells = read_all(path, columns, optional)
         assert list(zip(lines, map(list, zip(*cells)))) == list(
             dict_reader_rows(text, columns, optional)
         )
@@ -432,13 +439,13 @@ class TestReadColumns:
             expected = list(dict_reader_rows(text, columns, optional))
         except csv.Error:  # a NUL, before Python 3.11
             with pytest.raises(SchemaError):
-                read_columns(path, columns, optional)
+                read_all(path, columns, optional)
             return
-        lines, cells = read_columns(path, columns, optional)
+        lines, cells = read_all(path, columns, optional)
         assert list(zip(lines, map(list, zip(*cells)))) == expected
 
     def test_duplicate_column_reads_last(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("x,y,x\n1,2,3\n")
-        lines, cells = read_columns(path, ("x", "y"))
+        lines, cells = read_all(path, ("x", "y"))
         assert (list(lines), cells) == ([2], [["3"], ["2"]])
