@@ -29,7 +29,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, compress, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -614,9 +614,9 @@ def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> 
 def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None) -> PairwiseBandwidthMatrix:
     """Parse one matrix; a multi-size file needs an explicit message_size.
 
-    Rows of every size are validated; only the selected size is assembled.
+    Rows of every size are validated; with a message_size, only that size's rows are kept.
     """
-    texts, size_of, divisor = {}, {}, {}  # each distinct node name and msg_bytes, msg_bytes and unit text
+    texts, size_of, divisor = {}, {}, {}  # each distinct node name, msg_bytes and unit text
 
     def convert(lines, cells):
         node_a, node_b, msg_bytes, bandwidth, unit = cells
@@ -631,12 +631,13 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
             valid = False
         if not valid:  # the column checks are _pairwise_row's, so _rows raises
             _rows([(lines, cells)], _pairwise_row)
-        return _shared(node_a, texts), _shared(node_b, texts), _shared(msg_bytes, texts), gbs
+        if message_size is not None:
+            keep = [size_of[text] == message_size for text in msg_bytes]
+            node_a, node_b, gbs = list(compress(node_a, keep)), list(compress(node_b, keep)), gbs[keep]
+        return _shared(node_a, texts), _shared(node_b, texts), gbs
 
     blocks = read_columns(source, PAIRWISE_COLUMNS, optional=("unit",))
-    node_a, node_b, msg_bytes, gbs = zip(*_each_block(blocks, convert))
-    node_a, node_b, msg_bytes = (list(chain.from_iterable(column)) for column in (node_a, node_b, msg_bytes))
-    gbs = np.concatenate(gbs)
+    node_a, node_b, gbs = zip(*_each_block(blocks, convert))
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
@@ -646,10 +647,7 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
         (message_size,) = sizes
     elif message_size not in sizes:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    chosen = {text for text, size in size_of.items() if size == message_size}
-    keep = np.flatnonzero(np.fromiter(map(chosen.__contains__, msg_bytes), bool, len(msg_bytes)))
-    picks = keep.tolist()
-    return _matrix(list(map(node_a.__getitem__, picks)), list(map(node_b.__getitem__, picks)), gbs[keep],
+    return _matrix(list(chain.from_iterable(node_a)), list(chain.from_iterable(node_b)), np.concatenate(gbs),
                    message_size)
 
 

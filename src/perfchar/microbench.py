@@ -122,11 +122,20 @@ def _available_cpus() -> list[int]:
     return list(range(os.cpu_count() or 1))
 
 
-def require_cpus(threads: int) -> None:
-    """Refuse a thread count above the cpus this process may run on."""
+def require_cpus(*counts: int) -> None:
+    """Refuse thread counts that are none, below 1, not ascending, or above the usable cpus.
+
+    The first rule broken, in that order, is the error; every count is checked before any run.
+    """
+    if not counts:
+        raise ParameterError("no thread counts given")
+    if min(counts) < 1:
+        raise ParameterError("threads must be >= 1")
+    if list(counts) != sorted(counts):
+        raise ParameterError("thread counts must be sorted ascending")
     available = len(_available_cpus())
-    if threads > available:
-        raise ParameterError(f"threads ({threads}) exceed available cpus ({available})")
+    if counts[-1] > available:
+        raise ParameterError(f"threads ({counts[-1]}) exceed available cpus ({available})")
 
 
 @functools.cache
@@ -377,7 +386,7 @@ def verify_triad(a: np.ndarray, b: np.ndarray, c: np.ndarray, q: float) -> None:
             bad = int(np.flatnonzero(a[lo:hi] != expected)[0]) + lo
             raise KernelCorruptionError(
                 f"triad verification failed at element {bad}: "
-                f"got {a[bad]!r}, expected {expected[bad - lo]!r}"
+                f"got {float(a[bad])!r}, expected {float(expected[bad - lo])!r}"
             )
 
 
@@ -418,8 +427,6 @@ def run_fma_kernel(
         )
     if not (np.isfinite(duration) and duration >= FMA_MIN_DURATION):
         raise ParameterError(f"duration must be finite and >= {FMA_MIN_DURATION} s, got {duration}")
-    if threads < 1:
-        raise ParameterError("threads must be >= 1")
     require_cpus(threads)
 
     dtype = np.dtype(f"float{PRECISION_BITS[precision]}").type
@@ -465,15 +472,9 @@ def thread_sweep(
     """
     if kind not in ("triad", "fma"):
         raise ParameterError(f"kind must be 'triad' or 'fma', got {kind!r}")
-    if not thread_counts:
-        raise ParameterError("thread_counts must not be empty")
-    if list(thread_counts) != sorted(thread_counts):
-        raise ParameterError("thread counts must be sorted ascending")
+    require_cpus(*thread_counts)
     if kind == "triad" and elements is None:
         raise ParameterError("a triad sweep needs the array length")
-    if min(thread_counts) < 1:
-        raise ParameterError("threads must be >= 1")
-    require_cpus(max(thread_counts))  # every count is checked before the first run
     if kind == "fma":
         return [SweepPoint(count, run_fma_kernel("double", "vector", duration, threads=count).gflops)
                 for count in thread_counts]

@@ -336,23 +336,23 @@ def fit_gustafson_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[
     results, stacks = _stacks(groups, 2)
     for index, ps in stacks:
         p, s = ps[:, :, 0].copy(), ps[:, :, 1].copy()
+        x = p - 1.0
+        with np.errstate(all="ignore"):  # a group that overflows, or has no fit, fails below
+            sxx = np.sum(x * x, axis=1)
+            sxs = np.sum(x * (s - 1.0), axis=1)
+            # Clamped with Python's min and max, which keep the sign of a zero.
+            a = np.array([min(max(v, 0.0), 1.0) for v in (sxs / sxx).tolist()])
+            resid = np.sum((s - ((1.0 - a[:, None]) + a[:, None] * p)) ** 2, axis=1)
+            sigma_a = np.sqrt((resid / (p.shape[1] - 1)) / sxx)
         valid = _screen(index, results, ps, [
             (_distinct(p) < 2,
              lambda k: UnderdeterminedError("weak-scaling fit needs >= 2 distinct p values")),
             (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+            (~np.isfinite([sxx, sxs, resid, sigma_a]).all(axis=0), lambda k: InvalidDataError(
+                f"unit counts up to p = {float(p[k][-1])!r} overflow the weak-scaling fit")),
         ])
-        p, s = p[valid], s[valid]
-        x = p - 1.0
-        sxx = np.sum(x * x, axis=1)
-        # Clamped with Python's min and max, which keep the sign of a zero.
-        a = np.array([min(max(v, 0.0), 1.0) for v in (np.sum(x * (s - 1.0), axis=1) / sxx).tolist()])
-        resid = np.sum((s - ((1.0 - a[:, None]) + a[:, None] * p)) ** 2, axis=1)
-        sigma_a = np.sqrt((resid / (p.shape[1] - 1)) / sxx)
-        for k, *values in zip(valid, a.tolist(), sigma_a.tolist(), resid.tolist()):
-            try:
-                results[index[k]] = GustafsonFit(*values)
-            except ParameterError as exc:
-                results[index[k]] = exc
+        for k, *values in zip(valid, a[valid].tolist(), sigma_a[valid].tolist(), resid[valid].tolist()):
+            results[index[k]] = GustafsonFit(*values)
     return results
 
 

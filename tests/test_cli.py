@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from perfchar.cli import main
 from perfchar.ingest import SHARE_COLUMNS, RunRecord
-from perfchar.microbench import _available_cpus
+from perfchar.exceptions import ParameterError
+from perfchar.microbench import _available_cpus, thread_sweep
 from perfchar.scalefit import AMDAHL_MAX_ITER, AMDAHL_START, AMDAHL_TOL
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
@@ -366,6 +367,21 @@ class TestAnalyzeScaling:
                      "--out-dir", str(tmp_path / "out")])
         assert code == 1
         assert_one_error_line(capsys, "InvalidDataError", "positive rate")
+
+    def test_gustafson_fit_that_overflows_is_one_error_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        rows = [f"{platform},lbm,gcc,{nodes},1,10.0,,{rate} MLUP/s,"
+                for platform, points in (("a64", ((1, 1), (2, 2))), ("tx2", ((1, 1), (2, 2), (2**62, "1e300"))))
+                for nodes, rate in points]
+        runs.write_text("\n".join([RUNS_HEADER, *rows, ""]))
+        code = main(["analyze", "scaling", "--model", "gustafson", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "lbm/a64/gcc: a = 1.0000 +- 0.0000\n",
+            "perfchar: error: InvalidDataError: unit counts up to p = 4.611686018427388e+18 "
+            "overflow the weak-scaling fit\n",
+        )
 
     def test_mpi_share_fit(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "shares"
@@ -1171,6 +1187,35 @@ class TestBenchCommands:
         count = len(_available_cpus()) + 1
         assert main(["bench", "flops", "--duration", "0.1", "--threads", f"1,{count}"]) == 1
         assert_one_error_line(capsys, "ParameterError", f"threads ({count}) exceed available cpus")
+
+    def test_one_thread_rule_for_every_sweep(self, monkeypatch, capsys):
+        import perfchar.cli
+        import perfchar.microbench
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a kernel ran before the thread check")
+
+        for module in (perfchar.cli, perfchar.microbench):
+            monkeypatch.setattr(module, "run_stream_triad", no_run)
+            monkeypatch.setattr(module, "run_fma_kernel", no_run)
+        cases = [([], "no thread counts given"), ([0, 1], "threads must be >= 1"),
+                 ([2, 1], "thread counts must be sorted ascending"),
+                 ([1, len(_available_cpus()) + 1], "exceed available cpus")]
+        for counts, message in cases:
+            threads = ",".join(map(str, counts))
+            errors = []
+            for argv in (["bench", "mem", "--elements", "1", "--threads", threads],
+                         ["bench", "flops", "--duration", "0.1", "--threads", threads]):
+                assert main(argv) == 1
+                out, err = capsys.readouterr()
+                assert out == ""
+                errors.append(err)
+            for kind in ("triad", "fma"):
+                with pytest.raises(ParameterError) as caught:
+                    thread_sweep(kind, counts, elements=1)
+                errors.append(f"perfchar: error: ParameterError: {caught.value}\n")
+            assert len(set(errors)) == 1, counts
+            assert message in errors[0]
 
     def test_bench_mem_provenance(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"

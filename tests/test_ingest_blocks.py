@@ -198,4 +198,4 @@ def test_pairwise_parse_holds_one_block_at_a_time(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(matrix.node_ids) == n
-    assert peak <= 16 * 2**20
+    assert peak <= 11 * 2**20

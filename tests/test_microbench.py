@@ -285,6 +285,15 @@ class TestVerifyTriad:
         with pytest.raises(KernelCorruptionError, match=f"element {n - 2}:"):
             verify_triad(a, b, c, 3.0)
 
+    def test_error_line_reads_plain_floats(self):
+        n = 3 * microbench.VERIFY_BLOCK + 5
+        b, c = np.arange(n, dtype=float), np.full(n, 0.5)
+        a = b + 3.0 * c
+        a[n - 2] = 0.0
+        with pytest.raises(KernelCorruptionError) as caught:
+            verify_triad(a, b, c, 3.0)
+        assert str(caught.value) == f"triad verification failed at element {n - 2}: got 0.0, expected {n - 0.5}"
+
     def test_scratch_under_one_mib_at_bench_mem_probe_size(self):
         n = 1 << 20
         b, c = np.arange(n, dtype=float), np.full(n, 0.5)

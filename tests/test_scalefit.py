@@ -540,6 +540,15 @@ class TestNonFiniteInputs:
         with pytest.raises(InvalidDataError, match="must be finite"):
             fit_one([(1, 1.0), (bad, 2.0), (4, 3.5), (8, 6.0)])
 
+    def test_weak_fit_that_overflows_names_the_largest_p(self):
+        good = [(1, 1.0), (2, 2.0), (4, 4.0)]
+        near = [(1, 1.0), (1.0000000000000002, 1e140), (1.0000000000000004, 1.0)]  # sums finite, sigma_a not
+        results = fit_gustafson_many([good, [(1, 1.0), (2, 2.0), (2**62, 1e300)], near])
+        assert results[0] == fit_gustafson_reference(good)
+        assert [type(result) for result in results[1:]] == [InvalidDataError] * 2
+        assert str(results[1]) == "unit counts up to p = 4.611686018427388e+18 overflow the weak-scaling fit"
+        assert str(results[2]) == "unit counts up to p = 1.0000000000000004 overflow the weak-scaling fit"
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_projection_unit_count(self, bad):
         fit = AmdahlFit(a=0.9, b=0.0, sigma_a=0.0, sigma_b=0.0, residual=0.0)
