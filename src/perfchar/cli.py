@@ -47,9 +47,13 @@ from .ingest import (
 )
 from .metrics import compare_platforms, energy_terms, per_joule_unit, speedup_points
 from .microbench import (
+    FMA_CHAINS,
+    FMA_VECTOR_ELEMENTS,
+    FMA_WARMUP_SECONDS,
     PINNING_POLICIES,
     TRIAD_ALIGNMENT,
     TRIAD_BYTES_PER_ELEMENT,
+    TRIAD_FIRST_TOUCH,
     TRIAD_SCALAR_Q,
     TRIAD_WARMUP_PASSES,
     TriadConfig,
@@ -238,6 +242,10 @@ def _cmd_bench_mem(args) -> int:
             "moved_bytes_per_element": meta.moved_bytes_per_element,
             "streaming_stores": meta.streaming_stores,
             "array_alignment_bytes": TRIAD_ALIGNMENT,
+            "first_touch": TRIAD_FIRST_TOUCH,
+            "setup_threads": {str(r.threads): r.setup_threads for r in results},
+            "per_repetition_gbs": {str(r.threads): list(r.per_repetition) for r in results},
+            "median_gbs": {str(r.threads): float(np.median(r.per_repetition)) for r in results},
         }
         if spec is not None:
             peak = peak_bandwidth(spec)
@@ -261,7 +269,14 @@ def _cmd_bench_flops(args) -> int:
     if args.out:  # written before stdout, so a failed write prints nothing
         emit_plot_data([[r.mode for r in results], [r.precision for r in results],
                         _floats(r.gflops for r in results)], args.out, header=["mode", "precision", "gflops"])
-        write_sidecar_metadata(args.out, {"command": "bench flops", "duration": args.duration})
+        write_sidecar_metadata(args.out, {
+            "command": "bench flops",
+            "duration": args.duration,
+            "threads": counts,
+            "chains": FMA_CHAINS,
+            "vector_elements": FMA_VECTOR_ELEMENTS,
+            "warmup_seconds": FMA_WARMUP_SECONDS,
+        })
     for result in results:
         print(
             f"{result.mode}/{result.precision} threads={result.threads}: "

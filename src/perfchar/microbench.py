@@ -3,7 +3,16 @@
 Triad: ``a[i] = b[i] + q * c[i]`` over three page-aligned arrays of 8-byte
 elements, best of N repetitions, with 24 bytes counted per element (two
 reads, one write, the STREAM convention) and a bit-exact verification pass
-at the end. The workers meet at one barrier before each pass and after the
+at the end. The untimed work runs on one set-up thread per usable cpu: each
+fills its pieces of ``b`` and ``c`` from one seeded block and writes one
+element per page of its piece of ``a``, so every page is first touched
+before the timed passes; after them, each checks its own pieces with numpy,
+in blocks that need 512 KiB of scratch per thread. A page lives on the
+socket of the thread that first touches it (ccNUMA first touch), so when
+the workers are pinned across sockets each worker's slice is set up by the
+cpus of that worker's socket block; otherwise the pieces split the arrays
+evenly and the set-up threads are not pinned.
+The workers meet at one barrier before each pass and after the
 last; a pass is timed between consecutive moments at which the last worker
 reaches it, with no other thread taking part, and two warm-up passes are
 not reported. The kernel is one C loop built once per process with the local
@@ -94,6 +103,11 @@ void triad(double *restrict a, const double *restrict b, const double *restrict 
 #: The triad inputs repeat one seeded block in [1, 2), cheaper than a draw per element; a
 #: prime length keeps a pass at a shifted power-of-two offset from verifying by chance.
 TRIAD_FILL_BLOCK = (1 << 16) + 1
+#: Where the set-up threads first touch the triad's pages; the ``bench mem`` sidecar records it.
+TRIAD_FIRST_TOUCH = (
+    "workers pinned across sockets: each worker's slice is set up by the cpus of its socket block; "
+    "otherwise [0, n) is split evenly over the usable cpus, unpinned"
+)
 
 FMA_CHAINS = 8
 FMA_VECTOR_ELEMENTS = 16384  # 8 chains * 16384 doubles = 1 MiB working set
@@ -101,7 +115,7 @@ FMA_WARMUP_SECONDS = 0.1
 FMA_MIN_DURATION = 0.1
 
 PINNING_POLICIES = ("interleaved", "compact", "none")
-VERIFY_BLOCK = 1 << 16  # triad elements checked at once: 512 KiB of scratch
+VERIFY_BLOCK = 1 << 16  # triad elements checked at once: 512 KiB of scratch per checking thread
 
 _run_lock = threading.Lock()
 
@@ -174,25 +188,70 @@ def _page_aligned(n: int) -> np.ndarray:
     return raw[skip:skip + n]
 
 
-def _cpu_assignment(threads: int, pinning: str, sockets: int) -> list[int] | None:
-    """Map worker index to cpu id, or None when pinning is off or unavailable.
+def _socket_blocks(cpus: list[int], sockets: int) -> list[list[int]]:
+    """The usable cpus cut into ``sockets`` contiguous blocks, the model of a socket.
 
-    "interleaved" deals workers round-robin across sockets (the cpu range is
-    split into ``sockets`` contiguous blocks); "compact" fills cpus in order.
+    Each block holds ``len(cpus) // sockets`` cpus, at least one, and the last also holds the
+    cpus left over, so every cpu lies in exactly one block.
+    """
+    per_socket = max(1, len(cpus) // sockets)
+    return [cpus[s * per_socket:(s + 1) * per_socket] for s in range(sockets - 1)] + [
+        cpus[(sockets - 1) * per_socket:]
+    ]
+
+
+def _cpu_assignment(threads: int, pinning: str, sockets: int, cpus: list[int]) -> list[int] | None:
+    """Map each of at most ``len(cpus)`` workers to a cpu, or None when pinning is off or unavailable.
+
+    "interleaved" deals workers round-robin across the socket blocks; "compact" fills cpus in order.
     """
     if pinning == "none" or not hasattr(os, "sched_setaffinity"):
         return None
-    cpus = _available_cpus()
     if pinning == "compact" or sockets <= 1:
-        return [cpus[i % len(cpus)] for i in range(threads)]
-    per_socket = max(1, len(cpus) // sockets)
-    assignment = []
-    for i in range(threads):
-        socket = i % sockets
-        offset = i // sockets
-        idx = socket * per_socket + (offset % per_socket)
-        assignment.append(cpus[idx % len(cpus)])
-    return assignment
+        return cpus[:threads]
+    blocks = _socket_blocks(cpus, sockets)
+    return [blocks[i % sockets][i // sockets % len(blocks[0])] for i in range(threads)]
+
+
+def _split(ranges: list[tuple[int, int]], parts: int) -> list[list[tuple[int, int]]]:
+    """Cut the ranges, laid end to end, into ``parts`` runs of near-equal length.
+
+    A run is the list of (lo, hi) pieces it covers, in order; it is empty when there are more
+    parts than elements.
+    """
+    total = sum(hi - lo for lo, hi in ranges)
+    cuts = [k * total // parts for k in range(parts + 1)]
+    runs = [[] for _ in range(parts)]
+    offset = 0  # where the current range starts, laid end to end
+    for lo, hi in ranges:
+        for k, run in enumerate(runs):
+            start, stop = max(cuts[k], offset), min(cuts[k + 1], offset + hi - lo)
+            if start < stop:
+                run.append((lo + start - offset, lo + stop - offset))
+        offset += hi - lo
+    return runs
+
+
+def _setup_split(
+    bounds: list[tuple[int, int]], worker_cpus: list[int] | None, cpus: list[int], sockets: int
+) -> list[tuple[int | None, list[tuple[int, int]]]]:
+    """The triad's set-up threads: for each, the cpu to pin it to (None: unpinned) and its pieces.
+
+    With the workers (slices ``bounds``, cpus ``worker_cpus``) pinned across sockets, the cpus of
+    each socket block split the slices of the workers pinned in that block, so a page is first
+    touched on the socket of the worker that uses it. Otherwise [0, n) is split evenly over all
+    usable ``cpus``. The pieces cover [0, n) once, each thread has at least one, and there are
+    never more threads than cpus.
+    """
+    if worker_cpus is None or sockets <= 1:
+        plan = [(None, run) for run in _split([(0, bounds[-1][1])], len(cpus))]
+    else:
+        plan = []
+        for block in _socket_blocks(cpus, sockets):
+            slices = [bound for bound, cpu in zip(bounds, worker_cpus) if cpu in block]
+            if slices:
+                plan += zip(block, _split(slices, len(block)))
+    return [(cpu, run) for cpu, run in plan if run]
 
 
 @dataclass(frozen=True)
@@ -228,6 +287,7 @@ class BandwidthResult:
     pinned: bool = False
     kernel: str = "native"  # a key of TRIAD_MOVED_BYTES
     streaming_stores: bool = False  # the native kernel wrote ``a`` bypassing the caches
+    setup_threads: int = 1  # threads that set up and checked the arrays
 
     def __post_init__(self):
         if not self.per_repetition:
@@ -301,12 +361,60 @@ def _on_workers(body, barrier: threading.Barrier, cpus: list[int] | None = None)
         raise errors[0]
 
 
+def _repeat_fill_block(x: np.ndarray, lo: int, hi: int) -> None:
+    """Fill ``x[lo:hi]`` beyond its first TRIAD_FILL_BLOCK elements with that block, repeated."""
+    lo = max(lo, TRIAD_FILL_BLOCK)
+    while lo < hi:
+        start = lo % TRIAD_FILL_BLOCK
+        stop = min(hi, lo + TRIAD_FILL_BLOCK - start)
+        x[lo:stop] = x[start:start + stop - lo]
+        lo = stop
+
+
+def _on_setup_threads(plan: list[tuple[int | None, list[tuple[int, int]]]], work) -> None:
+    """Run ``work(index, lo, hi)`` over every piece of ``plan``: thread ``index`` takes entry
+    ``index``'s pieces, pinned to its cpu."""
+    def body(index: int) -> None:
+        for lo, hi in plan[index][1]:
+            work(index, lo, hi)
+
+    cpus = None if plan[0][0] is None else [cpu for cpu, _ in plan]
+    _on_workers(body, threading.Barrier(len(plan)), cpus)
+
+
+def _triad_arrays(n: int, plan: list[tuple[int | None, list[tuple[int, int]]]]):
+    """The triad's ``a``, ``b`` and ``c``, page-aligned and set up by the threads of ``plan``.
+
+    The main thread draws the seeded blocks into ``b`` and ``c``; each set-up thread repeats them
+    over its pieces and writes the first element of each page that starts in its pieces of ``a``,
+    so that all three arrays' pages are first touched on that thread's cpu.
+    """
+    try:
+        b, c, a = (_page_aligned(n) for _ in range(3))
+    except MemoryError as exc:
+        raise ResourceError(f"cannot allocate 3 arrays of {n} elements ({3 * n * 8 / 1e9:.2f} GB)") from exc
+    rng = np.random.default_rng(12345)
+    for x in (b, c):  # in place: a temporary array would move where later runs' arrays land
+        rng.random(out=x[:TRIAD_FILL_BLOCK])
+        x[:TRIAD_FILL_BLOCK] += 1.0
+
+    def set_up(index: int, lo: int, hi: int) -> None:
+        for x in (b, c):
+            _repeat_fill_block(x, lo, hi)
+        page = TRIAD_ALIGNMENT // 8  # a page's first element, as ``a`` starts on a page boundary
+        a[lo + -lo % page:hi:page] = 0.0  # faults a's pages in here, not in the first warm-up pass
+
+    _on_setup_threads(plan, set_up)
+    return a, b, c
+
+
 def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> BandwidthResult:
     """Measure sustainable memory bandwidth with the triad kernel.
 
     When a platform spec is supplied the array length must respect its sizing
     rule. After the timed passes the output array is checked element-for-
-    element against ``b + q*c``; any mismatch raises KernelCorruptionError.
+    element against ``b + q*c``; any mismatch raises KernelCorruptionError
+    naming the lowest mismatching element.
     """
     with _exclusive_run():
         require_cpus(config.threads)
@@ -317,29 +425,17 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
                     f"elements {config.elements} below the sizing rule minimum "
                     f"{minimum} for spec '{spec.name}'"
                 )
-        try:
-            b, c, a = (_page_aligned(config.elements) for _ in range(3))
-        except MemoryError as exc:
-            raise ResourceError(
-                f"cannot allocate 3 arrays of {config.elements} elements "
-                f"({3 * config.elements * 8 / 1e9:.2f} GB)"
-            ) from exc
-
-        rng = np.random.default_rng(12345)
-        for x in (b, c):  # in place: a temporary array would move where later runs' arrays land
-            rng.random(out=x[:TRIAD_FILL_BLOCK])
-            x[:TRIAD_FILL_BLOCK] += 1.0
-            for lo in range(TRIAD_FILL_BLOCK, len(x), TRIAD_FILL_BLOCK):
-                x[lo:lo + TRIAD_FILL_BLOCK] = x[:min(TRIAD_FILL_BLOCK, len(x) - lo)]
-
-        native = _native_triad()  # built here, before any worker starts
+        native = _native_triad()  # built here, before any thread starts
         sockets = spec.sockets if spec is not None else 1
-        cpus = _cpu_assignment(config.threads, config.pinning, sockets)
+        usable = _available_cpus()
+        cpus = _cpu_assignment(config.threads, config.pinning, sockets, usable)
         q = TRIAD_SCALAR_Q
         bounds = [
             (i * config.elements // config.threads, (i + 1) * config.elements // config.threads)
             for i in range(config.threads)
         ]
+        plan = _setup_split(bounds, cpus, usable, sockets)
+        a, b, c = _triad_arrays(config.elements, plan)
 
         stamps = []  # the barrier action runs once per crossing, in the last worker to arrive
         barrier = threading.Barrier(config.threads, action=lambda: stamps.append(time.perf_counter()))
@@ -362,7 +458,19 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
         timed = stamps[TRIAD_WARMUP_PASSES:]
         timings = [counted_bytes / 1e9 / (t1 - t0) for t0, t1 in zip(timed, timed[1:])]
 
-        verify_triad(a, b, c, q)
+        mismatches = []  # the first of each piece that has one
+        # Allocated here, not in the threads: glibc keeps a thread's allocations resident in
+        # that thread's arena after the thread ends.
+        scratch = [np.empty(min(VERIFY_BLOCK, config.elements)) for _ in plan]
+
+        def check(index: int, lo: int, hi: int) -> None:
+            mismatch = _first_mismatch(a, b, c, q, lo, hi, scratch[index])
+            if mismatch is not None:
+                mismatches.append(mismatch)
+
+        _on_setup_threads(plan, check)
+        if mismatches:
+            raise _corruption(*min(mismatches))
 
         return BandwidthResult(
             per_repetition=tuple(timings),
@@ -372,22 +480,37 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             pinned=cpus is not None,
             kernel="numpy" if native is None else "native",
             streaming_stores=native is not None and native.streaming_stores,
+            setup_threads=len(plan),
         )
+
+
+def _first_mismatch(a, b, c, q: float, lo: int, hi: int, scratch: np.ndarray):
+    """The first index in [lo, hi) where ``a != b + q*c``, with both values; None if there is none.
+
+    The check is bit-exact and runs ``len(scratch)`` elements at a time.
+    """
+    for start in range(lo, hi, len(scratch)):
+        stop = min(start + len(scratch), hi)
+        expected = np.multiply(c[start:stop], q, out=scratch[:stop - start])
+        np.add(expected, b[start:stop], out=expected)
+        if not np.array_equal(a[start:stop], expected):
+            k = int(np.flatnonzero(a[start:stop] != expected)[0])
+            return start + k, float(a[start + k]), float(expected[k])
+    return None
+
+
+def _corruption(index: int, got: float, expected: float) -> KernelCorruptionError:
+    """The one error line for a mismatch at ``index``: the value found and the value expected."""
+    return KernelCorruptionError(
+        f"triad verification failed at element {index}: got {got!r}, expected {expected!r}"
+    )
 
 
 def verify_triad(a: np.ndarray, b: np.ndarray, c: np.ndarray, q: float) -> None:
     """Check a == b + q*c bit-exactly, VERIFY_BLOCK elements at a time; raise on any mismatch."""
-    scratch = np.empty(min(VERIFY_BLOCK, len(a)))
-    for lo in range(0, len(a), VERIFY_BLOCK):
-        hi = min(lo + VERIFY_BLOCK, len(a))
-        expected = np.multiply(c[lo:hi], q, out=scratch[:hi - lo])
-        np.add(expected, b[lo:hi], out=expected)
-        if not np.array_equal(a[lo:hi], expected):
-            bad = int(np.flatnonzero(a[lo:hi] != expected)[0]) + lo
-            raise KernelCorruptionError(
-                f"triad verification failed at element {bad}: "
-                f"got {float(a[bad])!r}, expected {float(expected[bad - lo])!r}"
-            )
+    mismatch = _first_mismatch(a, b, c, q, 0, len(a), np.empty(min(VERIFY_BLOCK, len(a))))
+    if mismatch is not None:
+        raise _corruption(*mismatch)
 
 
 def _fma_spin(acc: list, addend: list, mult, deadline_from: float) -> tuple[int, float]:

@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 from perfchar.cli import main
 from perfchar.ingest import SHARE_COLUMNS, RunRecord
 from perfchar.exceptions import ParameterError
-from perfchar.microbench import _available_cpus, thread_sweep
+from perfchar.microbench import (
+    FMA_CHAINS,
+    FMA_VECTOR_ELEMENTS,
+    FMA_WARMUP_SECONDS,
+    TRIAD_FIRST_TOUCH,
+    _available_cpus,
+    thread_sweep,
+)
 from perfchar.scalefit import AMDAHL_MAX_ITER, AMDAHL_START, AMDAHL_TOL
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
@@ -1234,6 +1241,33 @@ class TestBenchCommands:
         assert "peak_bandwidth_gbs" not in meta
         assert "elements=100000 " in capsys.readouterr().out
         assert out.read_text().splitlines()[0] == "threads,best_gbs"
+
+    def test_bench_mem_sidecar_records_set_up_and_every_repetition(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = main(
+            ["bench", "mem", "--elements", "100000", "--threads", "1,2", "--reps", "3",
+             "--out", str(out)]
+        )
+        assert code == 0
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert meta["first_touch"] == TRIAD_FIRST_TOUCH
+        assert set(meta["setup_threads"]) == {"1", "2"}
+        assert all(1 <= count <= len(_available_cpus()) for count in meta["setup_threads"].values())
+        for row in read_csv(out):
+            per_repetition = meta["per_repetition_gbs"][row["threads"]]
+            assert len(per_repetition) == 3
+            assert max(per_repetition) == pytest.approx(float(row["best_gbs"]))
+            assert meta["median_gbs"][row["threads"]] == sorted(per_repetition)[1]
+        assert "best_over_peak" not in meta
+
+    def test_bench_flops_sidecar_records_the_kernel_constants(self, tmp_path, capsys):
+        out = tmp_path / "flops.csv"
+        assert main(["bench", "flops", "--duration", "0.1", "--threads", "1,2", "--out", str(out)]) == 0
+        meta = json.loads((tmp_path / "flops.csv.meta.json").read_text())
+        assert meta["threads"] == [1, 2]
+        assert meta["duration"] == 0.1
+        assert (meta["chains"], meta["vector_elements"], meta["warmup_seconds"]) == (
+            FMA_CHAINS, FMA_VECTOR_ELEMENTS, FMA_WARMUP_SECONDS)
 
     def test_bench_mem_spec_records_peak_fraction(self, tmp_path, monkeypatch, fixtures_dir, capsys):
         import perfchar.microbench

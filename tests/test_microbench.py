@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import math
+import sys
 import threading
 import tracemalloc
 
@@ -25,10 +26,14 @@ from perfchar.exceptions import (
 )
 from perfchar import microbench
 from perfchar.microbench import (
+    TRIAD_ALIGNMENT,
+    TRIAD_FILL_BLOCK,
     _available_cpus,
+    _cpu_assignment,
     _native_triad,
     _page_aligned,
     _run_lock,
+    _setup_split,
     verify_triad,
 )
 
@@ -257,6 +262,155 @@ class TestTriadKernels:
         assert array.ctypes.data % 4096 == 0
         assert len(array) == n
         assert array.dtype == np.float64
+
+
+def serial_fill(n):
+    """``b`` and ``c`` as one thread filled them: a seeded block each, repeated block by block."""
+    b, c = np.empty(n), np.empty(n)
+    rng = np.random.default_rng(12345)
+    for x in (b, c):
+        rng.random(out=x[:TRIAD_FILL_BLOCK])
+        x[:TRIAD_FILL_BLOCK] += 1.0
+        for lo in range(TRIAD_FILL_BLOCK, n, TRIAD_FILL_BLOCK):
+            x[lo:lo + TRIAD_FILL_BLOCK] = x[:min(TRIAD_FILL_BLOCK, n - lo)]
+    return b, c
+
+
+def spied_arrays(monkeypatch):
+    """Record the (a, b, c) and the set-up plan of every triad run."""
+    real, seen = microbench._triad_arrays, []
+
+    def triad_arrays(n, plan):
+        arrays = real(n, plan)
+        seen.append((arrays, plan))
+        return arrays
+
+    monkeypatch.setattr(microbench, "_triad_arrays", triad_arrays)
+    return seen
+
+
+def python_kernel(n, corrupt=()):
+    """A triad kernel on raw pointers, as the native one is called, that zeroes the ``corrupt`` elements."""
+    def kernel(a, b, c, q, lo, hi):
+        a, b, c = (np.ctypeslib.as_array((ctypes.c_double * n).from_address(p)) for p in (a, b, c))
+        np.multiply(c[lo:hi], q, out=a[lo:hi])
+        np.add(a[lo:hi], b[lo:hi], out=a[lo:hi])
+        for i in corrupt:
+            if lo <= i < hi:
+                a[i] = 0.0
+
+    kernel.streaming_stores = False
+    return kernel
+
+
+FAKE_CPUS = list(range(8))  # two sockets of four cpus each
+
+
+class TestTriadSetUp:
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 4])
+    def test_parallel_fill_equals_the_serial_fill(self, monkeypatch, cpus):
+        n = 3 * TRIAD_FILL_BLOCK + 5
+        monkeypatch.setattr(microbench, "_available_cpus", lambda: list(range(cpus)))
+        seen = spied_arrays(monkeypatch)
+        result = run_stream_triad(TriadConfig(elements=n, repetitions=1, pinning="none"))
+        ((a, b, c), plan), = seen
+        assert result.setup_threads == len(plan) == cpus
+        for got, want in zip((b, c), serial_fill(n)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_every_page_of_a_is_written_during_set_up(self, monkeypatch):
+        def poisoned(n):  # fresh pages read 0.0, so start from NaN to see the writes
+            array = _page_aligned(n)
+            array.fill(np.nan)
+            return array
+
+        monkeypatch.setattr(microbench, "_page_aligned", poisoned)
+        n = 40 * TRIAD_ALIGNMENT // 8 + 3  # 41 pages, cut into pieces that do not start on a page
+        plan = _setup_split([(0, n)], None, [0, 1, 2], 1)
+        a, b, c = microbench._triad_arrays(n, plan)
+        page_starts = a[::TRIAD_ALIGNMENT // 8]
+        assert len(page_starts) == 41 and not page_starts.any()
+
+    def test_interleaved_and_compact_workers_on_fake_cpus(self):
+        assert _cpu_assignment(4, "interleaved", 2, FAKE_CPUS) == [0, 4, 1, 5]
+        assert _cpu_assignment(4, "compact", 2, FAKE_CPUS) == [0, 1, 2, 3]
+        assert _cpu_assignment(4, "none", 2, FAKE_CPUS) is None
+
+    @pytest.mark.parametrize("pinning", ["interleaved", "compact"])
+    @pytest.mark.parametrize("threads", range(1, 9))
+    @pytest.mark.parametrize("n", [8, 1001, 3 * TRIAD_FILL_BLOCK + 5])
+    def test_split_places_each_piece_on_its_workers_socket(self, pinning, threads, n):
+        bounds = [(i * n // threads, (i + 1) * n // threads) for i in range(threads)]
+        workers = _cpu_assignment(threads, pinning, 2, FAKE_CPUS)
+        plan = _setup_split(bounds, workers, FAKE_CPUS, 2)
+        setup_cpus = [cpu for cpu, _ in plan]
+        assert len(setup_cpus) == len(set(setup_cpus)) <= len(FAKE_CPUS)
+        pieces = sorted((lo, hi, cpu) for cpu, run in plan for lo, hi in run)
+        assert all(lo < hi for lo, hi, _ in pieces)
+        assert [lo for lo, _, _ in pieces] == [0] + [hi for _, hi, _ in pieces[:-1]]
+        assert pieces[-1][1] == n
+        for lo, hi, cpu in pieces:
+            (worker,) = [w for w, (start, stop) in enumerate(bounds) if start <= lo and hi <= stop]
+            assert cpu // 4 == workers[worker] // 4  # the worker's socket block
+
+    @pytest.mark.parametrize("sockets, workers", [(1, [0, 1]), (2, None)])
+    def test_split_is_even_and_unpinned_without_placement(self, sockets, workers):
+        n = 1001
+        plan = _setup_split([(0, n // 2), (n // 2, n)], workers, FAKE_CPUS, sockets)
+        assert [cpu for cpu, _ in plan] == [None] * len(FAKE_CPUS)
+        assert [run for _, run in plan] == [[(k * n // 8, (k + 1) * n // 8)] for k in range(8)]
+
+    def test_no_more_set_up_threads_than_elements(self):
+        plan = _setup_split([(0, 3)], None, FAKE_CPUS, 1)
+        assert [run for _, run in plan] == [[(0, 1)], [(1, 2)], [(2, 3)]]
+
+
+class TestTriadCheck:
+    def test_lowest_mismatch_over_all_pieces_is_reported(self, monkeypatch):
+        n = 4 * TRIAD_FILL_BLOCK
+        first, last = 17, n - 3  # in the first and in the last of four set-up pieces
+        monkeypatch.setattr(microbench, "_available_cpus", lambda: [0, 1, 2, 3])
+        monkeypatch.setattr(microbench, "_native_triad", lambda: python_kernel(n, (last, first)))
+        seen = spied_arrays(monkeypatch)
+        with pytest.raises(KernelCorruptionError) as caught:
+            run_stream_triad(TriadConfig(elements=n, repetitions=1, pinning="none"))
+        ((a, b, c), plan), = seen
+        assert plan[0][1][0][0] <= first < plan[0][1][-1][1] and plan[-1][1][0][0] <= last
+        with pytest.raises(KernelCorruptionError) as serial:
+            verify_triad(a, b, c, microbench.TRIAD_SCALAR_Q)
+        assert str(caught.value) == str(serial.value)
+        assert f"element {first}:" in str(caught.value)
+
+    def test_no_mismatch_is_lost_between_many_check_threads(self, monkeypatch):
+        # More check threads than cores, switching often: a lost report of the lowest fails.
+        cpus, n = 16, 16 * TRIAD_FILL_BLOCK
+        corrupt = [k * n // cpus + 5 for k in range(cpus)]  # one in every piece
+        monkeypatch.setattr(microbench, "_available_cpus", lambda: list(range(cpus)))
+        monkeypatch.setattr(microbench, "_native_triad", lambda: python_kernel(n, corrupt[::-1]))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                with pytest.raises(KernelCorruptionError, match=f"element {corrupt[0]}:"):
+                    run_stream_triad(TriadConfig(elements=n, repetitions=1, pinning="none"))
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_clean_run_with_the_python_kernel_verifies(self, monkeypatch):
+        n = 2 * TRIAD_FILL_BLOCK + 1
+        monkeypatch.setattr(microbench, "_native_triad", lambda: python_kernel(n))
+        result = run_stream_triad(TriadConfig(elements=n, threads=2, repetitions=1))
+        assert result.setup_threads == len(_available_cpus())
+
+    @pytest.mark.parametrize("step", ["_repeat_fill_block", "_first_mismatch"])
+    def test_set_up_or_check_thread_exception_is_raised(self, monkeypatch, step):
+        def failing(*args):
+            raise MemoryError(f"{step} out of memory")
+
+        monkeypatch.setattr(microbench, step, failing)
+        raised = raised_by(run_stream_triad, TriadConfig(elements=SMALL, threads=2, repetitions=1))
+        assert [type(exc) for exc in raised] == [MemoryError]
+        assert not _run_lock.locked()
 
 
 class TestVerifyTriad:
