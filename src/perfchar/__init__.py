@@ -47,6 +47,7 @@ from .roofline import (
     arithmetic_intensity,
     build_roofline,
     classify,
+    classify_many,
     roofline_curve,
     sustained_perf,
 )

@@ -37,6 +37,7 @@ from .hwmodel import (
 from .ingest import (
     GROUP_FIELDS,
     RUNS_COLUMNS,
+    KernelTable,
     detect_weak_links,
     group_by,
     parse_kernel_points,
@@ -70,7 +71,7 @@ from .report import (
 )
 from .roofline import (
     build_roofline,
-    classify,
+    classify_many,
     roofline_curve,
 )
 from .scalefit import (
@@ -296,34 +297,33 @@ def _cmd_analyze_roofline(args) -> int:
         raise ParameterError("need --spec, or both --flops-gflops and --bandwidth-gbs")
     model = build_roofline(flops, bandwidth, scope=args.scope)
 
-    points = parse_kernel_points(args.points) if args.points else []
-    i_min = model.ridge_intensity / 256
-    i_max = model.ridge_intensity * 256
-    for point in points:
-        if point.intensity > 0:
-            i_min, i_max = min(i_min, point.intensity / 2), max(i_max, point.intensity * 2)
-            if not (0 < i_min and i_max / i_min < math.inf):
-                raise ParameterError(f"kernel '{point.label}': intensity {point.intensity!r} puts the "
-                                     f"roofline curve out of range ({i_min!r} to {i_max!r} Flop/Byte)")
+    points = parse_kernel_points(args.points) if args.points else KernelTable.from_points([])
+    # The range widens to half and twice each positive intensity; name the first point that breaks it.
+    positive = np.flatnonzero(points.intensity > 0)
+    with np.errstate(over="ignore", divide="ignore"):  # inf, as a Python float gives
+        i_min = np.minimum.accumulate(np.append(model.ridge_intensity / 256, points.intensity[positive] / 2))
+        i_max = np.maximum.accumulate(np.append(model.ridge_intensity * 256, points.intensity[positive] * 2))
+        bad = np.flatnonzero(~((i_min > 0) & (i_max / i_min < math.inf))[1:])
+    if bad.size:
+        k, end = positive[bad[0]], bad[0] + 1
+        raise ParameterError(f"kernel '{points.label[k]}': intensity {points.intensity[k].item()!r} puts the "
+                             f"roofline curve out of range ({i_min[end].item()!r} to {i_max[end].item()!r} Flop/Byte)")
 
+    measured = points.measured_perf
+    bound, sustained, headroom, above_roof = classify_many(model, points.label, points.intensity, measured)
+    roof = np.array(roofline_curve(model, i_min[-1].item(), i_max[-1].item())).T
     out_dir = Path(args.out_dir)
-    classifications = [classify(model, p) for p in points]
-    curve = roofline_curve(model, i_min, i_max)
-    labels = ["roof"] * len(curve) + [p.label for p in points]
-    curve += [(p.intensity, c.sustained if p.measured_perf is None else p.measured_perf)
-              for p, c in zip(points, classifications)]
     curve_path = out_dir / "roofline_curve.csv"
-    emit_plot_data([*np.array(curve).T, labels], curve_path, header=["intensity", "gflops", "label"])
+    emit_plot_data([np.concatenate([roof[0], points.intensity]),
+                    np.concatenate([roof[1], np.where(np.isnan(measured), sustained, measured)]),
+                    ["roof"] * roof.shape[1] + points.label], curve_path, header=["intensity", "gflops", "label"])
 
     # intensity, gflops of the roof rows only: the kernel rows are drawn from roofline_points.csv
     series = [(curve_path.name, "1:(strcol(3) eq 'roof' ? $2 : 1/0) with lines")]
-    if classifications:
+    if len(points):
         points_path = out_dir / "roofline_points.csv"
         emit_plot_data(
-            [[c.label for c in classifications], _floats(p.intensity for p in points),
-             _floats(p.measured_perf for p in points), _floats(c.sustained for c in classifications),
-             [c.bound for c in classifications], _floats(c.headroom for c in classifications),
-             np.array([c.above_roof for c in classifications])],
+            [points.label, points.intensity, measured, sustained, bound, headroom, above_roof],
             points_path,
             header=["label", "intensity", "measured_gflops", "sustained_gflops", "bound", "headroom", "above_roof"],
         )
@@ -339,12 +339,10 @@ def _cmd_analyze_roofline(args) -> int:
     write_sidecar_metadata(curve_path, {"command": "analyze roofline", "peak_gflops": flops,
                                         "peak_gbs": bandwidth, "ridge_intensity": model.ridge_intensity,
                                         "scope": model.scope})
-    print(
-        f"{label} ({model.scope}): peak {model.peak_flops:.2f} GFlop/s, "
-        f"{model.peak_bandwidth:.2f} GB/s, ridge {model.ridge_intensity:.5f} Flop/Byte"
-    )
-    for cls in classifications:
-        print(f"  {cls.label}: {cls.bound} (ceiling {cls.sustained:.3f} GFlop/s)")
+    lines = [f"{label} ({model.scope}): peak {model.peak_flops:.2f} GFlop/s, "
+             f"{model.peak_bandwidth:.2f} GB/s, ridge {model.ridge_intensity:.5f} Flop/Byte",
+             *map("  {}: {} (ceiling {:.3f} GFlop/s)".format, points.label, bound, sustained.tolist())]
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -422,7 +422,30 @@ def _kernel_point(label, intensity, flops, loads, stores, access_bytes, measured
                        float(share) / 100.0 if share else None)
 
 
-def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
+@dataclass(frozen=True, eq=False)
+class KernelTable(Sequence):
+    """Validated kernel points as columns, NaN for an absent measurement or share; a sequence of KernelPoint."""
+
+    label: list[str]
+    intensity: np.ndarray  # Flop/Byte
+    measured_perf: np.ndarray  # GFlop/s
+    time_share: np.ndarray  # fraction of total run time
+
+    @classmethod
+    def from_points(cls, points: list[KernelPoint]) -> "KernelTable":
+        floats = np.array([(p.intensity, p.measured_perf, p.time_share) for p in points], float)  # None: NaN
+        return cls([p.label for p in points], *floats.reshape(-1, 3).T)
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def __getitem__(self, index: int) -> KernelPoint:
+        measured, share = self.measured_perf[index].item(), self.time_share[index].item()
+        return KernelPoint(self.label[index], self.intensity[index].item(),
+                           None if math.isnan(measured) else measured, None if math.isnan(share) else share)
+
+
+def parse_kernel_points(source: str | Path) -> KernelTable:
     """Kernel points from CSV or JSON: either an intensity column or raw counter totals.
 
     Columns: ``label`` plus ``intensity``, or ``flops,loads,stores`` (optional
@@ -430,10 +453,39 @@ def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
     ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
     listing every line that is not a valid point.
     """
-    points = _rows(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), _kernel_point)
-    if not points:
+    access = {}  # each access_bytes text's byte count, NaN when out of range
+
+    def convert(lines, cells):
+        label, intensity, flops, loads, stores, access_bytes, measured, share = cells
+        try:  # whole columns at once, a blank as NaN; which rows fail, and why, is left to _kernel_point
+            given, flops, loads, stores, gflops, fraction = (
+                np.array([float(text) if text else math.nan for text in texts], float)
+                for texts in (intensity, flops, loads, stores, measured, share))
+            for text in set(access_bytes).difference(access):
+                count = int(text or 8)
+                access[text] = float(count) if 0 < count < 2**63 else math.nan
+            size = np.fromiter(map(access.__getitem__, access_bytes), float, len(access_bytes))
+            counts = (loads >= 0) & (loads < math.inf) & (stores >= 0) & (stores < math.inf)
+            with np.errstate(over="ignore"):  # an overflow reads inf, as a Python float does
+                moved = np.add(loads, stores, out=np.full(len(size), math.nan), where=counts) * size
+                counted = np.divide(flops, moved, out=np.full(len(size), math.nan),
+                                    where=(flops >= 0) & (moved > 0) & (moved < math.inf))
+            value = np.where(np.fromiter(map(bool, intensity), bool, len(intensity)), given, counted)
+            fraction /= 100.0
+            valid = (np.isnan(gflops).sum() == measured.count("") and np.isnan(fraction).sum() == share.count("")
+                     and ((value >= 0) & (value < math.inf)).all()
+                     and not ((gflops < 0) | (gflops == math.inf) | (fraction < 0) | (fraction > 1)).any())
+        except ValueError:
+            valid = False
+        if not valid:
+            return KernelTable.from_points(_rows([(lines, cells)], _kernel_point))
+        return KernelTable(label, value, gflops, fraction)
+
+    tables = _each_block(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), convert)
+    if not sum(map(len, tables)):
         raise SchemaError(f"{source}: no kernel points")
-    return points
+    return KernelTable(list(chain.from_iterable(t.label for t in tables)),
+                       *map(np.concatenate, zip(*((t.intensity, t.measured_perf, t.time_share) for t in tables))))
 
 
 def serialize_runs(records: Iterable[RunRecord]) -> str:
@@ -460,7 +512,7 @@ def serialize_runs(records: Iterable[RunRecord]) -> str:
 
 def group_by(runs: RunTable, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Each record's group by ``fields``, numbered in sorted key order, and each group's first record."""
-    codes = [ranks(values) if isinstance(values, list) else np.unique(values, return_inverse=True)[1]
+    codes = [ranks(values)[0] if isinstance(values, list) else np.unique(values, return_inverse=True)[1]
              for values in map(runs.__getattribute__, fields)] or [np.zeros(len(runs), np.intp)]
     order = np.lexsort(codes[::-1])  # stable: a group's records stay in record order
     ordered = np.array(codes)[:, order]

@@ -3,13 +3,15 @@
 Data files never contain timestamps; identical inputs must produce
 byte-identical outputs. Run timestamps go into a sidecar ``*.meta.json``.
 ``emit_plot_data`` orders rows by every column from left to right: numbers
-(bools as 0 and 1) before blanks, strings by code point.
+(bools as 0 and 1) before blanks, strings by code point. A text cell holding
+a comma, a double quote or a line break is quoted as ``csv`` quotes it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 from datetime import datetime, timezone
 from itertools import chain
@@ -21,6 +23,8 @@ import numpy as np
 from .exceptions import ParameterError
 
 BLOCK_ROWS = 1 << 12  # rows of a data file whose cell text is held at once
+
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
@@ -41,10 +45,10 @@ def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
     return path
 
 
-def ranks(values: Sequence[str]) -> np.ndarray:
-    """Each string's position in sorted(set(values)): sort keys in code point order."""
+def ranks(values: Sequence[str]) -> tuple[np.ndarray, dict[str, int]]:
+    """Each string's rank in sorted(set(values)), a sort key in code point order; and each distinct string's rank."""
     position = {value: i for i, value in enumerate(sorted(set(values)))}
-    return np.fromiter(map(position.__getitem__, values), np.intp, len(values))
+    return np.fromiter(map(position.__getitem__, values), np.intp, len(values)), position
 
 
 def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
@@ -52,7 +56,8 @@ def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
 
     A float array is its own key, an int or bool array is keyed as float64,
     and a sequence of str by rank. The cells are an int or float array, or
-    else a list of text.
+    else a list of text, where a str holding a comma, a double quote or a
+    line break is quoted as csv's QUOTE_MINIMAL quotes it.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         key = column if column.dtype.kind == "f" else column.astype(float)
@@ -60,7 +65,9 @@ def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
             return key, column
         return key, list(map(("false", "true").__getitem__, column.tolist()))
     column = list(column)
-    return ranks(column), column
+    key, position = ranks(column)  # the check runs once per distinct string
+    quoted = {value: '"' + value.replace('"', '""') + '"' for value in position if _NEEDS_QUOTES.search(value)}
+    return key, list(map(quoted.get, column, column)) if quoted else column
 
 
 def _text(cells: np.ndarray | list[str], order: np.ndarray) -> list[str]:

@@ -3,12 +3,17 @@
 A model is the single-ceiling kind: sustained performance is
 ``min(peak_flops, peak_bandwidth * intensity)`` and the ridge intensity
 separates the memory-bound regime from the compute-bound one.
+
+Kernel points are read as columns, with the per-row path only for errors, and
+classified as columns by ``classify_many``; ``classify`` is its one-point case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .exceptions import ParameterError
 
@@ -112,24 +117,34 @@ def arithmetic_intensity(sample: CounterSample) -> float:
     return sample.flops / moved
 
 
-def classify(model: RooflineModel, point: KernelPoint) -> Classification:
-    """Place a kernel point: memory-bound strictly below the ridge, else compute-bound.
+def classify_many(model: RooflineModel, labels: list[str], intensity: np.ndarray,
+                  measured: np.ndarray) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+    """Each kernel point's bound (memory-bound strictly below the ridge), ceiling, headroom and above-roof flag.
 
-    A measurement above the ceiling is flagged in ``above_roof`` rather than
-    rejected; counter-based intensity carries measurement error. A measurement
-    so small that the headroom overflows is rejected.
-    """
-    sustained = sustained_perf(model, point.intensity)
-    bound = MEMORY_BOUND if point.intensity < model.ridge_intensity else COMPUTE_BOUND
-    headroom = None
-    if point.measured_perf is not None and point.measured_perf > 0:
-        headroom = sustained / point.measured_perf
-        if headroom == math.inf:
-            raise ParameterError(
-                f"kernel '{point.label}': headroom {sustained:.4g} / {point.measured_perf:.4g} overflows"
-            )
-    above_roof = headroom is not None and point.measured_perf > sustained
-    return Classification(point.label, bound, sustained, headroom, above_roof)
+    ``measured`` is NaN where absent; headroom, sustained / measured, is NaN there and for a measurement of 0.
+    A measurement above the ceiling is only flagged (counter noise); one whose headroom overflows is a
+    ParameterError naming the first such point."""
+    positive = measured > 0
+    with np.errstate(over="ignore"):  # an overflow reads inf, as a Python float does
+        sustained = np.minimum(model.peak_flops, model.peak_bandwidth * intensity)
+        headroom = np.divide(sustained, measured, out=np.full(len(sustained), np.nan), where=positive)
+    overflow = np.flatnonzero(np.isinf(headroom))
+    if overflow.size:
+        i = overflow[0]
+        raise ParameterError(f"kernel '{labels[i]}': headroom {float(sustained[i]):.4g} / "
+                             f"{float(measured[i]):.4g} overflows")
+    bound = list(map((COMPUTE_BOUND, MEMORY_BOUND).__getitem__, (intensity < model.ridge_intensity).tolist()))
+    return bound, sustained, headroom, positive & (measured > sustained)
+
+
+def classify(model: RooflineModel, point: KernelPoint) -> Classification:
+    """The ``classify_many`` verdict of one kernel point."""
+    measured = math.nan if point.measured_perf is None else point.measured_perf
+    bound, sustained, headroom, above_roof = classify_many(
+        model, [point.label], np.array([point.intensity], float), np.array([measured], float))
+    headroom = headroom.item()
+    return Classification(point.label, bound[0], sustained.item(), None if math.isnan(headroom) else headroom,
+                          bool(above_roof[0]))
 
 
 def roofline_curve(

@@ -1,12 +1,13 @@
 """The row-at-a-time ingest path as first written.
 
-``perfchar.ingest`` reads runs and pairwise files as whole columns. It must
-accept and reject exactly the rows these functions accept and reject, with
-the same messages, and give bit-identical records, group statistics,
-matrices, warnings and weak links. The code is kept as it was, as the
-reference for that comparison. The one change: ``_check_pair`` refuses a
-bandwidth above half the largest float, as perfchar now does, so that no pair
-mean or row median overflows.
+``perfchar.ingest`` reads runs, pairwise and kernel-point files as whole
+columns. It must accept and reject exactly the rows these functions accept
+and reject, with the same messages, and give bit-identical records, group
+statistics, matrices, warnings, weak links and kernel points. The code is
+kept as it was, as the reference for that comparison, with ``classify`` as
+the per-point reference for ``perfchar.roofline.classify_many``. The one
+change: ``_check_pair`` refuses a bandwidth above half the largest float, as
+perfchar now does, so that no pair mean or row median overflows.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 from grouping_reference import AggregateStats
 from perfchar.exceptions import IncompleteMatrixError, ParameterError, RowError, SchemaError
 from perfchar.ingest import (
+    KERNEL_POINT_COLUMNS,
     PAIRWISE_COLUMNS,
     RUNS_COLUMNS,
     SYMMETRY_TOLERANCE,
@@ -31,6 +33,16 @@ from perfchar.ingest import (
     PairwiseBandwidthMatrix,
     RunRecord,
     WeakLink,
+)
+from perfchar.roofline import (
+    COMPUTE_BOUND,
+    MEMORY_BOUND,
+    Classification,
+    CounterSample,
+    KernelPoint,
+    RooflineModel,
+    arithmetic_intensity,
+    sustained_perf,
 )
 
 
@@ -267,3 +279,43 @@ def detect_weak_links(
                 )
     links.sort(key=lambda w: (-w.deficit, w.node_a, w.node_b))
     return links
+
+
+def parse_kernel_points(source: str | Path) -> list[KernelPoint]:
+    """Kernel points from CSV or JSON; raises RowError listing every line that is not a valid point."""
+    points: list[KernelPoint] = []
+    failures: list[tuple[int, str]] = []
+    for line, values in read_rows(source, ("label",), optional=KERNEL_POINT_COLUMNS):
+        label, intensity, flops, loads, stores, access_bytes, measured, share = values
+        try:
+            if intensity:
+                value = float(intensity)
+            elif flops or loads or stores:
+                sample = CounterSample(float(flops), float(loads), float(stores), int(access_bytes or 8))
+                value = arithmetic_intensity(sample)
+            else:
+                raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
+            points.append(KernelPoint(label, value, float(measured) if measured else None,
+                                      float(share) / 100.0 if share else None))
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+    if failures:
+        raise RowError(failures)
+    if not points:
+        raise SchemaError(f"{source}: no kernel points")
+    return points
+
+
+def classify(model: RooflineModel, point: KernelPoint) -> Classification:
+    """Place a kernel point: memory-bound strictly below the ridge, else compute-bound."""
+    sustained = sustained_perf(model, point.intensity)
+    bound = MEMORY_BOUND if point.intensity < model.ridge_intensity else COMPUTE_BOUND
+    headroom = None
+    if point.measured_perf is not None and point.measured_perf > 0:
+        headroom = sustained / point.measured_perf
+        if headroom == math.inf:
+            raise ParameterError(
+                f"kernel '{point.label}': headroom {sustained:.4g} / {point.measured_perf:.4g} overflows"
+            )
+    above_roof = headroom is not None and point.measured_perf > sustained
+    return Classification(point.label, bound, sustained, headroom, above_roof)

@@ -884,6 +884,8 @@ class TestAnalyzeRoofline:
             ("label,intensity,gflops", "k,1,nan", "measured_perf must be finite"),
             ("label,flops,loads,stores", "k,1e400,1,1", "intensity must be finite"),
             ("label,flops,loads,stores", "k,1,inf,0", "loads and stores must be finite"),
+            ("label,flops,loads,stores", "k,1,-1,5", "loads and stores must be finite and >= 0"),
+            ("label,flops,loads,stores", "k,-5e-324,1,1", "flops must be >= 0"),  # its intensity is -0.0
             ("label,flops,loads,stores", "j,5,1e308,1e308", "(loads + stores) * access_bytes, overflows"),
             ("label,gflops", "k,1", "a kernel point needs 'intensity' or 'flops,loads,stores'"),
         ],

@@ -6,9 +6,17 @@ digests recorded before the ingest and emission paths were made column-wise.
 A case that fails also records its exit code and the digest of its stderr.
 A digest changes when any output byte changes, so a deliberate change to an
 output format must re-record the affected digests here.
+
+Run as a script (``PYTHONPATH=src python3 tests/test_golden.py``), the module
+prints every case's digests at the current commit in the ``CASES`` layout. To
+record a new case at the commit before a change, add the case and run the
+module in a checkout of that commit.
 """
 
+import contextlib
 import hashlib
+import io
+import json
 
 import pytest
 
@@ -142,16 +150,45 @@ CASES = {
                 "bcc75ca989a01aede5ee40a17c76c92af01917710d50dd1cb57aa1156be1e592",
         },
     ),
+    "roofline-alya": (
+        ["analyze", "roofline", "--spec", "{fx}/platforms/dibona-tx2.json",
+         "--points", "{fx}/alya_phase_points.csv", "--out-dir", "{out}", "--gnuplot"],
+        {
+            "stdout":
+                "13e80746784d9dab9b6d9860c6f2d8fca99cedce61fc9cbee5ed6eebc12d8414",
+            "roofline.gp":
+                "5fd6c6ad5db5ac0326a40824f5110eae8effa923e7c03a357c2582a1191250cd",
+            "roofline_curve.csv":
+                "0c879bdc3aa5d15a1da5c70b5142a42b728a05a15a610a5c1da9210ea181eb85",
+            "roofline_points.csv":
+                "fc6a94ce22acd8a5f521960ceb498f6b8d626a41f2130b148520e90df4daa60c",
+        },
+    ),
+    # Counter totals: access_bytes 4, 8, 16 and blank (8), a point above the
+    # roof, a measurement of 0 (no headroom) and a kernel with no flops.
+    "roofline-counters": (
+        ["analyze", "roofline", "--spec", "{fx}/platforms/marenostrum4.json", "--scope", "core",
+         "--points", "{fx}/kernel_counters.csv", "--out-dir", "{out}"],
+        {
+            "stdout":
+                "04a9e482562dfe879f6a18a867638ac8ad665b4e4f39f6df666c46f3d8b2999d",
+            "roofline_curve.csv":
+                "8c65c3b4757202ca1066e1a46c5f4c6ab49a1557fd09eba1d4026e3defd17bac",
+            "roofline_points.csv":
+                "8a5a22845bd3d571ce1fe01831e021c29d095b64ace9f0abce3011e4b4c86124",
+        },
+    ),
 }
 
 
-def digests(argv, fixtures_dir, out, capsys) -> dict:
+def digests(argv, fixtures_dir, out) -> dict:
     argv = [a.format(fx=fixtures_dir, out=out) for a in argv]
-    code = main(argv)
-    captured = capsys.readouterr()
-    result = {"stdout": hashlib.sha256(captured.out.encode()).hexdigest()}
-    if code or captured.err:
-        result.update(exit=code, stderr=hashlib.sha256(captured.err.encode()).hexdigest())
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    result = {"stdout": hashlib.sha256(stdout.getvalue().encode()).hexdigest()}
+    if code or stderr.getvalue():
+        result.update(exit=code, stderr=hashlib.sha256(stderr.getvalue().encode()).hexdigest())
     for path in sorted(out.iterdir()):
         if not path.name.endswith(".meta.json"):
             result[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
@@ -159,6 +196,24 @@ def digests(argv, fixtures_dir, out, capsys) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_outputs_match_recorded_digests(name, fixtures_dir, tmp_path, capsys):
+def test_outputs_match_recorded_digests(name, fixtures_dir, tmp_path):
     argv, expected = CASES[name]
-    assert digests(argv, fixtures_dir, tmp_path, capsys) == expected
+    assert digests(argv, fixtures_dir, tmp_path) == expected
+
+
+if __name__ == "__main__":
+    import tempfile
+    from pathlib import Path
+
+    from conftest import FIXTURES
+
+    for name, (argv, _) in CASES.items():
+        with tempfile.TemporaryDirectory() as out:
+            result = digests(argv, FIXTURES, Path(out))
+        print(f"    {json.dumps(name)}: (\n        {json.dumps(argv)},\n        {{")
+        for key, value in result.items():
+            if key == "exit":
+                print(f'            "exit": {value},')
+            else:
+                print(f"            {json.dumps(key)}:\n                {json.dumps(value)},")
+        print("        },\n    ),")

@@ -131,7 +131,7 @@ class TestEveryBlockSize:
     @given(text=kernels_file())
     def test_kernel_points(self, tmp_path_factory, text):
         path = written(tmp_path_factory, text, "kernels.csv")
-        same_at_every_block_size(lambda: outcome(parse_kernel_points, path))
+        same_at_every_block_size(lambda: outcome(lambda: list(parse_kernel_points(path))))
 
 
 RUNS_HEADER = ",".join(RUNS_COLUMNS)

@@ -1,25 +1,34 @@
 """The column-wise ingest path against the row-at-a-time reference.
 
-``ingest_reference`` keeps the runs and pairwise readers, the aggregation and
-the weak-link search as first written. On drawn files the column-wise code
-must accept and reject the same rows with the same messages, and give
-bit-identical records, group statistics, matrices, warnings and links.
+``ingest_reference`` keeps the runs, pairwise and kernel-point readers, the
+aggregation, the weak-link search and the per-point roofline classification
+as first written. On drawn files the column-wise code must accept and reject
+the same rows with the same messages, and give bit-identical records, group
+statistics, matrices, warnings, links, kernel points and classifications.
 """
 
 import json
+import math
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ingest_reference as ref
+from perfchar import ingest, report
+from perfchar.exceptions import ParameterError
 from perfchar.ingest import (
     RUNS_COLUMNS,
     build_pairwise_matrix,
     detect_weak_links,
+    parse_kernel_points,
     parse_pairwise_bandwidth,
     parse_runs,
 )
+from perfchar.roofline import KernelPoint, build_roofline, classify, classify_many
+from test_cli import KERNEL_CELLS
 from test_golden import digests
 from test_grouping import stats_by_key
 
@@ -282,6 +291,115 @@ class TestTwoSizePairwiseAgainstReference:
         compare_pairwise(path)
 
 
+KERNEL_FIELDS = ("label", "intensity", "flops", "loads", "stores", "access_bytes", "gflops", "time_share_pct")
+VALID_CELLS = st.floats(0, 1e4).map(repr)
+# Mostly valid, so that whole blocks of rows parse; bad cells are still drawn.
+NUMBER_CELLS = st.one_of(VALID_CELLS, VALID_CELLS, VALID_CELLS, KERNEL_CELLS)
+ACCESS_CELLS = st.one_of(st.sampled_from(["", "4", "8", "16"]), KERNEL_CELLS)
+OPTIONAL_CELLS = st.one_of(st.just(""), st.just(""), st.floats(0, 100).map(repr), st.just("nan"), KERNEL_CELLS)
+
+
+def json_value(draw, text):
+    """A JSON value whose text, as read_columns gives it, is ``text``, or a number it reads as."""
+    if not text:
+        return draw(st.sampled_from([None, ""]))
+    try:
+        number = json.loads(text)
+    except ValueError:
+        return text
+    return draw(st.sampled_from([text, number]))
+
+
+@st.composite
+def kernels_text(draw):
+    """A CSV or JSON kernel-point file: intensity rows, counter rows or both, with blank, NaN and bad cells."""
+    form = draw(st.sampled_from(["intensity", "counters", "mixed"]))
+    header = [name for name in KERNEL_FIELDS if name not in draw(st.sets(st.sampled_from(KERNEL_FIELDS[5:])))]
+    if draw(st.integers(0, 19)) == 0:
+        header.remove("label")
+    rows = []
+    for i in range(draw(st.integers(0, 10))):
+        by_intensity = form == "intensity" or form == "mixed" and draw(st.booleans())
+        cells = {"label": f"k{i}", "intensity": draw(NUMBER_CELLS) if by_intensity else "",
+                 **{name: draw(NUMBER_CELLS) for name in ("flops", "loads", "stores")},
+                 "access_bytes": draw(ACCESS_CELLS), "gflops": draw(OPTIONAL_CELLS),
+                 "time_share_pct": draw(OPTIONAL_CELLS)}
+        rows.append([cells[name] for name in header])
+    if draw(st.booleans()):
+        return "kernels.json", json.dumps([{name: json_value(draw, cell) for name, cell in zip(header, row)}
+                                           for row in rows])
+    return "kernels.csv", "\n".join(map(",".join, [header, *rows])) + "\n"
+
+
+def kernel_outcome(parse, path):
+    """Each point's label and the bits of its numbers, or the error."""
+    try:
+        points = list(parse(path))
+    except Exception as exc:  # the comparison is of which error, so every kind counts
+        return error(exc)
+    return "ok", [(p.label, *(None if v is None else float(v).hex()
+                              for v in (p.intensity, p.measured_perf, p.time_share))) for p in points]
+
+
+class TestKernelPointsAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(file=kernels_text())
+    def test_every_block_size(self, tmp_path_factory, file):
+        name, text = file
+        path = tmp_path_factory.mktemp("kernels") / name
+        path.write_text(text, encoding="utf-8")
+        expected = kernel_outcome(ref.parse_kernel_points, path)
+        for block in (1, 2, 3, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block):
+                assert kernel_outcome(parse_kernel_points, path) == expected, f"BLOCK_ROWS = {block}"
+
+    @pytest.mark.parametrize("text", [
+        "label,intensity,gflops,time_share_pct\na,0.5,1.5,\nb,-0.0,,40\nc,1e-320,0,\n",
+        "label,flops,loads,stores,access_bytes,gflops\na,1e9,1e8,1e8,,2.5\nb,-0.0,1,0,4,\nc,0,1,1,16,0\n",
+    ])
+    def test_valid_block_is_read_as_columns(self, text, tmp_path):
+        path = tmp_path / "kernels.csv"
+        path.write_text(text)
+        with mock.patch.object(ingest, "_rows", side_effect=AssertionError("per-row path taken")):
+            points = kernel_outcome(parse_kernel_points, path)
+        assert points == kernel_outcome(ref.parse_kernel_points, path)
+        assert points[0] == "ok"
+
+
+INTENSITIES = st.one_of(st.floats(0, 1e4), st.floats(0, 1e308),
+                        st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e308]))
+# Measurements so small that the headroom overflows are drawn often, so that one list holds several.
+MEASUREMENTS = st.one_of(st.none(), st.floats(0, 1e4), st.sampled_from([0.0, 5e-324, 1e-320, 1e-310, 1e308]),
+                         st.sampled_from([5e-324, 1e-320]))
+PEAKS = st.one_of(st.floats(1e-3, 1e6), st.just(1e300))
+
+
+class TestClassifyManyAgainstPerPoint:
+    @settings(max_examples=400, deadline=None)
+    @given(peaks=st.tuples(PEAKS, PEAKS), rows=st.lists(st.tuples(INTENSITIES, MEASUREMENTS), max_size=12))
+    def test_same_verdicts_or_first_error(self, peaks, rows):
+        model = build_roofline(*peaks)
+        points = [KernelPoint(f"k{i}", intensity, measured) for i, (intensity, measured) in enumerate(rows)]
+        try:
+            expected, failure = [ref.classify(model, p) for p in points], None
+        except ParameterError as exc:
+            failure = str(exc)
+        measured = np.array([math.nan if m is None else m for _, m in rows], dtype=float)
+        try:
+            bound, sustained, headroom, above_roof = classify_many(
+                model, [p.label for p in points], np.array([i for i, _ in rows], dtype=float), measured)
+        except ParameterError as exc:
+            assert str(exc) == failure
+            return
+        assert failure is None
+        assert bound == [c.bound for c in expected]
+        assert [v.hex() for v in sustained.tolist()] == [float(c.sustained).hex() for c in expected]
+        assert [None if math.isnan(v) else v.hex() for v in headroom.tolist()] == \
+            [None if c.headroom is None else c.headroom.hex() for c in expected]
+        assert above_roof.tolist() == [c.above_roof for c in expected]
+        assert [repr(classify(model, p)) for p in points] == list(map(repr, expected))
+
+
 # Recorded with the row-at-a-time reader, before the pairwise path was made
 # column-wise. The fixture has pairs measured in one and in both directions,
 # an asymmetric pair, a directed pair measured twice, MB/s rows, and rows at a
@@ -297,6 +415,6 @@ MIXED_NETWORK = (
 )
 
 
-def test_mixed_network_outputs_match_recorded_digests(fixtures_dir, tmp_path, capsys):
+def test_mixed_network_outputs_match_recorded_digests(fixtures_dir, tmp_path):
     argv, expected = MIXED_NETWORK
-    assert digests(argv, fixtures_dir, tmp_path, capsys) == expected
+    assert digests(argv, fixtures_dir, tmp_path) == expected

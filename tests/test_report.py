@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from perfchar import AmdahlFit, fit_mpi_shares, project, report
 from perfchar.exceptions import ParameterError
+from perfchar.ingest import read_columns
 from perfchar.report import (
     atomic_write_text,
     emit_plot_data,
@@ -87,14 +88,15 @@ class TestEmitPlotData:
 
 
 def format_value(value) -> str:
-    """Stable text form: full-precision floats, plain ints, strings as-is."""
+    """Stable text form: full-precision floats, plain ints, strings as-is unless csv would quote them."""
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
-    return "" if value is None else str(value)
+    value = "" if value is None else str(value)
+    return '"' + value.replace('"', '""') + '"' if set(value) & set(',"\r\n') else value
 
 
 def _row_sort_key(row):
@@ -124,8 +126,8 @@ big_ints = st.one_of(
     st.integers(2**53 - 2, 2**53 + 3),
     st.sampled_from([2**63 - 1, 2**63 - 512, -(2**63), 2**62 + 1]),
 )
-# Outside the BMP, and a trailing NUL, which a numpy U array would drop.
-texts = st.text(alphabet=["a", "b", "\x00", "\U0001F600", "\u00e9"], max_size=3)
+# Outside the BMP, a trailing NUL, which a numpy U array would drop, and what csv quotes.
+texts = st.text(alphabet=["a", "b", "\x00", "\U0001F600", "\u00e9", ",", '"', "\r", "\n"], max_size=3)
 zeros = st.sampled_from([0.0, -0.0, 1.0, 2.5])
 # (dtype or None for a list of str, cell strategy): the two kinds of column the writer takes.
 columns = st.sampled_from([
@@ -152,6 +154,22 @@ def tables(draw):
         # An array's cells reach the reference as numpy scalars, a NaN as a blank.
         rows.append(values if dtype is None else ["" if v != v else v for v in table[-1]])
     return table, list(zip(*rows))
+
+
+class TestQuotedCells:
+    LABELS = ["stencil, 7pt", 'say "hi"', '"', ",", 'a,"b"', "plain", "two\nlines", "cr\rhere", "crlf\r\nend"]
+
+    def test_csv_reader_and_read_columns_read_the_cells_back(self, tmp_path):
+        path = emit_plot_data([self.LABELS, np.arange(len(self.LABELS), dtype=float)], tmp_path / "q.csv",
+                              header=["label", "x"])
+        expected = sorted(zip(self.LABELS, map(repr, map(float, range(len(self.LABELS))))))
+        with open(path, newline="", encoding="utf-8") as handle:
+            assert [tuple(row) for row in csv.reader(handle)] == [("label", "x"), *expected]
+        # read_columns joins the lines of a quoted cell without their line breaks.
+        cells = [cell for _, block in read_columns(path, ("label", "x")) for cell in zip(*block)]
+        assert [cell for cell in cells if cell[0] in self.LABELS[:6]] == \
+            [cell for cell in expected if cell[0] in self.LABELS[:6]]
+        assert len(cells) == len(self.LABELS)
 
 
 class TestEmitMatchesReference:
