@@ -75,9 +75,8 @@ from .roofline import (
     roofline_curve,
 )
 from .scalefit import (
-    AMDAHL_MAX_ITER,
-    AMDAHL_START,
-    AMDAHL_TOL,
+    AMDAHL_BISECTIONS,
+    AMDAHL_GRID,
     critical_units,
     fit_amdahl_many,
     fit_gustafson_many,
@@ -446,8 +445,8 @@ def _cmd_analyze_scaling(args) -> int:
         atomic_write_text(out_dir / "scaling.gp", script)
     provenance = {"command": "analyze scaling", "model": args.model}
     if args.model == "amdahl":
-        provenance.update(fit_weighting="1/speedup", fit_start=AMDAHL_START,
-                          fit_max_iter=AMDAHL_MAX_ITER, fit_tol=AMDAHL_TOL)
+        provenance.update(fit_weighting="1/speedup", fit_method="variable projection, grid then bisection",
+                          fit_grid=AMDAHL_GRID.tolist(), fit_bisections=AMDAHL_BISECTIONS)
     write_sidecar_metadata(fits_path, provenance)
     return 0
 

@@ -66,14 +66,6 @@ class UnderdeterminedError(PerfcharError):
     """Too few (distinct) data points to fit the requested model."""
 
 
-class ConvergenceError(PerfcharError):
-    """The iterative fit did not converge; carries the best iterate found."""
-
-    def __init__(self, message: str, best_fit=None):
-        super().__init__(message)
-        self.best_fit = best_fit
-
-
 class InvalidDataError(PerfcharError):
     """Input data is structurally fine but semantically impossible."""
 

@@ -4,7 +4,8 @@ Data files never contain timestamps; identical inputs must produce
 byte-identical outputs. Run timestamps go into a sidecar ``*.meta.json``.
 ``emit_plot_data`` orders rows by every column from left to right: numbers
 (bools as 0 and 1) before blanks, strings by code point. A text cell holding
-a comma, a double quote or a line break is quoted as ``csv`` quotes it.
+a comma, a double quote or a line break, or led by a ``#`` that would read as a
+comment, is quoted as ``csv`` quotes it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .exceptions import ParameterError
 
 BLOCK_ROWS = 1 << 12  # rows of a data file whose cell text is held at once
 
-_NEEDS_QUOTES = re.compile('[,"\r\n]')
+_NEEDS_QUOTES = re.compile('[,"\r\n]|^\\s*#')
 
 
 def atomic_write_text(path: str | Path, text: str | Iterable[str]) -> Path:
@@ -57,7 +58,7 @@ def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
     A float array is its own key, an int or bool array is keyed as float64,
     and a sequence of str by rank. The cells are an int or float array, or
     else a list of text, where a str holding a comma, a double quote or a
-    line break is quoted as csv's QUOTE_MINIMAL quotes it.
+    line break, or led by a ``#`` after any blanks, is quoted as csv quotes it.
     """
     if isinstance(column, np.ndarray) and column.dtype.kind in "biuf":
         key = column if column.dtype.kind == "f" else column.astype(float)

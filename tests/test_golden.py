@@ -69,23 +69,23 @@ CASES = {
             "scaling.gp":
                 "cea00822fa9dce2655fff2ef329c490e38b88f97ee6172d9a52d604385301f2a",
             "scaling_fits.csv":
-                "b2e15cb1a48cac26c496fbc2dc9fcb66cd59ab5fffc135c84a2126338dd606cc",
+                "86adc9f5df48fc5814bb459c5e6d7053aea175ea45570ab5752b06db776476dc",
             "scaling_projection.csv":
-                "ce094a4b7027799a38b49be9f211ebb6c28dc24d866733b2bc1774dcff69508f",
+                "5d34755be7a41ba36e5e9cd96d6ce2753d5c294f9bf1ca77443a240fd25082f1",
         },
     ),
-    # 40 groups of 3-8 points; recorded with the one-group-at-a-time fit,
-    # before the strong-scaling groups were fitted together.
+    # 40 groups of 3-8 points. This case and the one above were re-recorded when
+    # the strong-scaling fit became a grid-and-bisection search over a.
     "scaling-amdahl-groups": (
         ["analyze", "scaling", "--model", "amdahl", "--in", "{fx}/amdahl_groups_runs.csv",
          "--out-dir", "{out}"],
         {
             "stdout":
-                "c5bf596017382b9eefb1fc8f72c427e731f18e222d9ac935086ab9991538f26a",
+                "48fd9325f8a970f7107c981433a8b36bb0a73b08b0380f6c0075a463ad933a52",
             "scaling_fits.csv":
-                "e69b1278810225b2a256f1206378cff2f1704c67df0fbb03dd3b2766a93964a5",
+                "f57717cd8ff394d37bbe9ed80e874260ced34166682a6c5f602a9e52f90ac884",
             "scaling_projection.csv":
-                "ca4238ad474ce7651555a251b93dcacba59165380c3e952d0279627f6bb7d94f",
+                "bdf21241f517c3f271750855d20ffd4a0deba31a506d2c35e32f8a572773fc26",
         },
     ),
     "scaling-gustafson": (

@@ -96,7 +96,8 @@ def format_value(value) -> str:
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     value = "" if value is None else str(value)
-    return '"' + value.replace('"', '""') + '"' if set(value) & set(',"\r\n') else value
+    needs_quotes = set(value) & set(',"\r\n') or value.lstrip().startswith("#")
+    return '"' + value.replace('"', '""') + '"' if needs_quotes else value
 
 
 def _row_sort_key(row):
@@ -126,8 +127,10 @@ big_ints = st.one_of(
     st.integers(2**53 - 2, 2**53 + 3),
     st.sampled_from([2**63 - 1, 2**63 - 512, -(2**63), 2**62 + 1]),
 )
-# Outside the BMP, a trailing NUL, which a numpy U array would drop, and what csv quotes.
-texts = st.text(alphabet=["a", "b", "\x00", "\U0001F600", "\u00e9", ",", '"', "\r", "\n"], max_size=3)
+# Outside the BMP, a trailing NUL, which a numpy U array would drop, what csv quotes, and
+# what starts a comment line.
+texts = st.text(alphabet=["a", "b", "\x00", "\U0001F600", "\u00e9", ",", '"', "\r", "\n", "#", " ", "\t"],
+                max_size=3)
 zeros = st.sampled_from([0.0, -0.0, 1.0, 2.5])
 # (dtype or None for a list of str, cell strategy): the two kinds of column the writer takes.
 columns = st.sampled_from([
@@ -170,6 +173,15 @@ class TestQuotedCells:
         assert [cell for cell in cells if cell[0] in self.LABELS[:6]] == \
             [cell for cell in expected if cell[0] in self.LABELS[:6]]
         assert len(cells) == len(self.LABELS)
+
+
+    def test_cell_led_by_a_hash_is_not_read_as_a_comment(self, tmp_path):
+        labels = ["#hot", " \t#warm", "cold", "a#b"]
+        path = emit_plot_data([labels, np.arange(len(labels), dtype=float)], tmp_path / "h.csv",
+                              header=["label", "x"])
+        assert path.read_text().splitlines()[1:] == ['" \t#warm",1.0', '"#hot",0.0', "a#b,3.0", "cold,2.0"]
+        cells = [cell for _, (block,) in read_columns(path, ("label",)) for cell in block]
+        assert cells == ["#warm", "#hot", "a#b", "cold"]
 
 
 class TestEmitMatchesReference:
