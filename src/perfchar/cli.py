@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -357,37 +358,38 @@ def _cmd_analyze_scaling(args) -> int:
     out_dir = Path(args.out_dir)
 
     if args.model == "mpi-shares":
-        groups = parse_share_groups(args.input, fields)
-        labels, fits, critical = [], [], []
-        group, procs, share = [], [], []  # an lb and a com curve row per share point
-        for (key, pts), fit in zip(groups.items(), fit_mpi_shares_many(groups.values())):
-            if isinstance(fit, PerfcharError):
-                raise fit
-            label = "/".join(key)
-            try:
-                lb_only = critical_units(fit, 100.0, "lb_only")
-                lb_com = critical_units(fit, 100.0, "lb_plus_com")
-            except InvalidDataError as exc:
-                raise InvalidDataError(f"group {label}: {exc}") from exc
-            labels.append(label)
-            fits.append(fit)
-            critical.append([np.nan if c is None else c.units for c in (lb_only, lb_com)])
-            for p, _, _ in pts:
-                group += [label, label]
-                procs += [p, p]
-                share += [fit.a * p + fit.b, fit.c]
-            print(
-                f"{label}: lb = {fit.a:.3f}*p + {fit.b:.3f} (%), com = {fit.c:.3f} % "
-                + (f"(100% at p={lb_only.units:.1f} lb-only, {lb_com.units:.1f} lb+com)"
-                   if lb_only and lb_com else "(no critical point)")
-            )
+        keys, groups = parse_share_groups(args.input, fields)
+        labels, fits, critical, lines = [], [], [], []
+        try:  # the lines of the groups before a failing one are printed before its error
+            for key, fit in zip(keys, fit_mpi_shares_many(groups)):
+                if isinstance(fit, PerfcharError):
+                    raise fit
+                label = "/".join(key)
+                try:
+                    lb_only = critical_units(fit, 100.0, "lb_only")
+                    lb_com = critical_units(fit, 100.0, "lb_plus_com")
+                except InvalidDataError as exc:
+                    raise InvalidDataError(f"group {label}: {exc}") from exc
+                labels.append(label)
+                fits.append(fit)
+                critical.append([np.nan if c is None else c.units for c in (lb_only, lb_com)])
+                lines.append(
+                    f"{label}: lb = {fit.a:.3f}*p + {fit.b:.3f} (%), com = {fit.c:.3f} % "
+                    + (f"(100% at p={lb_only.units:.1f} lb-only, {lb_com.units:.1f} lb+com)\n"
+                       if lb_only and lb_com else "(no critical point)\n")
+                )
+        finally:
+            sys.stdout.write("".join(lines))
         header = ["group", "a", "sigma_a", "b", "sigma_b", "c", "sigma_c",
                   "critical_lb_only", "critical_lb_plus_com"]
+        values = np.array(list(map(attrgetter(*header[1:7]), fits)), dtype=float).reshape(-1, 6)
         fits_path = out_dir / "mpi_share_fits.csv"
-        emit_plot_data([labels, *(_floats(getattr(fit, name) for fit in fits) for name in header[1:7]),
-                        *np.array(critical).T], fits_path, header=header)
+        emit_plot_data([labels, *values.T, *np.array(critical).T], fits_path, header=header)
+        # An lb and a com curve row per share point, group by group.
+        p, a, b, c = groups.points[:, 0], *np.repeat(values[:, [0, 2, 4]], groups.sizes, axis=0).T  # a, b, c
         curves_path = out_dir / "mpi_share_curves.csv"
-        emit_plot_data([group, ["lb", "com"] * (len(procs) // 2), _floats(procs), _floats(share)],
+        emit_plot_data([np.repeat(np.array(labels, dtype=object), 2 * groups.sizes).tolist(),
+                        ["lb", "com"] * len(p), np.repeat(p, 2), np.column_stack((a * p + b, c)).ravel()],
                        curves_path, header=["group", "series", "p", "share_pct"])
         write_sidecar_metadata(fits_path, {"command": "analyze scaling", "model": args.model})
         return 0
@@ -453,7 +455,8 @@ def _cmd_analyze_scaling(args) -> int:
 
 def _cmd_analyze_energy(args) -> int:
     runs = parse_runs(args.input)
-    order = np.argsort(group_by(runs, ("app", "platform", "compiler", "nodes", "timestamp"))[0], kind="stable")
+    fields = ("app", "platform", "compiler", "nodes", "timestamp")
+    order = np.argsort(group_by([getattr(runs, f) for f in fields], len(runs))[0], kind="stable")
     runs = runs.take(order)
     # NaN where a run has no energy, or for work, no rate metric: a blank cell.
     with np.errstate(over="ignore"):  # an overflow is the error below

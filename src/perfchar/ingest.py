@@ -44,6 +44,7 @@ from .exceptions import (
 )
 from .report import BLOCK_ROWS, ranks
 from .roofline import CounterSample, KernelPoint, arithmetic_intensity
+from .scalefit import PointGroups
 
 RUNS_COLUMNS = (
     "platform",
@@ -395,18 +396,35 @@ def _share_point(*row: str) -> tuple[tuple[str, ...], tuple[float, float, float]
     return tuple(key), point
 
 
-def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
-    """Share points (procs, lb_share_pct, com_share_pct) by their ``fields`` values.
+def parse_share_groups(source: str | Path, fields: tuple[str, ...]) -> tuple[list[tuple[str, ...]], PointGroups]:
+    """Share points (procs, lb_share_pct, com_share_pct) grouped by their ``fields`` values.
 
-    The ``fields`` columns are mandatory; groups come back in sorted key order.
-    Raises RowError listing every line with a share or count that is not finite.
+    The ``fields`` columns are mandatory. Gives each group's key, in sorted key
+    order, and the groups' points, each group's sorted as ``sorted()`` sorts
+    their tuples. Raises RowError listing every line with a share or count
+    that is not finite.
     """
-    groups: dict[tuple, list[tuple[float, float, float]]] = {}
-    for key, point in _rows(read_columns(source, (*fields, *SHARE_COLUMNS)), _share_point):
-        groups.setdefault(key, []).append(point)
-    if not groups:
+    texts = {}  # one object per distinct key text
+
+    def convert(lines, cells):
+        *key, procs, lb, com = cells
+        try:  # whole columns at once; which rows fail, and why, is left to _share_point
+            points = np.column_stack([np.fromiter(map(float, column), float, len(column))
+                                      for column in (procs, lb, com)])
+            valid = np.isfinite(points).all()
+        except ValueError:
+            valid = False
+        if not valid:  # the column checks are _share_point's, so _rows raises
+            _rows([(lines, cells)], _share_point)
+        return [_shared(column, texts) for column in key], points
+
+    blocks = _each_block(read_columns(source, (*fields, *SHARE_COLUMNS)), convert)
+    points = np.concatenate([points for _, points in blocks] or [np.empty((0, len(SHARE_COLUMNS)))])
+    if not len(points):
         raise SchemaError(f"{source}: no share rows")
-    return dict(sorted(groups.items()))
+    columns = [list(chain.from_iterable(parts)) for parts in zip(*(key for key, _ in blocks))]
+    group, first = group_by(columns, len(points))
+    return _group_keys(columns, first), PointGroups.of(group, points, len(first))
 
 
 def _kernel_point(label, intensity, flops, loads, stores, access_bytes, measured, share) -> KernelPoint:
@@ -510,17 +528,24 @@ def serialize_runs(records: Iterable[RunRecord]) -> str:
     return out.getvalue()
 
 
-def group_by(runs: RunTable, fields: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Each record's group by ``fields``, numbered in sorted key order, and each group's first record."""
+def group_by(columns: Sequence, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each of ``rows`` rows' group by its values in ``columns``, numbered in sorted key order, and
+    each group's first row. A column is a list of str or a numpy array."""
     codes = [ranks(values)[0] if isinstance(values, list) else np.unique(values, return_inverse=True)[1]
-             for values in map(runs.__getattribute__, fields)] or [np.zeros(len(runs), np.intp)]
-    order = np.lexsort(codes[::-1])  # stable: a group's records stay in record order
+             for values in columns] or [np.zeros(rows, np.intp)]
+    order = np.lexsort(codes[::-1])  # stable: a group's rows stay in row order
     ordered = np.array(codes)[:, order]
-    new = np.ones(len(runs), bool)
+    new = np.ones(rows, bool)
     new[1:] = (ordered[:, 1:] != ordered[:, :-1]).any(axis=0)
-    group = np.empty(len(runs), np.intp)
+    group = np.empty(rows, np.intp)
     group[order] = np.cumsum(new) - 1
     return group, order[new]
+
+
+def _group_keys(columns: Sequence[list], first: np.ndarray) -> list[tuple]:
+    """The key, one value per column, of each group's first row."""
+    picks = first.tolist()
+    return list(zip(*(map(column.__getitem__, picks) for column in columns))) or [()] * len(picks)
 
 
 def group_stats(runs: RunTable, fields: tuple[str, ...], value: str):
@@ -531,10 +556,9 @@ def group_stats(runs: RunTable, fields: tuple[str, ...], value: str):
     Python loop over each group. A square that overflows is an InvalidDataError
     naming the first group, in first-seen order, that holds one.
     """
-    group, first = group_by(runs, fields)
+    group, first = group_by([getattr(runs, f) for f in fields], len(runs))
     picks = first.tolist()
-    columns = (map(runs.column(f).__getitem__, picks) for f in fields)
-    keys = list(zip(*columns)) if fields else [()] * len(picks)
+    keys = _group_keys([runs.column(f) for f in fields], first)
     values = getattr(runs, value)
     n = np.bincount(group, minlength=len(picks))
     mean = np.bincount(group, weights=values, minlength=len(picks)) / n
@@ -684,7 +708,8 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
         if not valid:  # the column checks are _pairwise_row's, so _rows raises
             _rows([(lines, cells)], _pairwise_row)
         if message_size is not None:
-            keep = [size_of[text] == message_size for text in msg_bytes]
+            chosen = {text for text, size in size_of.items() if size == message_size}
+            keep = np.fromiter(map(chosen.__contains__, msg_bytes), bool, len(msg_bytes))
             node_a, node_b, gbs = list(compress(node_a, keep)), list(compress(node_b, keep)), gbs[keep]
         return _shared(node_a, texts), _shared(node_b, texts), gbs
 

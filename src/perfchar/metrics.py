@@ -162,7 +162,7 @@ def speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
         if unusable.any():
             failure = InvalidDataError("weak-scaling fits need a positive rate app_metric "
                                        "(e.g. MLUP/s) on every record")
-            curve, _ = group_by(runs, fields)
+            curve, _ = group_by([getattr(runs, f) for f in fields], len(runs))
             runs = runs.take(np.flatnonzero(curve < curve[unusable].min()))
     keys, first, _, mean, _ = group_stats(runs, (*fields, "nodes"), value)
     groups = [key[:-1] for key in keys]  # each mean's group; a group's means come in node order

@@ -17,15 +17,17 @@ uncertainties (covariance at the optimum, scaled by reduced chi-square) are
 calibrated. The weak-scaling and share models are linear and solved in closed form.
 
 Each ``*_many`` function fits many groups, those with the same number of
-points together as stacked arrays, and ``project_many`` evaluates many fits;
-each group's result is bit-identical to fitting it alone, and the one-group
-functions are the batch of one.
+points together as stacked arrays cut from one ``PointGroups``, and
+``project_many`` evaluates many fits; each group's result is bit-identical to
+fitting it alone, and the one-group functions are the batch of one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -122,6 +124,48 @@ class WeakScalingSize:
     global_dims: tuple[int, int, int]
     total_cells: int
     memory_bytes: int
+
+
+@dataclass(frozen=True, eq=False)
+class PointGroups:
+    """Groups of fit points held as one array.
+
+    ``points`` holds the groups one after another, each group's rows in the
+    order ``sorted()`` gives their tuples, and ``sizes`` each group's row count.
+    Build one with ``of`` or ``from_groups``, which sort the rows.
+    """
+
+    sizes: np.ndarray  # (G,) rows per group
+    points: np.ndarray  # (N, width)
+
+    @classmethod
+    def of(cls, group: np.ndarray, points: np.ndarray, count: int) -> "PointGroups":
+        """The ``count`` groups of the rows of ``points``, row i in group ``group[i]``.
+
+        Within a group, rows sort by their first column, then the next; equal
+        rows keep their order. Rows that are not finite may sort otherwise
+        than ``sorted()`` puts them; a fit refuses their group whatever the order.
+        """
+        return cls(np.bincount(group, minlength=count), points[np.lexsort((*points.T[::-1], group))])
+
+    @classmethod
+    def from_groups(cls, groups: Iterable[Iterable], width: int) -> "PointGroups":
+        """The PointGroups of groups of ``width``-value points."""
+        groups = [list(points) for points in groups]
+        flat = list(chain.from_iterable(groups))
+        if set(map(len, flat)) - {width}:
+            raise ValueError(f"a point must hold {width} values")
+        sizes = np.fromiter(map(len, groups), np.intp, len(groups))
+        points = np.fromiter(chain.from_iterable(flat), float, width * len(flat)).reshape(-1, width)
+        return cls.of(np.repeat(np.arange(len(groups)), sizes), points, len(groups))
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """Each group's first row in ``points``."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    def __len__(self) -> int:
+        return len(self.sizes)
 
 
 def eval_amdahl(a: float, b: float, p: float) -> float:
@@ -230,15 +274,17 @@ def fit_amdahl(points: Iterable[tuple[float, float]]) -> AmdahlFit:
 
 
 def _stacks(groups, width: int) -> tuple[list, list[tuple[list[int], np.ndarray]]]:
-    """A result slot per group, and stacks (input positions, (G, n, width) sorted points) by n."""
-    groups = [sorted(points) for points in groups]
-    sizes: dict[int, list[int]] = {}
-    for i, pts in enumerate(groups):
-        sizes.setdefault(len(pts), []).append(i)
-    return [None] * len(groups), [
-        (index, np.array([groups[i] for i in index], dtype=float).reshape(len(index), n, width))
-        for n, index in sorted(sizes.items())
-    ]
+    """A result slot per group, and stacks (input positions, (G, n, width) sorted points) by n.
+
+    The stacks are cut from ``groups`` as a PointGroups; groups given as lists of points are made one first.
+    """
+    if not isinstance(groups, PointGroups):
+        groups = PointGroups.from_groups(groups, width)
+    stacks = []
+    for n in np.unique(groups.sizes).tolist():
+        index = np.flatnonzero(groups.sizes == n)
+        stacks.append((index.tolist(), groups.points[groups.starts[index, None] + np.arange(n)]))
+    return [None] * len(groups), stacks
 
 
 def _screen(index: list[int], results: list, points: np.ndarray, checks) -> list[int]:
@@ -343,6 +389,7 @@ def fit_mpi_shares_many(
         valid = _screen(index, results, pts, [
             (_distinct(p) < 3,
              lambda k: UnderdeterminedError("share fit needs >= 3 distinct p values")),
+            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
             (np.any((lb < 0) | (lb > 100) | (com < 0) | (com > 100), axis=1),
              lambda k: InvalidDataError("shares must lie within [0, 100] percent")),
             (np.any(over, axis=1), lambda k: InvalidDataError(

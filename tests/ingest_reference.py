@@ -1,9 +1,10 @@
 """The row-at-a-time ingest path as first written.
 
-``perfchar.ingest`` reads runs, pairwise and kernel-point files as whole
-columns. It must accept and reject exactly the rows these functions accept
-and reject, with the same messages, and give bit-identical records, group
-statistics, matrices, warnings, weak links and kernel points. The code is
+``perfchar.ingest`` reads runs, pairwise, share and kernel-point files as
+whole columns. It must accept and reject exactly the rows these functions
+accept and reject, with the same messages, and give bit-identical records,
+group statistics, matrices, warnings, weak links, share groups and kernel
+points. The code is
 kept as it was, as the reference for that comparison, with ``classify`` as
 the per-point reference for ``perfchar.roofline.classify_many``. The one
 change: ``_check_pair`` refuses a bandwidth above half the largest float, as
@@ -28,6 +29,7 @@ from perfchar.ingest import (
     KERNEL_POINT_COLUMNS,
     PAIRWISE_COLUMNS,
     RUNS_COLUMNS,
+    SHARE_COLUMNS,
     SYMMETRY_TOLERANCE,
     AppMetric,
     PairwiseBandwidthMatrix,
@@ -279,6 +281,31 @@ def detect_weak_links(
                 )
     links.sort(key=lambda w: (-w.deficit, w.node_a, w.node_b))
     return links
+
+
+def parse_share_groups(source: str | Path, fields: tuple[str, ...]):
+    """Share points (procs, lb_share_pct, com_share_pct) by their ``fields`` values, each group's in file order.
+
+    The ``fields`` columns are mandatory; groups come back in sorted key order.
+    Raises RowError listing every line with a share or count that is not finite.
+    """
+    groups: dict[tuple, list[tuple[float, float, float]]] = {}
+    failures: list[tuple[int, str]] = []
+    for line, values in read_rows(source, (*fields, *SHARE_COLUMNS)):
+        *key, procs, lb, com = values
+        try:
+            point = (float(procs), float(lb), float(com))
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
+        except ValueError as exc:
+            failures.append((line, str(exc)))
+            continue
+        groups.setdefault(tuple(key), []).append(point)
+    if failures:
+        raise RowError(failures)
+    if not groups:
+        raise SchemaError(f"{source}: no share rows")
+    return dict(sorted(groups.items()))
 
 
 def parse_kernel_points(source: str | Path) -> list[KernelPoint]:

@@ -69,6 +69,8 @@ def fit_mpi_shares_reference(points: Iterable[tuple[float, float, float]]) -> Mp
     com = np.array([v for _, _, v in pts], dtype=float)
     if len(set(p.tolist())) < 3:
         raise UnderdeterminedError("share fit needs >= 3 distinct p values")
+    if np.any(p < 1):
+        raise ParameterError("unit counts must be >= 1")
     if np.any(lb < 0) or np.any(lb > 100) or np.any(com < 0) or np.any(com > 100):
         raise InvalidDataError("shares must lie within [0, 100] percent")
     if np.any(lb + com > 100.0):

@@ -445,6 +445,17 @@ class TestAnalyzeScaling:
         assert code == 1
         assert_one_error_line(capsys, "InvalidDataError", "uncertainties are not finite")
 
+    @pytest.mark.parametrize("procs", ["-16", "0", "0.5"])
+    def test_share_unit_count_below_one_is_one_error_line(self, procs, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text(f"platform,procs,lb_share_pct,com_share_pct\np,{procs},5,20\np,2,6,20\np,4,7,20\n"
+                          "p,8,8,20\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                     "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert_one_error_line(capsys, "ParameterError", "unit counts must be >= 1")
+        assert not (tmp_path / "out").exists()
+
     def test_subnormal_slope_critical_point_is_one_error_line(self, tmp_path, capsys):
         shares = tmp_path / "shares.csv"
         shares.write_text("platform,procs,lb_share_pct,com_share_pct\n"

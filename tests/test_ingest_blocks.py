@@ -26,7 +26,7 @@ from perfchar.ingest import (
     parse_share_groups,
 )
 from test_ingest import read_all
-from test_ingest_columns import matrix_outcome, outcome, pairwise_csv, run_row, runs_json
+from test_ingest_columns import matrix_outcome, outcome, pairwise_csv, run_row, runs_json, share_outcome
 
 BLOCK_SIZES = (1, 2, 3, report.BLOCK_ROWS)
 
@@ -125,7 +125,7 @@ class TestEveryBlockSize:
     @given(text=shares_file())
     def test_shares(self, tmp_path_factory, text):
         path = written(tmp_path_factory, text, "shares.csv")
-        same_at_every_block_size(lambda: outcome(parse_share_groups, path, ("app", "platform")))
+        same_at_every_block_size(lambda: share_outcome(parse_share_groups, path, ("app", "platform")))
 
     @settings(max_examples=100, deadline=None)
     @given(text=kernels_file())

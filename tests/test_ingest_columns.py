@@ -1,12 +1,15 @@
 """The column-wise ingest path against the row-at-a-time reference.
 
-``ingest_reference`` keeps the runs, pairwise and kernel-point readers, the
-aggregation, the weak-link search and the per-point roofline classification
-as first written. On drawn files the column-wise code must accept and reject
-the same rows with the same messages, and give bit-identical records, group
-statistics, matrices, warnings, links, kernel points and classifications.
+``ingest_reference`` keeps the runs, pairwise, share and kernel-point
+readers, the aggregation, the weak-link search and the per-point roofline
+classification as first written. On drawn files the column-wise code must
+accept and reject the same rows with the same messages, and give
+bit-identical records, group statistics, matrices, warnings, links, share
+groups, kernel points and classifications.
 """
 
+import csv
+import io
 import json
 import math
 from unittest import mock
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 import ingest_reference as ref
 from perfchar import ingest, report
-from perfchar.exceptions import ParameterError
+from perfchar.exceptions import ParameterError, RowError
 from perfchar.ingest import (
     RUNS_COLUMNS,
     build_pairwise_matrix,
@@ -26,6 +29,7 @@ from perfchar.ingest import (
     parse_kernel_points,
     parse_pairwise_bandwidth,
     parse_runs,
+    parse_share_groups,
 )
 from perfchar.roofline import KernelPoint, build_roofline, classify, classify_many
 from test_cli import KERNEL_CELLS
@@ -289,6 +293,90 @@ class TestTwoSizePairwiseAgainstReference:
         path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
         path.write_text(text, encoding="utf-8")
         compare_pairwise(path)
+
+
+def share_outcome(parse, path, fields):
+    """Each group's key and the bits of its points in sorted order, or the error."""
+    try:
+        groups = parse(path, fields)
+    except Exception as exc:  # the comparison is of which error, so every kind counts
+        return error(exc)
+    if isinstance(groups, dict):  # the reference's: each group's points in file order
+        keys, points = list(groups), [sorted(points) for points in groups.values()]
+    else:
+        keys, groups = groups
+        points = np.split(groups.points, np.cumsum(groups.sizes)[:-1])
+    return "ok", [(key, [tuple(map(float.hex, point)) for point in map(tuple, group)])
+                  for key, group in zip(keys, points)]
+
+
+SHARE_FIELDS = ("app", "platform", "procs", "lb_share_pct", "com_share_pct")
+# Keys that tie, that join to one label ("a/b/c") or sort otherwise as labels, or that need quotes.
+SHARE_KEYS = st.sampled_from([("a", "b/c"), ("a/b", "c"), ("a", "z"), ("a!", "b"), ("a", "z"), (" a ", "z"),
+                              ("x,y", "z")])
+PROCS_CELLS = st.sampled_from(["1", "2", "2", "4", "16", "0", "-0.0", "0.5", "1e308", "1_0"])
+SHARE_PCT_CELLS = st.sampled_from(["0", "0.0", "-0.0", "5", "5.0", "12.5", "20", "100"])
+BAD_SHARE_CELLS = st.sampled_from(["nan", "inf", "-inf", "x", "", "0x10"])
+
+
+@st.composite
+def shares_text(draw):
+    """A share CSV or JSON: tied and colliding keys, repeated procs, equal lb and com, -0.0, some bad cells."""
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        cells = [draw(PROCS_CELLS), draw(SHARE_PCT_CELLS), draw(SHARE_PCT_CELLS)]
+        if draw(st.integers(0, 9)) == 0:
+            cells[draw(st.integers(0, 2))] = draw(BAD_SHARE_CELLS)
+        rows.append([*draw(SHARE_KEYS), *cells])
+    if draw(st.booleans()):
+        return "shares.json", json.dumps([{name: json_value(draw, cell) if name not in SHARE_FIELDS[:2] else cell
+                                           for name, cell in zip(SHARE_FIELDS, row)} for row in rows])
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows([SHARE_FIELDS, *rows])
+    return "shares.csv", out.getvalue()
+
+
+class TestSharesAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(file=shares_text(), fields=st.sampled_from([("app", "platform"), ("platform", "app"), ("app",), ()]))
+    def test_every_block_size(self, tmp_path_factory, file, fields):
+        name, text = file
+        path = tmp_path_factory.mktemp("shares") / name
+        path.write_text(text, encoding="utf-8")
+        expected = share_outcome(ref.parse_share_groups, path, fields)
+        for block in (1, 2, 3, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block):
+                assert share_outcome(parse_share_groups, path, fields) == expected, f"BLOCK_ROWS = {block}"
+
+    def test_keys_with_one_label_stay_two_groups_in_key_order(self, tmp_path):
+        path = tmp_path / "shares.csv"
+        path.write_text("app,platform,procs,lb_share_pct,com_share_pct\n"
+                        "a/b,c,1,5,20\na!,b,1,5,20\na,z,1,5,20\na,b/c,2,6,20\na,b/c,1,5,20\n")
+        keys, groups = parse_share_groups(path, ("app", "platform"))
+        assert keys == [("a", "b/c"), ("a", "z"), ("a!", "b"), ("a/b", "c")]
+        assert groups.sizes.tolist() == [2, 1, 1, 1]
+        assert groups.points.tolist() == [[1.0, 5.0, 20.0], [2.0, 6.0, 20.0], *[[1.0, 5.0, 20.0]] * 3]
+
+    def test_valid_file_is_read_as_columns(self, tmp_path):
+        path = tmp_path / "shares.csv"
+        path.write_text("app,platform,procs,lb_share_pct,com_share_pct\n"
+                        "a,p,4,-0.0,20\na,p,2,0.0,0\nb,p,2,5,5\na,p,2,0,-0.0\n# note\na,p,1,5,20\n")
+        with mock.patch.object(ingest, "_share_point", side_effect=AssertionError("per-row path taken")):
+            got = share_outcome(parse_share_groups, path, ("app", "platform"))
+        assert got == share_outcome(ref.parse_share_groups, path, ("app", "platform"))
+        assert got[0] == "ok"
+
+    def test_bad_rows_give_the_per_row_error(self, tmp_path):
+        path = tmp_path / "shares.csv"
+        path.write_text("platform,procs,lb_share_pct,com_share_pct\n"
+                        "p,1,5,20\np,x,6,20\np,4,inf,20\n# note\nq,1,5,\nq,2,6,20\n")
+        for block in (1, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block), pytest.raises(RowError) as info:
+                parse_share_groups(path, ("platform",))
+            assert str(info.value) == (
+                "3 invalid row(s): line 3: could not convert string to float: 'x'; "
+                "line 4: procs, lb_share_pct, com_share_pct must be finite; "
+                "line 6: could not convert string to float: ''")
 
 
 KERNEL_FIELDS = ("label", "intensity", "flops", "loads", "stores", "access_bytes", "gflops", "time_share_pct")

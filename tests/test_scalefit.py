@@ -204,14 +204,25 @@ class TestMpiShares:
         with pytest.raises(InvalidDataError, match="uncertainties are not finite"):
             fit_mpi_shares(points)
 
+    @pytest.mark.parametrize("procs", [-16.0, 0.0, 0.5])
+    def test_unit_count_below_one_rejected(self, procs):
+        points = [(procs, 5.0, 20.0), (2.0, 6.0, 20.0), (4.0, 7.0, 20.0)]
+        with pytest.raises(ParameterError, match="unit counts must be >= 1"):
+            fit_mpi_shares(points)
+        assert _outcome_of(fit_mpi_shares_reference, points) == _outcome_of(fit_mpi_shares, points)
+
+    def test_too_few_distinct_counts_fail_before_a_count_below_one(self):
+        with pytest.raises(UnderdeterminedError):
+            fit_mpi_shares([(0.5, 5.0, 20.0), (2.0, 6.0, 20.0), (2.0, 7.0, 20.0)])
+
     def test_share_out_of_range_rejected(self):
         with pytest.raises(InvalidDataError):
             fit_mpi_shares([(1, -1.0, 20.0), (2, 5.0, 20.0), (4, 6.0, 20.0)])
 
     def test_variance_of_minus_inf_is_invalid_data(self):
-        # Sums of p**2 underflow to 0, and inv() gives a variance of -inf, not a sigma of 0.
+        # Sums of p**2 would underflow to 0, and inv() give a variance of -inf; a unit count below 1 fails first.
         points = [(1e-200, 10.0, 5.0), (2e-200, 20.0, 5.0), (3e-200, 31.0, 6.0)]
-        with pytest.raises(InvalidDataError, match="uncertainties are not finite"):
+        with pytest.raises(ParameterError, match="unit counts must be >= 1"):
             fit_mpi_shares(points)
         assert _outcome_of(fit_mpi_shares_reference, points) == _outcome_of(fit_mpi_shares, points)
 
@@ -485,9 +496,10 @@ UNIT_COUNTS = (1, 2, 3, 4, 8, 16, 32, 64, 128, 256, 512)
 
 @st.composite
 def _share_group(draw):
-    """0-29 share points, often with a repeated p: on the model with noise, or arbitrary; some invalid."""
+    """0-29 share points, often with a repeated p: on the model with noise, or arbitrary; some invalid,
+    some with p below 1."""
     n = draw(st.one_of(st.integers(0, 9), st.integers(10, 29)))
-    p = draw(st.lists(st.sampled_from(UNIT_COUNTS), min_size=n, max_size=n))
+    p = draw(st.lists(st.sampled_from(UNIT_COUNTS) | st.sampled_from((0.0, 0.5)), min_size=n, max_size=n))
     if draw(st.booleans()):
         lb = draw(st.lists(st.floats(0.0, 70.0), min_size=n, max_size=n))
         com = draw(st.lists(st.floats(0.0, 40.0), min_size=n, max_size=n))
