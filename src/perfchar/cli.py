@@ -297,7 +297,7 @@ def _cmd_analyze_roofline(args) -> int:
         raise ParameterError("need --spec, or both --flops-gflops and --bandwidth-gbs")
     model = build_roofline(flops, bandwidth, scope=args.scope)
 
-    points = parse_kernel_points(args.points) if args.points else KernelTable.from_points([])
+    points = parse_kernel_points(args.points) if args.points else KernelTable([], *np.empty((3, 0)))
     # The range widens to half and twice each positive intensity; name the first point that breaks it.
     positive = np.flatnonzero(points.intensity > 0)
     with np.errstate(over="ignore", divide="ignore"):  # inf, as a Python float gives

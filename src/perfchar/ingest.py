@@ -11,7 +11,10 @@ JSON array of objects with the same field names:
   ``access_bytes``); optional ``gflops,time_share_pct``
 
 ``read_columns`` holds a file's text, one block of rows as cells, and what
-the parser has made of the blocks before. Runs come back as a ``RunTable``,
+the parser has made of the blocks before. Each parser converts and checks a
+block as whole columns; ``_each_block`` hands a block's rows to the parser's
+per-row function only when that column check declines the block, to name
+each failing line and why. Runs come back as a ``RunTable``,
 which holds them as columns and builds a ``RunRecord`` only when a row is
 asked for. Energy is stored in joules; presentation layers convert to kJ.
 The app metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
@@ -300,27 +303,32 @@ def read_columns(
                         for i in picks]  # a repeated column name reads its last column
 
 
-def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable) -> list:
-    """``convert(lines, cells)`` of every block; one RowError lists every block's failures in file order."""
+def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable,
+                make: Callable) -> list:
+    """``convert(cells)`` of every block; one RowError lists every failing row of every block in file order.
+
+    ``convert`` declines a block by returning None or raising ValueError. Only
+    a declined block's rows go to ``make(*row)``, and each ValueError it raises
+    names a failing row. A declined block in which no row fails is a fault of
+    ``convert``, and raises a RuntimeError naming the block's first line.
+    """
     values, failures = [], []
     for lines, cells in blocks:
         try:
-            values.append(convert(lines, cells))
-        except RowError as exc:
-            failures.extend(exc.failures)
-    if failures:
-        raise RowError(failures)
-    return values
-
-
-def _rows(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], make: Callable) -> list:
-    """``make(*row)`` of each row of ``blocks``; one RowError lists every row where it raises ValueError."""
-    values, failures = [], []
-    for line, row in chain.from_iterable(zip(lines, zip(*cells)) for lines, cells in blocks):
-        try:
-            values.append(make(*row))
-        except ValueError as exc:  # ParameterError is a ValueError
-            failures.append((line, str(exc)))
+            value = convert(cells)
+        except ValueError:
+            value = None
+        if value is not None:
+            values.append(value)
+            continue
+        before = len(failures)
+        for line, row in zip(lines, zip(*cells)):
+            try:
+                make(*row)
+            except ValueError as exc:  # ParameterError is a ValueError
+                failures.append((line, str(exc)))
+        if len(failures) == before:
+            raise RuntimeError(f"line {lines[0]}: the column check declined a block whose rows all pass")
     if failures:
         raise RowError(failures)
     return values
@@ -376,12 +384,8 @@ def parse_runs(source: str | Path) -> RunTable:
     ``_run_record``: the cell conversions, then RunRecord's own checks.
     """
     texts, stamps = {}, {}  # one object per distinct text of a text column, and per timestamp checked
-
-    def convert(lines, cells):
-        runs = _run_table(cells, texts, stamps)
-        return RunTable.from_records(_rows([(lines, cells)], _run_record)) if runs is None else runs
-
-    tables = _each_block(read_columns(source, RUNS_COLUMNS), convert)
+    tables = _each_block(read_columns(source, RUNS_COLUMNS), lambda cells: _run_table(cells, texts, stamps),
+                         _run_record)
     columns = zip(*([getattr(table, f.name) for f in dataclass_fields(table)] for table in tables))
     return RunTable(*(np.concatenate(parts) if isinstance(parts[0], np.ndarray) else
                       list(chain.from_iterable(parts)) for parts in columns))
@@ -406,19 +410,14 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]) -> tuple[lis
     """
     texts = {}  # one object per distinct key text
 
-    def convert(lines, cells):
+    def convert(cells):  # whole columns at once; which rows fail, and why, is left to _share_point
         *key, procs, lb, com = cells
-        try:  # whole columns at once; which rows fail, and why, is left to _share_point
-            points = np.column_stack([np.fromiter(map(float, column), float, len(column))
-                                      for column in (procs, lb, com)])
-            valid = np.isfinite(points).all()
-        except ValueError:
-            valid = False
-        if not valid:  # the column checks are _share_point's, so _rows raises
-            _rows([(lines, cells)], _share_point)
-        return [_shared(column, texts) for column in key], points
+        points = np.column_stack([np.fromiter(map(float, column), float, len(column))
+                                  for column in (procs, lb, com)])
+        if np.isfinite(points).all():
+            return [_shared(column, texts) for column in key], points
 
-    blocks = _each_block(read_columns(source, (*fields, *SHARE_COLUMNS)), convert)
+    blocks = _each_block(read_columns(source, (*fields, *SHARE_COLUMNS)), convert, _share_point)
     points = np.concatenate([points for _, points in blocks] or [np.empty((0, len(SHARE_COLUMNS)))])
     if not len(points):
         raise SchemaError(f"{source}: no share rows")
@@ -441,26 +440,16 @@ def _kernel_point(label, intensity, flops, loads, stores, access_bytes, measured
 
 
 @dataclass(frozen=True, eq=False)
-class KernelTable(Sequence):
-    """Validated kernel points as columns, NaN for an absent measurement or share; a sequence of KernelPoint."""
+class KernelTable:
+    """Validated kernel points as columns, NaN for an absent measurement or share."""
 
     label: list[str]
     intensity: np.ndarray  # Flop/Byte
     measured_perf: np.ndarray  # GFlop/s
     time_share: np.ndarray  # fraction of total run time
 
-    @classmethod
-    def from_points(cls, points: list[KernelPoint]) -> "KernelTable":
-        floats = np.array([(p.intensity, p.measured_perf, p.time_share) for p in points], float)  # None: NaN
-        return cls([p.label for p in points], *floats.reshape(-1, 3).T)
-
     def __len__(self) -> int:
         return len(self.label)
-
-    def __getitem__(self, index: int) -> KernelPoint:
-        measured, share = self.measured_perf[index].item(), self.time_share[index].item()
-        return KernelPoint(self.label[index], self.intensity[index].item(),
-                           None if math.isnan(measured) else measured, None if math.isnan(share) else share)
 
 
 def parse_kernel_points(source: str | Path) -> KernelTable:
@@ -473,33 +462,31 @@ def parse_kernel_points(source: str | Path) -> KernelTable:
     """
     access = {}  # each access_bytes text's byte count, NaN when out of range
 
-    def convert(lines, cells):
+    def convert(cells):
         label, intensity, flops, loads, stores, access_bytes, measured, share = cells
-        try:  # whole columns at once, a blank as NaN; which rows fail, and why, is left to _kernel_point
-            given, flops, loads, stores, gflops, fraction = (
-                np.array([float(text) if text else math.nan for text in texts], float)
-                for texts in (intensity, flops, loads, stores, measured, share))
-            for text in set(access_bytes).difference(access):
-                count = int(text or 8)
-                access[text] = float(count) if 0 < count < 2**63 else math.nan
-            size = np.fromiter(map(access.__getitem__, access_bytes), float, len(access_bytes))
-            counts = (loads >= 0) & (loads < math.inf) & (stores >= 0) & (stores < math.inf)
-            with np.errstate(over="ignore"):  # an overflow reads inf, as a Python float does
-                moved = np.add(loads, stores, out=np.full(len(size), math.nan), where=counts) * size
-                counted = np.divide(flops, moved, out=np.full(len(size), math.nan),
-                                    where=(flops >= 0) & (moved > 0) & (moved < math.inf))
-            value = np.where(np.fromiter(map(bool, intensity), bool, len(intensity)), given, counted)
-            fraction /= 100.0
-            valid = (np.isnan(gflops).sum() == measured.count("") and np.isnan(fraction).sum() == share.count("")
-                     and ((value >= 0) & (value < math.inf)).all()
-                     and not ((gflops < 0) | (gflops == math.inf) | (fraction < 0) | (fraction > 1)).any())
-        except ValueError:
-            valid = False
-        if not valid:
-            return KernelTable.from_points(_rows([(lines, cells)], _kernel_point))
-        return KernelTable(label, value, gflops, fraction)
+        # Whole columns at once, a blank as NaN; which rows fail, and why, is left to _kernel_point. As
+        # there, the counters are read only in the rows without an intensity.
+        derived = list(map(operator.not_, intensity))
+        value, gflops, fraction, flops, loads, stores = (
+            np.array([float(text) if text else math.nan for text in texts], float)
+            for texts in (intensity, measured, share, *(compress(c, derived) for c in (flops, loads, stores))))
+        access_bytes = list(compress(access_bytes, derived))
+        for text in set(access_bytes).difference(access):
+            count = int(text or 8)
+            access[text] = float(count) if 0 < count < 2**63 else math.nan
+        size = np.fromiter(map(access.__getitem__, access_bytes), float, len(access_bytes))
+        counts = (loads >= 0) & (loads < math.inf) & (stores >= 0) & (stores < math.inf)
+        with np.errstate(over="ignore"):  # an overflow reads inf, as a Python float does
+            moved = np.add(loads, stores, out=np.full(len(size), math.nan), where=counts) * size
+            value[np.array(derived, bool)] = np.divide(flops, moved, out=np.full(len(size), math.nan),
+                                                       where=(flops >= 0) & (moved > 0) & (moved < math.inf))
+        fraction /= 100.0
+        if (np.isnan(gflops).sum() == measured.count("") and np.isnan(fraction).sum() == share.count("")
+                and ((value >= 0) & (value < math.inf)).all()
+                and not ((gflops < 0) | (gflops == math.inf) | (fraction < 0) | (fraction > 1)).any()):
+            return KernelTable(label, value, gflops, fraction)
 
-    tables = _each_block(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), convert)
+    tables = _each_block(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), convert, _kernel_point)
     if not sum(map(len, tables)):
         raise SchemaError(f"{source}: no kernel points")
     return KernelTable(list(chain.from_iterable(t.label for t in tables)),
@@ -694,19 +681,14 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
     """
     texts, size_of, divisor = {}, {}, {}  # each distinct node name, msg_bytes and unit text
 
-    def convert(lines, cells):
+    def convert(cells):  # whole columns at once; which rows fail, and why, is left to _pairwise_row
         node_a, node_b, msg_bytes, bandwidth, unit = cells
-        # Whole columns at once; which rows fail, and why, is left to _pairwise_row.
-        try:
-            size_of.update((text, int(text)) for text in set(msg_bytes).difference(size_of))
-            divisor.update((text, _gbs_divisor(text)) for text in set(unit).difference(divisor))
-            gbs = np.array(list(map(float, bandwidth)), dtype=float)
-            gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
-            valid = not any(map(operator.eq, node_a, node_b)) and ((gbs > 0) & (gbs <= MAX_GBS)).all()
-        except ValueError:
-            valid = False
-        if not valid:  # the column checks are _pairwise_row's, so _rows raises
-            _rows([(lines, cells)], _pairwise_row)
+        size_of.update((text, int(text)) for text in set(msg_bytes).difference(size_of))
+        divisor.update((text, _gbs_divisor(text)) for text in set(unit).difference(divisor))
+        gbs = np.array(list(map(float, bandwidth)), dtype=float)
+        gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
+        if any(map(operator.eq, node_a, node_b)) or not ((gbs > 0) & (gbs <= MAX_GBS)).all():
+            return None
         if message_size is not None:
             chosen = {text for text, size in size_of.items() if size == message_size}
             keep = np.fromiter(map(chosen.__contains__, msg_bytes), bool, len(msg_bytes))
@@ -714,7 +696,7 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
         return _shared(node_a, texts), _shared(node_b, texts), gbs
 
     blocks = read_columns(source, PAIRWISE_COLUMNS, optional=("unit",))
-    node_a, node_b, gbs = zip(*_each_block(blocks, convert))
+    node_a, node_b, gbs = zip(*_each_block(blocks, convert, _pairwise_row))
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")

@@ -8,6 +8,7 @@ import numpy as np
 
 from .exceptions import EmptyComparisonError, InvalidDataError, ParameterError
 from .ingest import AppMetric, RunRecord, RunTable, group_by, group_stats
+from .scalefit import PointGroups
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def compare_platforms(runs: RunTable, metric: str = "time") -> ComparisonTable:
 
 
 def speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
-    """Labels and speedup points per group in sorted key order, and the first failure.
+    """Labels and speedup points (nodes, speedup) per group in sorted key order, and the first failure.
 
     Speedups are time ratios for ``model`` "amdahl" and rate ratios for
     "gustafson", against the mean at each group's smallest node count. Groups
@@ -166,11 +167,10 @@ def speedup_points(runs: RunTable, fields: tuple[str, ...], model: str):
             runs = runs.take(np.flatnonzero(curve < curve[unusable].min()))
     keys, first, _, mean, _ = group_stats(runs, (*fields, "nodes"), value)
     groups = [key[:-1] for key in keys]  # each mean's group; a group's means come in node order
-    starts = [i for i, group in enumerate(groups) if i == 0 or group != groups[i - 1]]
-    ends = [*starts[1:], len(keys)]
-    base = np.repeat(mean[starts], np.diff([*starts, len(keys)]))  # the mean at the smallest node count
+    new = np.fromiter((i == 0 or group != groups[i - 1] for i, group in enumerate(groups)), bool, len(groups))
+    group, starts = np.cumsum(new) - 1, np.flatnonzero(new)
+    base = mean[starts][group]  # the mean at the smallest node count
     with np.errstate(over="ignore", invalid="ignore"):  # inf and nan, as Python floats give them
         speedup = mean / base if model == "gustafson" else base / mean
-    pairs = list(zip(runs.nodes[first].tolist(), speedup.tolist()))
-    labels = ["/".join(map(str, groups[i])) for i in starts]
-    return labels, [pairs[a:b] for a, b in zip(starts, ends)], failure
+    labels = ["/".join(map(str, groups[i])) for i in starts.tolist()]
+    return labels, PointGroups.of(group, np.column_stack([runs.nodes[first], speedup]), len(labels)), failure

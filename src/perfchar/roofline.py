@@ -4,8 +4,9 @@ A model is the single-ceiling kind: sustained performance is
 ``min(peak_flops, peak_bandwidth * intensity)`` and the ridge intensity
 separates the memory-bound regime from the compute-bound one.
 
-Kernel points are read as columns, with the per-row path only for errors, and
-classified as columns by ``classify_many``; ``classify`` is its one-point case.
+Kernel points are read as columns, row by row only in a block that holds a bad
+row, and classified as columns by ``classify_many``; ``classify`` is its
+one-point case.
 """
 
 from __future__ import annotations

@@ -321,8 +321,8 @@ def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[Amd
         if not valid:
             continue
         p, s = p[valid], s[valid]
-        w = 1.0 / s
-        with np.errstate(all="ignore"):  # a group whose sums under- or overflow fails below
+        with np.errstate(all="ignore"):  # a group whose weights or sums under- or overflow fails below
+            w = 1.0 / s
             a, b, ssr = _amdahl_search(p, s, w)
             jac = _weighted_jacobian(a[:, None], p, w)
             normal = jac.transpose(0, 2, 1) @ jac

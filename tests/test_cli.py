@@ -415,6 +415,15 @@ class TestAnalyzeScaling:
             "overflow the weak-scaling fit\n",
         )
 
+    def test_amdahl_fit_whose_weight_overflows_is_one_error_line(self, tmp_path, capsys):
+        runs = tmp_path / "runs.csv"
+        runs.write_text("\n".join([RUNS_HEADER, "p,a,c,1,1,1e-320,,,", "p,a,c,2,1,1,,,", "p,a,c,4,1,1,,,", ""]))
+        code = main(["analyze", "scaling", "--model", "amdahl", "--in", str(runs),
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == ("", "perfchar: error: InvalidDataError: the fit's uncertainties are not "
+                                           "finite: its normal matrix is singular or ill-conditioned\n")
+
     def test_mpi_share_fit(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "shares"
         code = main(

@@ -18,6 +18,7 @@ import grouping_reference as ref
 from perfchar.exceptions import EmptyComparisonError
 from perfchar.ingest import GROUP_FIELDS, AppMetric, RunRecord, RunTable, group_stats
 from perfchar.metrics import compare_platforms, speedup_points
+from perfchar.scalefit import PointGroups
 
 # Few distinct values, so keys repeat and means tie.
 TIMES = st.one_of(st.sampled_from([1.0, 2.0, 0.5, 3.0]), st.floats(1e-3, 1e4))
@@ -156,9 +157,12 @@ def first_refused_app(rows, metric):
 
 
 def speedups(runs, fields, model, fn):
-    """``fn``'s labels and points, and its failure as a type and a message."""
+    """``fn``'s labels, its points as group sizes and rows, and its failure as a type and a message."""
     labels, points, failure = fn(runs, fields, model)
-    return labels, points, failure and (type(failure).__name__, str(failure))
+    if not isinstance(points, PointGroups):  # the reference's lists of (nodes, speedup) pairs
+        points = PointGroups.from_groups(points, 2)
+    failure = failure and (type(failure).__name__, str(failure))
+    return labels, points.sizes.tolist(), points.points.tolist(), failure
 
 
 class TestSpeedupPoints:
@@ -177,7 +181,8 @@ class TestSpeedupPoints:
                 for app, nodes, rate, unit in [("b", 1, 4.0, "MLUP/s"), ("a", 2, 4.0, "MLUP/s"),
                                                ("c", 1, 1.0, "steps"), ("a", 1, 2.0, "MLUP/s")]]
         labels, points, failure = speedup_points(RunTable.from_records(rows), ("app",), "gustafson")
-        assert (labels, points) == (["a", "b"], [[(1, 1.0), (2, 2.0)], [(1, 1.0)]])
+        assert labels == ["a", "b"]
+        assert (points.sizes.tolist(), points.points.tolist()) == ([2, 1], [[1.0, 1.0], [2.0, 2.0], [1.0, 1.0]])
         assert "positive rate" in str(failure)
         assert outcome(speedups, RunTable.from_records(rows), ("app",), "gustafson", speedup_points) == \
             outcome(speedups, RunTable.from_records(rows), ("app",), "gustafson", ref.speedup_points)

@@ -26,7 +26,15 @@ from perfchar.ingest import (
     parse_share_groups,
 )
 from test_ingest import read_all
-from test_ingest_columns import matrix_outcome, outcome, pairwise_csv, run_row, runs_json, share_outcome
+from test_ingest_columns import (
+    kernel_outcome,
+    matrix_outcome,
+    outcome,
+    pairwise_csv,
+    run_row,
+    runs_json,
+    share_outcome,
+)
 
 BLOCK_SIZES = (1, 2, 3, report.BLOCK_ROWS)
 
@@ -131,7 +139,7 @@ class TestEveryBlockSize:
     @given(text=kernels_file())
     def test_kernel_points(self, tmp_path_factory, text):
         path = written(tmp_path_factory, text, "kernels.csv")
-        same_at_every_block_size(lambda: outcome(lambda: list(parse_kernel_points(path))))
+        same_at_every_block_size(lambda: kernel_outcome(parse_kernel_points, path))
 
 
 RUNS_HEADER = ",".join(RUNS_COLUMNS)
@@ -156,6 +164,22 @@ def test_bad_rows_of_different_blocks_are_one_error_in_file_order(tmp_path):
     message = same_at_every_block_size(lambda: outcome(parse_runs, path))
     assert message[:2] == ("RowError", "2 invalid row(s): line 2: nodes must be >= 1; "
                                        "line 7: time must be finite and > 0")
+
+
+@pytest.mark.parametrize("decline", [lambda: None, mock.Mock(side_effect=ValueError("declined"))])
+def test_a_declined_block_whose_rows_all_pass_is_an_error(decline):
+    blocks = [(range(2, 4), [["a", "b"], ["1", "2"]]), (range(5, 7), [["c", "d"], ["3", "4"]])]
+    convert = lambda cells: decline() if cells[0][0] == "c" else cells  # noqa: E731
+    with pytest.raises(RuntimeError, match="^line 5: the column check declined a block whose rows all pass$"):
+        ingest._each_block(blocks, convert, lambda *row: row)
+
+
+def test_a_reader_never_drops_a_declined_block(tmp_path):
+    path = tmp_path / "runs.csv"
+    path.write_text("\n".join([RUNS_HEADER, "# note", "p,a,c,1,1,10.0,,,", "p,a,c,2,1,5.0,,,"]) + "\n")
+    with mock.patch.object(ingest, "_run_table", return_value=None):
+        with pytest.raises(RuntimeError, match="^line 3: "):
+            parse_runs(path)
 
 
 def test_equal_texts_are_one_object_across_blocks(tmp_path):

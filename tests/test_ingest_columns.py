@@ -24,6 +24,7 @@ from perfchar import ingest, report
 from perfchar.exceptions import ParameterError, RowError
 from perfchar.ingest import (
     RUNS_COLUMNS,
+    KernelTable,
     build_pairwise_matrix,
     detect_weak_links,
     parse_kernel_points,
@@ -177,6 +178,16 @@ class TestRunsAgainstReference:
         path.write_text(text, encoding="utf-8")
         compare_runs(path)
 
+    def test_valid_file_is_read_as_columns(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(",".join(RUNS_COLUMNS) + "\n"
+                        "p,a,c,1,64,251.64,82200,266.7 MLUP/s,2018-11-01T01:00:00Z\n"
+                        "p,a,c,2,64,130.5,,3 steps,\n# note\nq,b,c,4,1,1e-3,1.0,,2018-11-01\n")
+        with mock.patch.object(ingest, "_run_record", side_effect=AssertionError("per-row path taken")):
+            got = outcome(lambda: list(parse_runs(path)))
+        assert got == outcome(ref.parse_runs, path)
+        assert got[0] == "ok"
+
 
 NODES = ["n1", "n2", "n3", "n4"]
 BW_CELLS = st.one_of(
@@ -293,6 +304,17 @@ class TestTwoSizePairwiseAgainstReference:
         path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
         path.write_text(text, encoding="utf-8")
         compare_pairwise(path)
+
+    @pytest.mark.parametrize("size", [None, 4096])
+    def test_valid_file_is_read_as_columns(self, size, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("node_a,node_b,msg_bytes,bandwidth_gbs,unit\n"
+                        "n1,n2,4096,5.0,\nn2,n1,4096,5100,MB/s\n# note\nn1,n3,4096,4.5,GB/s\nn2,n3,4096,4, gbs \n"
+                        + ("" if size is None else "n1,n2,65536,9.0,mbs\n"))
+        with mock.patch.object(ingest, "_pairwise_row", side_effect=AssertionError("per-row path taken")):
+            got = matrix_outcome(parse_pairwise_bandwidth, path, message_size=size)
+        assert got == matrix_outcome(ref.parse_pairwise_bandwidth, path, message_size=size)
+        assert got[0] == "ok"
 
 
 def share_outcome(parse, path, fields):
@@ -419,14 +441,21 @@ def kernels_text(draw):
     return "kernels.csv", "\n".join(map(",".join, [header, *rows])) + "\n"
 
 
+def reference_kernels(path):
+    """The reference's points as a KernelTable, NaN for an absent measurement or share."""
+    points = ref.parse_kernel_points(path)
+    floats = np.array([(p.intensity, p.measured_perf, p.time_share) for p in points], float)  # None: NaN
+    return KernelTable([p.label for p in points], *floats.reshape(-1, 3).T)
+
+
 def kernel_outcome(parse, path):
-    """Each point's label and the bits of its numbers, or the error."""
+    """Each point's label and the bits of its numbers, read from the KernelTable columns, or the error."""
     try:
-        points = list(parse(path))
+        table = parse(path)
     except Exception as exc:  # the comparison is of which error, so every kind counts
         return error(exc)
-    return "ok", [(p.label, *(None if v is None else float(v).hex()
-                              for v in (p.intensity, p.measured_perf, p.time_share))) for p in points]
+    columns = (table.intensity.tolist(), table.measured_perf.tolist(), table.time_share.tolist())
+    return "ok", [(label, *map(float.hex, values)) for label, *values in zip(table.label, *columns)]
 
 
 class TestKernelPointsAgainstReference:
@@ -436,7 +465,7 @@ class TestKernelPointsAgainstReference:
         name, text = file
         path = tmp_path_factory.mktemp("kernels") / name
         path.write_text(text, encoding="utf-8")
-        expected = kernel_outcome(ref.parse_kernel_points, path)
+        expected = kernel_outcome(reference_kernels, path)
         for block in (1, 2, 3, report.BLOCK_ROWS):
             with mock.patch.object(ingest, "BLOCK_ROWS", block):
                 assert kernel_outcome(parse_kernel_points, path) == expected, f"BLOCK_ROWS = {block}"
@@ -444,13 +473,16 @@ class TestKernelPointsAgainstReference:
     @pytest.mark.parametrize("text", [
         "label,intensity,gflops,time_share_pct\na,0.5,1.5,\nb,-0.0,,40\nc,1e-320,0,\n",
         "label,flops,loads,stores,access_bytes,gflops\na,1e9,1e8,1e8,,2.5\nb,-0.0,1,0,4,\nc,0,1,1,16,0\n",
+        # Counter cells beside an intensity are not read, so junk there passes.
+        "label,intensity,flops\nk,1,abc\n",
+        "label,intensity,flops,loads,stores,access_bytes\nk,1,abc,,x,junk\nm,,1,1,1,4\nn,2,1,1,1,0\n",
     ])
     def test_valid_block_is_read_as_columns(self, text, tmp_path):
         path = tmp_path / "kernels.csv"
         path.write_text(text)
-        with mock.patch.object(ingest, "_rows", side_effect=AssertionError("per-row path taken")):
+        with mock.patch.object(ingest, "_kernel_point", side_effect=AssertionError("per-row path taken")):
             points = kernel_outcome(parse_kernel_points, path)
-        assert points == kernel_outcome(ref.parse_kernel_points, path)
+        assert points == kernel_outcome(reference_kernels, path)
         assert points[0] == "ok"
 
 

@@ -626,6 +626,13 @@ class TestNonFiniteInputs:
         assert str(results[1]) == "unit counts up to p = 4.611686018427388e+18 overflow the weak-scaling fit"
         assert str(results[2]) == "unit counts up to p = 1.0000000000000004 overflow the weak-scaling fit"
 
+    def test_strong_fit_whose_weight_overflows_is_one_error(self):
+        # The weight 1/s of a speedup of 1e-320 overflows; the suite makes a stray warning an error.
+        (result,) = fit_amdahl_many([[(1, 1.0), (2, 1e-320), (4, 1.0)]])
+        assert type(result) is InvalidDataError
+        assert str(result) == ("the fit's uncertainties are not finite: "
+                               "its normal matrix is singular or ill-conditioned")
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_projection_unit_count(self, bad):
         fit = AmdahlFit(a=0.9, b=0.0, sigma_a=0.0, sigma_b=0.0, residual=0.0)
