@@ -242,6 +242,7 @@ def _cmd_bench_mem(args) -> int:
             "counted_bytes_per_element": TRIAD_BYTES_PER_ELEMENT,
             "moved_bytes_per_element": meta.moved_bytes_per_element,
             "streaming_stores": meta.streaming_stores,
+            "store_bits": meta.store_bits,
             "array_alignment_bytes": TRIAD_ALIGNMENT,
             "first_touch": TRIAD_FIRST_TOUCH,
             "setup_threads": {str(r.threads): r.setup_threads for r in results},

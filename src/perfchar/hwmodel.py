@@ -188,6 +188,6 @@ def load_platform_spec(path: str | Path) -> PlatformSpec:
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also bad UTF-8 and integers past the digit limit
         raise InvalidSpecError(f"{path}: not valid JSON: {exc}") from exc
     return platform_spec_from_dict(data)

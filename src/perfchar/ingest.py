@@ -257,12 +257,15 @@ def read_columns(
     ``csv.field_size_limit()`` is a SchemaError.
     """
     path = Path(source)
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     names, required = (*columns, *optional), set(columns)
     if path.suffix.lower() == ".json" or text.lstrip().startswith("["):
         try:
             entries = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # also integers past the digit limit
             raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(entries, list):
             raise SchemaError(f"{path}: JSON input must be an array of objects")

@@ -18,9 +18,11 @@ reaches it, with no other thread taking part, and two warm-up passes are
 not reported. The kernel is one C loop built once per process with the local
 ``cc`` and called through ctypes, which releases the interpreter lock so
 worker threads overlap. On x86-64 it writes ``a`` with streaming stores and
-moves exactly the 24 bytes it counts; elsewhere ordinary stores also read
-``a``'s lines in (write-allocate). Without a usable compiler it is two numpy
-passes, which move 40 bytes per element for the same 24 counted.
+moves exactly the 24 bytes it counts: 512-bit stores, after a scalar step to
+64-byte alignment, where the CPU reports AVX-512F at run time, and 128-bit
+stores otherwise; the result records the width. Elsewhere ordinary stores also
+read ``a``'s lines in (write-allocate). Without a usable compiler it is two
+numpy passes, which move 40 bytes per element for the same 24 counted.
 
 FMA throughput is a portable numpy loop (numpy also releases the lock in its
 inner loops): eight independent accumulator chains of ``acc = acc * m + d``
@@ -67,17 +69,19 @@ TRIAD_MOVED_BYTES = {"native": 24, "numpy": 40}
 TRIAD_ALIGNMENT = mmap.PAGESIZE  # every triad array starts on a page boundary
 #: On x86-64 (every compiler there defines __SSE2__) ``a`` is written with streaming stores,
 #: which skip the read of its lines that an ordinary store's write-allocate costs; other ISAs
-#: compile the plain loop. The multiply and the add stay separate, so verify_triad is
-#: bit-exact. ``triad_streaming_stores`` tells the caller which branch was built.
+#: compile the plain loop. Where the CPU reports AVX-512F at run time the stores are 512 bits
+#: wide, one per 64-byte line after a scalar step to 64-byte alignment; otherwise they are 128
+#: bits wide, after a step to 16-byte alignment. A compiler too old for the 512-bit function, or
+#: -DTRIAD_NO_AVX512, leaves only the 128-bit one. The multiply and the add stay separate, so
+#: verify_triad is bit-exact. ``triad_store_bits()`` returns the width ``triad`` picks: 512, 128,
+#: or 0 for the plain loop.
 TRIAD_SOURCE = """
 #ifdef __SSE2__
-#include <emmintrin.h>
+#include <immintrin.h>
 #include <stdint.h>
 
-const int triad_streaming_stores = 1;
-
-void triad(double *restrict a, const double *restrict b, const double *restrict c,
-           double q, long lo, long hi)
+static void triad_128(double *restrict a, const double *restrict b, const double *restrict c,
+                      double q, long lo, long hi)
 {
     long i = lo;
     for (; i < hi && (uintptr_t)(a + i) % 16 != 0; i++)
@@ -89,8 +93,48 @@ void triad(double *restrict a, const double *restrict b, const double *restrict 
         a[i] = b[i] + q * c[i];
     _mm_sfence();
 }
+
+#if (__GNUC__ >= 5 || __clang_major__ >= 4) && !defined(TRIAD_NO_AVX512)
+#define TRIAD_AVX512
+__attribute__((target("avx512f")))
+static void triad_512(double *restrict a, const double *restrict b, const double *restrict c,
+                      double q, long lo, long hi)
+{
+    long i = lo;
+    for (; i < hi && (uintptr_t)(a + i) % 64 != 0; i++)
+        a[i] = b[i] + q * c[i];
+    const __m512d vq = _mm512_set1_pd(q);
+    for (; i + 8 <= hi; i += 8)
+        _mm512_stream_pd(a + i, _mm512_add_pd(_mm512_loadu_pd(b + i), _mm512_mul_pd(vq, _mm512_loadu_pd(c + i))));
+    for (; i < hi; i++)
+        a[i] = b[i] + q * c[i];
+    _mm_sfence();
+}
+#endif
+
+int triad_store_bits(void)
+{
+#ifdef TRIAD_AVX512
+    __builtin_cpu_init();
+    if (__builtin_cpu_supports("avx512f"))
+        return 512;
+#endif
+    return 128;
+}
+
+void triad(double *restrict a, const double *restrict b, const double *restrict c,
+           double q, long lo, long hi)
+{
+#ifdef TRIAD_AVX512
+    if (triad_store_bits() == 512) {
+        triad_512(a, b, c, q, lo, hi);
+        return;
+    }
+#endif
+    triad_128(a, b, c, q, lo, hi);
+}
 #else
-const int triad_streaming_stores = 0;
+int triad_store_bits(void) { return 0; }
 
 void triad(double *restrict a, const double *restrict b, const double *restrict c,
            double q, long lo, long hi)
@@ -157,7 +201,8 @@ def _native_triad(*flags: str):
     """The C triad ``triad(a, b, c, q, lo, hi)``, or None when it cannot be built or loaded.
 
     TRIAD_SOURCE is compiled with ``cc``, the module's flags and then ``flags``, once per process
-    and flag set; the kernel's ``streaming_stores`` attribute is the value the built branch exports.
+    and flag set. The kernel's ``store_bits`` attribute is the width of the streaming stores its
+    run-time dispatch picks on this CPU: 512 or 128 on x86, 0 for the plain loop.
     """
     import subprocess  # here, not at the top: it adds about 5 ms to every CLI start
     compiler = shutil.which("cc")
@@ -172,12 +217,12 @@ def _native_triad(*flags: str):
             subprocess.run(command, check=True, capture_output=True)
             library = ctypes.CDLL(str(path))  # stays mapped once the file is gone
             kernel = library.triad
-            streaming = ctypes.c_int.in_dll(library, "triad_streaming_stores").value
+            store_bits = library.triad_store_bits()
     except (OSError, subprocess.CalledProcessError):
         return None
     kernel.argtypes = [ctypes.c_void_p] * 3 + [ctypes.c_double, ctypes.c_long, ctypes.c_long]
     kernel.restype = None
-    kernel.streaming_stores = bool(streaming)
+    kernel.store_bits = store_bits
     return kernel
 
 
@@ -286,7 +331,7 @@ class BandwidthResult:
     pinning: str = "interleaved"
     pinned: bool = False
     kernel: str = "native"  # a key of TRIAD_MOVED_BYTES
-    streaming_stores: bool = False  # the native kernel wrote ``a`` bypassing the caches
+    store_bits: int = 0  # width of the native kernel's streaming stores to ``a``; 0: none
     setup_threads: int = 1  # threads that set up and checked the arrays
 
     def __post_init__(self):
@@ -302,6 +347,11 @@ class BandwidthResult:
     @property
     def moved_bytes_per_element(self) -> int:
         return TRIAD_MOVED_BYTES[self.kernel]
+
+    @property
+    def streaming_stores(self) -> bool:
+        """The native kernel wrote ``a`` bypassing the caches."""
+        return self.store_bits > 0
 
 
 @dataclass(frozen=True)
@@ -479,7 +529,7 @@ def run_stream_triad(config: TriadConfig, spec: PlatformSpec | None = None) -> B
             pinning=config.pinning,
             pinned=cpus is not None,
             kernel="numpy" if native is None else "native",
-            streaming_stores=native is not None and native.streaming_stores,
+            store_bits=0 if native is None else native.store_bits,
             setup_threads=len(plan),
         )
 

@@ -22,6 +22,7 @@ from perfchar.microbench import (
     FMA_WARMUP_SECONDS,
     TRIAD_FIRST_TOUCH,
     _available_cpus,
+    _native_triad,
     thread_sweep,
 )
 from perfchar.scalefit import AMDAHL_BISECTIONS, AMDAHL_GRID
@@ -294,6 +295,43 @@ class TestAnalyzeEnergy:
                          "--out", str(out)]) == 0
             outputs.append((capsys.readouterr().out, out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+#: JSON text that the decoder refuses with no JSONDecodeError: an integer above Python's
+#: 4,300-digit limit for int(), and arrays nested deeper than the recursion limit.
+UNDECODABLE_JSON = {"huge integer": '[{"nodes": ' + "9" * 5000 + "}]",
+                    "deep nesting": "[" * 100_000 + "]" * 100_000}
+#: One command per kind of input file: the runs reader, the pairwise reader and the spec loader.
+INPUT_COMMANDS = {"runs": (["analyze", "energy", "--in"], "SchemaError"),
+                  "pairwise": (["analyze", "network", "--out-dir", "net", "--in"], "SchemaError"),
+                  "spec": (["spec", "show"], "InvalidSpecError")}
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", INPUT_COMMANDS)
+    @pytest.mark.parametrize("text", UNDECODABLE_JSON.values(), ids=UNDECODABLE_JSON.keys())
+    def test_undecodable_json_is_one_error_line(self, command, text, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)  # where a relative --out-dir would go
+        argv, kind = INPUT_COMMANDS[command]
+        source = tmp_path / "input.json"
+        source.write_text(text)
+        assert main([*argv, str(source)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"perfchar: error: {kind}: {source}: not valid JSON:")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["runs", "pairwise"])
+    def test_text_that_is_not_utf8_is_one_error_line(self, command, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        argv, kind = INPUT_COMMANDS[command]
+        source = tmp_path / "input.csv"
+        source.write_bytes(b"node_a,node_b\n\xff,1\n")
+        assert main([*argv, str(source)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"perfchar: error: {kind}: {source}: not UTF-8 text:")
+        assert err.count("\n") == 1
 
 
 class TestAnalyzeScaling:
@@ -1304,6 +1342,9 @@ class TestBenchCommands:
         assert meta["moved_bytes_per_element"] == {"native": 24, "numpy": 40}[meta["kernel"]]
         streaming = meta["kernel"] == "native" and platform.machine() in ("x86_64", "AMD64")
         assert meta["streaming_stores"] is streaming
+        native = _native_triad()
+        assert meta["store_bits"] == (native.store_bits if meta["kernel"] == "native" else 0)
+        assert meta["streaming_stores"] is (meta["store_bits"] > 0)
         assert meta["array_alignment_bytes"] % 4096 == 0
         assert "peak_bandwidth_gbs" not in meta
         assert "elements=100000 " in capsys.readouterr().out

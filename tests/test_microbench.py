@@ -1,3 +1,4 @@
+import contextlib
 import ctypes
 import itertools
 import math
@@ -121,7 +122,7 @@ class TestTriad:
         def failing(*args):
             raise MemoryError("worker out of memory")
 
-        failing.streaming_stores = False
+        failing.store_bits = 0
         monkeypatch.setattr(microbench, "_native_triad", lambda: failing)
         raised = raised_by(run_stream_triad, TriadConfig(elements=SMALL, threads=threads, repetitions=2))
         assert [type(exc) for exc in raised] == [MemoryError]
@@ -167,9 +168,10 @@ def native():
     return kernel
 
 
-#: Slice starts of both alignments and lengths that leave no pair, an odd tail or many pairs.
-SLICE_STARTS = (0, 1, 2, 3)
-SLICE_LENGTHS = (0, 1, 2, 3, 5, 4099)
+#: Slice starts at every offset into a 64-byte line and one line on, and lengths that leave no
+#: full vector, every tail of a 128-bit or a 512-bit loop, one line either way of a step, or many.
+SLICE_STARTS = tuple(range(9))
+SLICE_LENGTHS = (*range(18), 63, 64, 65, 4099)
 SENTINEL = -7.25
 
 
@@ -186,12 +188,20 @@ def _kernel_slice(kernel, lo, hi):
     return a, b, c
 
 
+def assert_same_slices(kernel, other):
+    """Both kernels write every slice of SLICE_STARTS x SLICE_LENGTHS bit for bit alike."""
+    for lo, length in itertools.product(SLICE_STARTS, SLICE_LENGTHS):
+        built = [_kernel_slice(k, lo, lo + length)[0] for k in (kernel, other)]
+        assert np.array_equal(built[0].view(np.uint64), built[1].view(np.uint64)), (lo, length)
+
+
 class TestTriadKernels:
     def test_numpy_kernel_when_native_unavailable(self, monkeypatch):
         monkeypatch.setattr(microbench, "_native_triad", lambda: None)
         result = run_stream_triad(TriadConfig(elements=SMALL, threads=2, repetitions=2))
         assert result.kernel == "numpy"
         assert result.moved_bytes_per_element == 40
+        assert result.store_bits == 0
         assert result.streaming_stores is False
 
     def test_numpy_kernel_without_compiler(self, monkeypatch, tmp_path, fresh_native_build):
@@ -215,7 +225,8 @@ class TestTriadKernels:
         result = run_stream_triad(config)  # verify_triad raises on any mismatch
         assert result.kernel == "native"
         assert result.moved_bytes_per_element == 24
-        assert result.streaming_stores is native.streaming_stores
+        assert result.store_bits == native.store_bits
+        assert result.streaming_stores is (native.store_bits > 0)
 
     @pytest.mark.parametrize("lo", SLICE_STARTS)
     @pytest.mark.parametrize("length", SLICE_LENGTHS)
@@ -230,10 +241,25 @@ class TestTriadKernels:
     def test_plain_loop_matches_the_native_kernel(self, native):
         # -U__SSE2__ builds the branch other ISAs compile: ordinary stores, no movntpd.
         plain = _native_triad("-U__SSE2__")
-        assert plain.streaming_stores is False
-        for lo, length in itertools.product(SLICE_STARTS, SLICE_LENGTHS):
-            built = [_kernel_slice(kernel, lo, lo + length)[0] for kernel in (native, plain)]
-            assert np.array_equal(built[0].view(np.uint64), built[1].view(np.uint64)), (lo, length)
+        assert plain.store_bits == 0
+        assert_same_slices(native, plain)
+
+    def test_128_bit_stores_match_the_default_build(self, native):
+        if native.store_bits == 0:
+            pytest.skip("no streaming stores on this ISA")
+        # -DTRIAD_NO_AVX512 drops the 512-bit function, as a compiler too old for it does.
+        narrow = _native_triad("-DTRIAD_NO_AVX512")
+        assert narrow.store_bits == 128
+        assert_same_slices(native, narrow)
+
+    def test_dispatch_picks_the_widest_stores_the_cpu_has(self, native):
+        flags = set()
+        with contextlib.suppress(OSError):
+            with open("/proc/cpuinfo") as cpuinfo:
+                flags = {f for line in cpuinfo if line.startswith("flags") for f in line.split()}
+        if native.store_bits == 0 or not flags:
+            pytest.skip("no streaming stores on this ISA, or no cpu flags to read")
+        assert native.store_bits == (512 if "avx512f" in flags else 128)
 
     def test_warmup_passes_are_not_reported(self, native, monkeypatch):
         calls = []
@@ -242,7 +268,7 @@ class TestTriadKernels:
             calls.append(args)
             native(*args)
 
-        counting.streaming_stores = native.streaming_stores
+        counting.store_bits = native.store_bits
         monkeypatch.setattr(microbench, "_native_triad", lambda: counting)
         result = run_stream_triad(TriadConfig(elements=SMALL, threads=1, repetitions=5))
         assert len(calls) == microbench.TRIAD_WARMUP_PASSES + 5
@@ -299,7 +325,7 @@ def python_kernel(n, corrupt=()):
             if lo <= i < hi:
                 a[i] = 0.0
 
-    kernel.streaming_stores = False
+    kernel.store_bits = 0
     return kernel
 
 
