@@ -187,7 +187,7 @@ def load_platform_spec(path: str | Path) -> PlatformSpec:
     """Load a spec from a JSON file whose keys mirror the dataclass fields."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (ValueError, RecursionError) as exc:  # also bad UTF-8 and integers past the digit limit
         raise InvalidSpecError(f"{path}: not valid JSON: {exc}") from exc
     return platform_spec_from_dict(data)

@@ -258,7 +258,7 @@ def read_columns(
     """
     path = Path(source)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")  # a byte-order mark is not part of the header
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{path}: not UTF-8 text: {exc}") from exc
     names, required = (*columns, *optional), set(columns)

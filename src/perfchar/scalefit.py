@@ -14,7 +14,8 @@ alone, on the grid ``AMDAHL_GRID`` and then by ``AMDAHL_BISECTIONS``
 bisections. Speedup measurements carry roughly constant *relative* error, so
 residuals are weighted by 1/s; with that weighting the reported 1-sigma
 uncertainties (covariance at the optimum, scaled by reduced chi-square) are
-calibrated. The weak-scaling and share models are linear and solved in closed form.
+calibrated. The weak-scaling fit is linear and closed-form. The share fit's line is
+LAPACK's SVD least squares, one call per stack through numpy's private ``lstsq`` gufunc.
 
 Each ``*_many`` function fits many groups, those with the same number of
 points together as stacked arrays cut from one ``PointGroups``, and
@@ -31,6 +32,7 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .exceptions import (
     InvalidDataError,
@@ -178,9 +180,6 @@ def eval_gustafson(a: float, p: float) -> float:
     return project(GustafsonFit(a, 0.0, 0.0), [p])[0].speedup
 
 
-_DIAG = np.arange(2)  # index of the diagonal of a 2x2 matrix
-
-
 def _amdahl_search(p, s, w):
     """a, b and the weighted SSR of the least-squares fit of G groups; p, s, w are (G, n).
 
@@ -224,32 +223,33 @@ def _weighted_jacobian(a, p, w) -> np.ndarray:
 
 
 def _inverse(normal: np.ndarray) -> np.ndarray:
-    """The inverse of each matrix of a stack.
+    """The inverse of each matrix of a stack, each taken alone: a singular one gives NaN."""
+    with np.errstate(all="ignore"):  # np.linalg.inv's gufunc, which flags a singular matrix invalid
+        return _umath_linalg.inv(normal, signature="d->d")
 
-    numpy raises for the whole stack when one matrix is singular. Then each
-    matrix is taken alone, so one group never changes another's result, and
-    a singular one gives NaN.
-    """
+
+#: np.linalg.lstsq's gufunc, LAPACK's dgelsd on each matrix of a stack: numpy-private, ``lstsq_n`` before numpy 2.
+_LSTSQ = getattr(_umath_linalg, "lstsq", None) or _umath_linalg.lstsq_n
+
+
+def _lstsq(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.linalg.lstsq(d, y, rcond=None)'s solution, rank and singular values per (n, 2) design d and row y."""
     try:
-        return np.linalg.inv(normal)
-    except np.linalg.LinAlgError:
-        pass
-    results = []
-    for matrix in normal:
-        try:
-            results.append(np.linalg.inv(matrix))
-        except np.linalg.LinAlgError:
-            results.append(np.full_like(matrix, np.nan))
-    return np.array(results)
+        with np.errstate(all="ignore", invalid="raise"):  # as np.linalg.lstsq
+            coef, _, rank, singular = _LSTSQ(design, y[:, :, None], np.finfo(float).eps * max(design.shape[1:]),
+                                             signature="ddd->ddid")
+    except FloatingPointError:
+        raise LinAlgError("SVD did not converge in Linear Least Squares") from None
+    return coef[:, :, 0], rank, singular
 
 
-def _sigmas(scale: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, list[bool]]:
+def _sigmas(scale: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(G, 2) 1-sigma uncertainties, the sqrt of the diagonal of scale * inv(normal), and
     whether each group's variances are finite: a singular normal matrix gives NaN, and one
     whose sums underflow can give -inf, which the clamp at 0 would hide."""
     with np.errstate(over="ignore", invalid="ignore"):  # a group left not finite fails
-        variance = (scale[:, None, None] * _inverse(normal))[:, _DIAG, _DIAG]
-    return np.sqrt(np.maximum(variance, 0.0)), np.isfinite(variance).all(axis=1).tolist()
+        variance = scale[:, None] * np.diagonal(_inverse(normal), axis1=1, axis2=2)
+    return np.sqrt(np.maximum(variance, 0.0)), np.isfinite(variance).all(axis=1)
 
 
 #: The error of a group whose uncertainties are not finite, or would be noise.
@@ -401,14 +401,12 @@ def fit_mpi_shares_many(
             continue
         p, lb, com, design, normal = p[valid], lb[valid], com[valid], design[valid], normal[valid]
         n = p.shape[1]
-        # numpy's lstsq takes no stack of matrices, so it runs once per group.
-        solved = [np.linalg.lstsq(d, y, rcond=None) for d, y in zip(design, lb)]
-        coef = np.array([solution for solution, _, _, _ in solved])
+        coef, rank, _ = _lstsq(design, lb)
         a, b = coef[:, :1], coef[:, 1:]
         fitted = a * p + b
         resid = np.sum((lb - fitted) ** 2, axis=1)
         sigma, finite = _sigmas(resid / (n - 2), normal)
-        finite = [ok and rank == 2 for ok, (_, _, rank, _) in zip(finite, solved)]  # rank 1: no unique line
+        finite = (finite & (rank == 2)).tolist()  # rank 1: no unique line
         c = np.mean(com, axis=1)
         outside = np.any((fitted < 0) | (fitted + c[:, None] > 100.0), axis=1).tolist()
         for k, a_k, b_k, c_k, sigma_a, sigma_b, sigma_c, res, out, bounded in zip(

@@ -334,6 +334,40 @@ class TestUndecodableInput:
         assert err.count("\n") == 1
 
 
+def _runs_json(fixtures_dir):
+    """The runs of the energy fixture as a JSON array of objects."""
+    with open(fixtures_dir / "energy_node_runs.csv", newline="") as handle:
+        return json.dumps(list(csv.DictReader(line for line in handle if not line.startswith("#"))))
+
+
+#: Per kind of input file, the command that reads it, a file name and the file's text:
+#: the runs reader on CSV and on JSON, the pairwise reader and the spec loader.
+BOM_INPUTS = {
+    "runs csv": (["analyze", "energy", "--in"], "runs.csv", lambda d: (d / "energy_node_runs.csv").read_text()),
+    "runs json": (["analyze", "energy", "--in"], "runs.json", _runs_json),
+    "pairwise": (["analyze", "network", "--out-dir", "net", "--in"], "pairwise.csv",
+                 lambda d: (d / "pairwise_8node.csv").read_text()),
+    "spec": (["spec", "show"], "spec.json", lambda d: (d / "platforms" / "dibona-tx2.json").read_text()),
+}
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize("kind", BOM_INPUTS)
+    def test_leading_bom_reads_as_without(self, kind, fixtures_dir, tmp_path, monkeypatch, capsys):
+        argv, name, text = BOM_INPUTS[kind]
+        outcomes = []
+        for prefix in ("", "\ufeff"):
+            work = tmp_path / f"bom{len(prefix)}" / "out"
+            work.mkdir(parents=True)
+            (work.parent / name).write_text(prefix + text(fixtures_dir), encoding="utf-8")
+            monkeypatch.chdir(work)  # where a relative --out-dir goes
+            code = main([*argv, f"../{name}"])
+            outcomes.append((code, capsys.readouterr(),
+                             {path.relative_to(work): path.read_bytes() for path in sorted(work.rglob("*.csv"))}))
+        assert outcomes[0][0] == 0
+        assert outcomes[1] == outcomes[0]
+
+
 class TestAnalyzeScaling:
     def test_amdahl_fit_from_runs(self, fixtures_dir, tmp_path):
         out_dir = tmp_path / "scal"

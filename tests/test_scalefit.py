@@ -35,7 +35,7 @@ from perfchar.exceptions import (
     PerfcharError,
     UnderdeterminedError,
 )
-from perfchar.scalefit import AMDAHL_GRID, ProjectionPoint, _inverse
+from perfchar.scalefit import AMDAHL_GRID, ProjectionPoint, _inverse, _lstsq
 from refdata import AMDAHL_PARAM_ROWS, GUSTAFSON_PARAM_ROWS
 
 SIX_POINT_GRID = (1, 2, 4, 8, 16, 32)
@@ -598,6 +598,53 @@ class TestClosedFormManyMatchReference:
         fit = GustafsonFit(a=0.5, sigma_a=0.0, residual=0.0)
         units, speedup, efficiency = project_many([fit, fit], [])
         assert units == [] and speedup.shape == efficiency.shape == (2, 0)
+
+
+#: Share groups of four points that make one stack: a full-rank design, a numerically rank-1 one
+#: (unit counts 1e8 ... 1e8+3), one with p up to 1e150, one with a repeated p, and two whose
+#: singular values' ratio is about 2x and 0.57x lstsq's cut-off, eps * 4 (unit counts from 2.5e7 and 4.7e7).
+MIXED_SHARE_GROUPS = [
+    [(1, 5.0, 20.0), (2, 6.1, 20.5), (4, 7.9, 19.5), (8, 12.2, 20.0)],
+    [(1e8 + k, lb, 20.0) for k, lb in enumerate((10.0, 12.0, 11.0, 13.0))],
+    [(1, 5.0, 20.0), (1e50, 6.0, 20.0), (1e100, 7.0, 20.0), (1e150, 8.0, 20.0)],
+    [(1, 5.0, 20.0), (2, 6.0, 20.5), (2, 6.2, 19.5), (4, 8.1, 20.0)],
+    [(2.5e7 + k, lb, 20.0) for k, lb in enumerate((10.0, 12.0, 11.0, 13.0))],
+    [(4.7e7 + k, lb, 20.0) for k, lb in enumerate((10.0, 12.0, 11.0, 13.0))],
+]
+
+
+class TestStackedSolvers:
+    """The one-call solvers give each matrix of a stack what numpy's per-matrix call gives it."""
+
+    def test_lstsq_matches_numpy_per_group(self):
+        points = np.array(MIXED_SHARE_GROUPS)
+        design = np.stack((points[:, :, 0], np.ones_like(points[:, :, 0])), axis=2)
+        coef, rank, singular = _lstsq(design, points[:, :, 1])
+        assert rank.tolist() == [2, 1, 1, 2, 2, 1]
+        for k, (d, y) in enumerate(zip(design, points[:, :, 1])):
+            expected_coef, _, expected_rank, expected_singular = np.linalg.lstsq(d, y, rcond=None)
+            assert coef[k].tobytes() == expected_coef.tobytes()
+            assert rank[k] == expected_rank
+            assert singular[k].tobytes() == expected_singular.tobytes()
+
+    def test_share_fits_of_a_mixed_stack_match_one_group_fits(self):
+        results = fit_mpi_shares_many(MIXED_SHARE_GROUPS)
+        assert [type(result) for result in results] == [MpiShareFit, InvalidDataError, InvalidDataError,
+                                                        MpiShareFit, MpiShareFit, InvalidDataError]
+        for points, result in zip(MIXED_SHARE_GROUPS, results):
+            assert _closed_form_outcome(result) == _outcome_of(fit_mpi_shares, points)
+
+    def test_inverse_of_singular_and_non_finite_matrices(self):
+        stack = np.random.default_rng(3).standard_normal((7, 2, 2))
+        stack[1] = [[1.0, 2.0], [2.0, 4.0]]
+        stack[3] = [[math.nan, 1.0], [1.0, 1.0]]
+        stack[5] = [[math.inf, 1.0], [1.0, 1.0]]
+        result = _inverse(stack)
+        for k, matrix in enumerate(stack):
+            try:
+                assert result[k].tobytes() == np.linalg.inv(matrix).tobytes(), k
+            except np.linalg.LinAlgError:
+                assert np.isnan(result[k]).all(), k
 
 
 class TestNonFiniteInputs:
