@@ -14,10 +14,13 @@ JSON array of objects with the same field names:
 the parser has made of the blocks before. Each parser converts and checks a
 block as whole columns; ``_each_block`` hands a block's rows to the parser's
 per-row function only when that column check declines the block, to name
-each failing line and why. Runs come back as a ``RunTable``,
-which holds them as columns and builds a ``RunRecord`` only when a row is
-asked for. Energy is stored in joules; presentation layers convert to kJ.
-The app metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
+each failing line and why. The pairwise parser codes each node name once,
+keeps or drops a block of one message size whole, divides a block in one
+unit by a scalar, and sorts its entries only when a directed pair repeats.
+Runs come back as a ``RunTable``, which holds them as columns and builds a
+``RunRecord`` only when a row is asked for. Energy is stored in joules;
+presentation layers convert to kJ. The app metric is a free ``value unit``
+pair such as ``266.7 MLUP/s``.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields as dataclass_fields
 from datetime import datetime
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
@@ -302,8 +305,14 @@ def read_columns(
             flat = ",".join(lines).split(",")
         else:  # without quotes, csv.reader on this block alone gives the same cells: no row spans lines
             numbers, flat = _flat(lines if quoted else _csv_rows(path, [(numbers, lines)]), width)
-        yield numbers, [[""] * len(numbers) if i is None else list(map(str.strip, flat[i::width]))
+        yield numbers, [[""] * len(numbers) if i is None else _stripped(flat[i::width])
                         for i in picks]  # a repeated column name reads its last column
+
+
+def _stripped(cells: list[str]) -> list[str]:
+    """``cells`` stripped; as they are when str.split(), which splits where str.strip() strips, finds no blank."""
+    text = "".join(cells)
+    return cells if text and text.split(None, 1) == [text] else list(map(str.strip, cells))
 
 
 def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable,
@@ -619,34 +628,38 @@ def build_pairwise_matrix(
     """Assemble a symmetric matrix from directed (node_a, node_b, GB/s) entries."""
     # One loop, not zip(*entries): holding a tuple per entry at once costs
     # the garbage collector more than the loop costs.
-    node_a, node_b, gbs = [], [], []
+    code, src, dst, gbs = {}, [], [], []  # each node's code: its index in first-seen order
     for a, b, bw in entries:
         _check_pair(a, b, bw)
-        node_a.append(a)
-        node_b.append(b)
+        src.append(code.setdefault(a, len(code)))
+        dst.append(code.setdefault(b, len(code)))
         gbs.append(bw)
-    return _matrix(node_a, node_b, np.array(gbs, dtype=float), message_size)
+    return _matrix(code, *(np.array(c, np.intp) for c in (src, dst)), np.array(gbs, float), message_size)
 
 
-def _matrix(node_a: list, node_b: list, gbs: np.ndarray, message_size: int) -> PairwiseBandwidthMatrix:
-    """The matrix of directed entries, given as columns, that passed _check_pair."""
-    node_ids = tuple(sorted({*node_a, *node_b}))
+def _matrix(code: dict, src: np.ndarray, dst: np.ndarray, gbs: np.ndarray,
+            message_size: int) -> PairwiseBandwidthMatrix:
+    """The matrix of directed entries that passed _check_pair, each node given as its value in ``code``."""
+    rank = np.zeros(max(code.values(), default=0) + 1, np.intp)
+    rank[src] = rank[dst] = 1  # marks the codes the entries hold; the other names are left out
+    node_ids = tuple(sorted(name for name, c in code.items() if rank[c]))
     n = len(node_ids)
-    index = {node: i for i, node in enumerate(node_ids)}
-    src = np.fromiter(map(index.__getitem__, node_a), np.intp, len(node_a))
-    dst = np.fromiter(map(index.__getitem__, node_b), np.intp, len(node_b))
-    # A directed pair measured twice keeps its last value. Numpy leaves the
-    # winner of a repeated fancy-index assignment unspecified, so keep only
-    # the last entry of each pair.
-    _, from_end = np.unique((src * n + dst)[::-1], return_index=True)
-    last = len(src) - 1 - from_end
+    rank[list(map(code.__getitem__, node_ids))] = np.arange(n)
+    src, dst = rank[src], rank[dst]
     forward = np.full((n, n), np.nan)
-    forward[src[last], dst[last]] = gbs[last]
+    forward[src, dst] = gbs
+    measured = ~np.isnan(forward)
+    if np.count_nonzero(measured) < len(gbs):
+        # A directed pair measured twice keeps its last value. Numpy leaves the winner of a
+        # repeated fancy-index assignment unspecified, so assign each pair's last entry again.
+        _, from_end = np.unique((src * n + dst)[::-1], return_index=True)
+        last = len(src) - 1 - from_end
+        forward[src[last], dst[last]] = gbs[last]
     backward = forward.T
-    both = ~np.isnan(forward) & ~np.isnan(backward)
+    both = measured & measured.T
     mean = (forward + backward) / 2.0
     rel = np.abs(forward - backward) / mean
-    value = np.where(both, mean, np.where(np.isnan(forward), backward, forward))
+    value = np.where(both, mean, np.where(measured, forward, backward))
     upper = np.triu(np.ones((n, n), dtype=bool), 1)
     missing = [(node_ids[i], node_ids[j]) for i, j in zip(*np.nonzero(upper & np.isnan(value)))]
     if missing:
@@ -682,24 +695,28 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
 
     Rows of every size are validated; with a message_size, only that size's rows are kept.
     """
-    texts, size_of, divisor = {}, {}, {}  # each distinct node name, msg_bytes and unit text
+    size_of, divisor = {}, {}  # each distinct msg_bytes and unit text's value
+    code, numbers = {}, count()  # each node name's code: the number of the node cell it first appears in
 
     def convert(cells):  # whole columns at once; which rows fail, and why, is left to _pairwise_row
         node_a, node_b, msg_bytes, bandwidth, unit = cells
-        size_of.update((text, int(text)) for text in set(msg_bytes).difference(size_of))
-        divisor.update((text, _gbs_divisor(text)) for text in set(unit).difference(divisor))
-        gbs = np.array(list(map(float, bandwidth)), dtype=float)
-        gbs /= np.fromiter(map(divisor.__getitem__, unit), float, len(unit))
-        if any(map(operator.eq, node_a, node_b)) or not ((gbs > 0) & (gbs <= MAX_GBS)).all():
+        sizes, units = set(msg_bytes), set(unit)
+        size_of.update((text, int(text)) for text in sizes.difference(size_of))
+        divisor.update((text, _gbs_divisor(text)) for text in units.difference(divisor))
+        src, dst = (np.fromiter(map(code.setdefault, names, numbers), np.intp, len(names))
+                    for names in (node_a, node_b))
+        gbs = np.fromiter(map(float, bandwidth), float, len(bandwidth))
+        gbs /= (divisor[unit[0]] if len(units) == 1
+                else np.fromiter(map(divisor.__getitem__, unit), float, len(unit)))
+        if (src == dst).any() or not ((gbs > 0) & (gbs <= MAX_GBS)).all():
             return None
-        if message_size is not None:
-            chosen = {text for text, size in size_of.items() if size == message_size}
-            keep = np.fromiter(map(chosen.__contains__, msg_bytes), bool, len(msg_bytes))
-            node_a, node_b, gbs = list(compress(node_a, keep)), list(compress(node_b, keep)), gbs[keep]
-        return _shared(node_a, texts), _shared(node_b, texts), gbs
+        picked = {text for text in sizes if message_size in (None, size_of[text])}  # the kept rows' texts
+        keep = (slice(None) if picked == sizes else slice(0) if not picked
+                else np.fromiter(map(picked.__contains__, msg_bytes), bool, len(msg_bytes)))
+        return src[keep], dst[keep], gbs[keep]
 
     blocks = read_columns(source, PAIRWISE_COLUMNS, optional=("unit",))
-    node_a, node_b, gbs = zip(*_each_block(blocks, convert, _pairwise_row))
+    src, dst, gbs = map(np.concatenate, zip(*_each_block(blocks, convert, _pairwise_row)))
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")
@@ -709,8 +726,7 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
         (message_size,) = sizes
     elif message_size not in sizes:
         raise SchemaError(f"{source}: no rows for message size {message_size}")
-    return _matrix(list(chain.from_iterable(node_a)), list(chain.from_iterable(node_b)), np.concatenate(gbs),
-                   message_size)
+    return _matrix(code, src, dst, gbs, message_size)
 
 
 def detect_weak_links(

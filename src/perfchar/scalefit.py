@@ -43,9 +43,10 @@ from .exceptions import (
 
 A_LOWER_BOUND = 1e-6  # open lower end of the parallel fraction's domain
 
-#: Where the strong-scaling fit first evaluates its SSR: even steps, and steps that
-#: shrink towards 1, where speedups at large unit counts tell nearby a apart.
-AMDAHL_GRID = np.union1d(np.linspace(A_LOWER_BOUND, 1.0, 17), 1.0 - np.geomspace(0.1, 1e-9, 16))
+#: Where the strong-scaling fit first evaluates its SSR: even steps, and steps that shrink towards 1, where
+#: speedups at large unit counts tell nearby a apart. np.union1d's grid, without the numpy.ma it imports.
+AMDAHL_GRID = np.sort(np.concatenate([np.linspace(A_LOWER_BOUND, 1.0, 17), 1.0 - np.geomspace(0.1, 1e-9, 16)]))
+AMDAHL_GRID = AMDAHL_GRID[np.append(True, AMDAHL_GRID[1:] != AMDAHL_GRID[:-1])]
 #: Halvings that take the widest grid cell down to the float64 spacing just below 1.
 AMDAHL_BISECTIONS = int(np.ceil(np.log2(np.diff(AMDAHL_GRID).max() / np.spacing(0.5))))
 

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import sys
 from unittest import mock
 
 import numpy as np
@@ -317,6 +318,54 @@ class TestTwoSizePairwiseAgainstReference:
         assert got[0] == "ok"
 
 
+@st.composite
+def pairwise_layouts(draw):
+    """Every pair at both sizes in mixed units, in size sections or shuffled so that blocks mix sizes;
+    some directed pairs measured again in the same direction, and perhaps one bad row at either size."""
+    rows = []
+    for size in ("4096", "65536"):
+        for i, a in enumerate(NODES):
+            for b in NODES[i + 1:]:
+                rows += [(x, y, size) for x, y in draw(st.sampled_from([[(a, b)], [(b, a)], [(a, b), (b, a)]]))]
+    rows += draw(st.lists(st.sampled_from(rows), max_size=6))  # measured again: the last value wins
+    if draw(st.booleans()):
+        rows = draw(st.permutations(rows))
+    lines = ["node_a,node_b,msg_bytes,bandwidth_gbs,unit"]
+    for a, b, size in rows:
+        unit = draw(st.sampled_from(["", "GB/s", "MB/s", " mbs "]))
+        value = draw(st.floats(1e-3, 1e4)) * (1000.0 if unit.strip() in ("MB/s", "mbs") else 1.0)
+        lines.append(f"{a},{b},{size},{value!r},{unit}")
+    if draw(st.booleans()):
+        a, b = draw(st.permutations(NODES))[:2]
+        size = draw(st.sampled_from(["4096", "65536"]))
+        bad = draw(st.sampled_from([f"{a},{a},{size},5.0,", f"{a},{b},{size},0,GB/s", f"{a},{b},{size},junk,",
+                                    f"{a},{b},{size},5.0,furlong/s", f"{a},{b},{size},inf,MB/s"]))
+        lines.insert(draw(st.integers(1, len(lines))), bad)
+    return "\n".join(lines) + "\n"
+
+
+class TestPairwiseLayoutsAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(text=pairwise_layouts())
+    def test_every_block_size(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("pairs") / "pairs.csv"
+        path.write_text(text, encoding="utf-8")
+        for block in (1, 2, 3, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block):
+                compare_pairwise(path)
+
+    def test_repeated_pair_keeps_its_last_value_within_and_across_blocks(self, tmp_path):
+        path = tmp_path / "pairs.csv"
+        path.write_text("node_a,node_b,msg_bytes,bandwidth_gbs,unit\n"
+                        "n1,n2,4096,1.0,\nn1,n2,4096,2.0,\nn1,n3,65536,7.0,MB/s\nn2,n3,4096,3.0,\n"
+                        "n1,n3,4096,4.0,\nn1,n2,4096,5000,MB/s\nn3,n1,4096,6.0,GB/s\n")
+        for block in (1, 2, 3, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block):
+                matrix = parse_pairwise_bandwidth(path, message_size=4096)
+                assert matrix.pair_value("n1", "n2") == 5.0, f"BLOCK_ROWS = {block}"
+                compare_pairwise(path)
+
+
 def share_outcome(parse, path, fields):
     """Each group's key and the bits of its points in sorted order, or the error."""
     try:
@@ -484,6 +533,88 @@ class TestKernelPointsAgainstReference:
             points = kernel_outcome(parse_kernel_points, path)
         assert points == kernel_outcome(reference_kernels, path)
         assert points[0] == "ok"
+
+
+#: Blanks a CSV cell is padded with: ASCII ones, an ASCII control that str.strip() removes, and
+#: Unicode spaces (no-break, thin, ideographic). None of them breaks a line for str.splitlines().
+PADS = (" ", "\t", "\x1f", "\xa0", "\u2009", "\u3000")
+
+
+def padding(data):
+    """A function that pads a cell with blanks from a set drawn once per file, and may quote it."""
+    blanks = st.text(st.sampled_from(data.draw(st.lists(st.sampled_from(PADS), min_size=1, unique=True))),
+                     max_size=2)
+    quoted = data.draw(st.booleans())
+
+    def pad(cell):
+        cell = data.draw(blanks) + cell + data.draw(blanks)
+        return f'"{cell}"' if quoted and data.draw(st.booleans()) else cell
+
+    return pad
+
+
+def padded_file(tmp_path_factory, data, header, cells):
+    """A CSV file of ``header`` and the rows ``cells(draw)`` gives, every cell padded."""
+    pad, rows = padding(data), [cells(data.draw) for _ in range(data.draw(st.integers(1, 8)))]
+    path = tmp_path_factory.mktemp("padded") / "padded.csv"
+    path.write_text("\n".join([",".join(header), *(",".join(map(pad, row)) for row in rows)]) + "\n",
+                    encoding="utf-8")
+    return path
+
+
+def same_as_reference_at_every_block_size(read, expected):
+    for block in (1, 2, 3, report.BLOCK_ROWS):
+        with mock.patch.object(ingest, "BLOCK_ROWS", block):
+            assert read() == expected, f"BLOCK_ROWS = {block}"
+
+
+class TestPaddedCellsAgainstReference:
+    """Every reader strips each CSV cell of the blanks str.strip() removes, as the reference does."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_runs(self, tmp_path_factory, data):
+        path = padded_file(tmp_path_factory, data, RUNS_COLUMNS, lambda draw: [
+            draw(st.sampled_from(["tx2", "skl"])), "alya", "gnu", draw(st.sampled_from(["1", "2", "4"])), "64",
+            repr(draw(st.floats(1e-3, 1e4))), draw(st.sampled_from(["", "8.5e4"])),
+            draw(st.sampled_from(["", "1.5 MLUP/s", "266.7  GFlop/s"])),
+            draw(st.sampled_from(["", "2018-11-01T00:00:00Z"]))])
+        same_as_reference_at_every_block_size(lambda: outcome(lambda: list(parse_runs(path))),
+                                              outcome(ref.parse_runs, path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_pairwise(self, tmp_path_factory, data):
+        pairs = [(a, b) for i, a in enumerate(NODES[:3]) for b in NODES[i + 1:3]]
+        path = padded_file(tmp_path_factory, data, ("node_a", "node_b", "msg_bytes", "bandwidth_gbs", "unit"),
+                           lambda draw: [*draw(st.sampled_from(pairs)), draw(st.sampled_from(["4096", "65536"])),
+                                         repr(draw(st.floats(1e-3, 1e4))), draw(st.sampled_from(["", "MB/s"]))])
+        sizes = (None, 4096, 65536)
+        same_as_reference_at_every_block_size(
+            lambda: [matrix_outcome(parse_pairwise_bandwidth, path, message_size=size) for size in sizes],
+            [matrix_outcome(ref.parse_pairwise_bandwidth, path, message_size=size) for size in sizes])
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_shares(self, tmp_path_factory, data):
+        path = padded_file(tmp_path_factory, data, SHARE_FIELDS, lambda draw: [
+            draw(st.sampled_from(["a", "b c"])), "p", draw(PROCS_CELLS), draw(SHARE_PCT_CELLS), "20"])
+        same_as_reference_at_every_block_size(lambda: share_outcome(parse_share_groups, path, ("app", "platform")),
+                                              share_outcome(ref.parse_share_groups, path, ("app", "platform")))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kernel_points(self, tmp_path_factory, data):
+        path = padded_file(tmp_path_factory, data, ("label", "intensity", "gflops", "access_bytes"),
+                           lambda draw: [draw(st.sampled_from(["k", "k 2"])), draw(st.sampled_from(["0.5", "12"])),
+                                         draw(st.sampled_from(["", "1.5"])), draw(st.sampled_from(["", "8"]))])
+        same_as_reference_at_every_block_size(lambda: kernel_outcome(parse_kernel_points, path),
+                                              kernel_outcome(reference_kernels, path))
+
+    def test_blanks_are_the_characters_strip_removes(self):
+        # read_columns leaves a column unstripped when str.split() finds no blank in its text.
+        chars = [chr(code) for code in range(sys.maxunicode + 1)]
+        assert {c for c in chars if not c.strip()} == {c for c in chars if not c.split()}
 
 
 INTENSITIES = st.one_of(st.floats(0, 1e4), st.floats(0, 1e308),

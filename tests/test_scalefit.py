@@ -1,7 +1,11 @@
 import dataclasses
 import math
+import os
 import struct
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +39,7 @@ from perfchar.exceptions import (
     PerfcharError,
     UnderdeterminedError,
 )
-from perfchar.scalefit import AMDAHL_GRID, ProjectionPoint, _inverse, _lstsq
+from perfchar.scalefit import A_LOWER_BOUND, AMDAHL_GRID, ProjectionPoint, _inverse, _lstsq
 from refdata import AMDAHL_PARAM_ROWS, GUSTAFSON_PARAM_ROWS
 
 SIX_POINT_GRID = (1, 2, 4, 8, 16, 32)
@@ -685,3 +689,24 @@ class TestNonFiniteInputs:
         fit = AmdahlFit(a=0.9, b=0.0, sigma_a=0.0, sigma_b=0.0, residual=0.0)
         with pytest.raises(ParameterError, match="must be finite"):
             project(fit, [2, bad])
+
+
+class TestImport:
+    def test_grid_is_the_union_of_its_two_parts(self):
+        # The sidecar's fit_grid key records the grid; it is the one np.union1d gives, bit for bit.
+        union = np.union1d(np.linspace(A_LOWER_BOUND, 1.0, 17), 1.0 - np.geomspace(0.1, 1e-9, 16))
+        assert AMDAHL_GRID.dtype == union.dtype
+        assert AMDAHL_GRID.tobytes() == union.tobytes()
+
+    def test_cli_import_does_not_load_numpy_ma(self):
+        def loads_ma(module):
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+                str(Path(__file__).resolve().parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
+            code = f"import sys, {module}; print('numpy.ma' in sys.modules)"
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                                    check=True)
+            return result.stdout.strip() == "True"
+
+        if loads_ma("numpy"):
+            pytest.skip("import numpy alone loads numpy.ma with this numpy")
+        assert not loads_ma("perfchar.cli")
