@@ -467,19 +467,23 @@ def _cmd_analyze_energy(args) -> int:
     if overflow.any():  # name the first such run in the file; a RunTable keeps no line numbers
         line = [n for b, _ in read_columns(args.input, RUNS_COLUMNS) for n in b][order[overflow].min()]
         raise InvalidDataError(f"{args.input}: line {line}: edp_kjs or work_per_joule overflows")
-    units = [per_joule_unit(u) if w == w else "" for u, w in zip(runs.metric_unit, work.tolist())]
+    per_joule = {unit: per_joule_unit(unit) for unit in set(runs.metric_unit)}
+    units = np.where(np.isnan(work), "", np.array([*map(per_joule.get, runs.metric_unit)], object)).tolist()
     columns = [runs.app, runs.platform, runs.compiler, runs.nodes, runs.time, e2s, edp, work, units]
     header = ["app", "platform", "compiler", "nodes", "time_s", "e2s_kj", "edp_kjs",
               "work_per_joule", "work_unit"]
     if args.out:  # written before stdout, so a failed write prints nothing
         emit_plot_data(columns, args.out, header=header)
         write_sidecar_metadata(args.out, {"command": "analyze energy"})
-    g6 = "{:.6g}".format
+
+    def g6(values: np.ndarray) -> list[str]:  # six significant digits, a NaN ("nan") as a blank cell
+        text = list(map("{:.6g}".format, values.tolist()))
+        return list(map({"nan": ""}.get, text, text)) if np.isnan(values).any() else text
+
     sys.stdout.write("  ".join(header) + "\n")
     for start in range(0, len(runs), BLOCK_ROWS):  # the cell text of one block of rows at a time
         block = [column[start:start + BLOCK_ROWS] for column in columns]
-        cells = [*block[:3], list(map(str, block[3].tolist())), list(map(g6, block[4].tolist())),
-                 *([g6(v) if v == v else "" for v in d.tolist()] for d in block[5:8]), block[8]]
+        cells = [*block[:3], list(map(str, block[3].tolist())), *map(g6, block[4:8]), block[8]]
         sys.stdout.write("\n".join(map("  ".join, zip(*cells))) + "\n")
     return 0
 

@@ -11,16 +11,19 @@ JSON array of objects with the same field names:
   ``access_bytes``); optional ``gflops,time_share_pct``
 
 ``read_columns`` holds a file's text, one block of rows as cells, and what
-the parser has made of the blocks before. Each parser converts and checks a
-block as whole columns; ``_each_block`` hands a block's rows to the parser's
-per-row function only when that column check declines the block, to name
-each failing line and why. The pairwise parser codes each node name once,
-keeps or drops a block of one message size whole, divides a block in one
-unit by a scalar, and sorts its entries only when a directed pair repeats.
-Runs come back as a ``RunTable``, which holds them as columns and builds a
-``RunRecord`` only when a row is asked for. Energy is stored in joules;
-presentation layers convert to kJ. The app metric is a free ``value unit``
-pair such as ``266.7 MLUP/s``.
+the parser has made of the blocks before. It splits a quote-free block once,
+a ``"\\n"`` field marking each line's end, and strips none of its cells when
+its text is ASCII without a space, tab or ``\\x1f``. Each parser converts and
+checks a block as whole columns, with no Python call per row;
+``_each_block`` hands a block's rows to the parser's per-row function only
+when that column check declines the block, to name each failing line and
+why. The pairwise parser codes each node name once, keeps or drops a block
+of one message size whole, divides a block in one unit by a scalar, and
+sorts its entries only when a directed pair repeats. Runs come back as a
+``RunTable``, which holds them as columns and builds a ``RunRecord`` only
+when a row is asked for. Energy is stored in joules; presentation layers
+convert to kJ. The app metric is a free ``value unit`` pair such
+as ``266.7 MLUP/s``.
 """
 
 from __future__ import annotations
@@ -82,12 +85,6 @@ MAX_GBS = sys.float_info.max / 2
 SYMMETRY_TOLERANCE = 0.10
 
 
-def _split_metric(text: str) -> tuple[float, str]:
-    """(value, unit) of an app metric text such as ``266.7 MLUP/s``."""
-    value, *unit = text.split(None, 1) or [""]  # a blank text fails in float("")
-    return float(value), unit[0].strip() if unit else ""
-
-
 @dataclass(frozen=True)
 class AppMetric:
     """An application-reported metric with its unit, e.g. 266.7 MLUP/s."""
@@ -97,7 +94,9 @@ class AppMetric:
 
     @classmethod
     def from_text(cls, text: str) -> "AppMetric":
-        return cls(*_split_metric(text))
+        """The metric of a ``value unit`` text such as ``266.7 MLUP/s``."""
+        value, *unit = text.split(None, 1) or [""]  # a blank text fails in float("")
+        return cls(float(value), unit[0].strip() if unit else "")
 
     def is_rate(self) -> bool:
         return self.unit.endswith("/s")
@@ -134,7 +133,10 @@ class RunRecord:
         if self.app_metric is not None and not math.isfinite(self.app_metric.value):
             raise ParameterError("app_metric value must be finite")
         if self.timestamp:
-            _validate_iso8601(self.timestamp)
+            try:
+                datetime.fromisoformat(self.timestamp.replace("Z", "+00:00"))
+            except ValueError as exc:
+                raise ParameterError(f"timestamp {self.timestamp!r} is not ISO-8601") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +211,6 @@ class RunTable(Sequence):
         """Which records carry a rate app metric (a unit ending in ``/s``)."""
         rate = {unit: unit.endswith("/s") for unit in set(self.metric_unit)}
         return np.fromiter(map(rate.__getitem__, self.metric_unit), bool, len(self))
-
-
-def _validate_iso8601(text: str) -> None:
-    try:
-        datetime.fromisoformat(text.replace("Z", "+00:00"))
-    except ValueError as exc:
-        raise ParameterError(f"timestamp {text!r} is not ISO-8601") from exc
 
 
 def _line_blocks(text: str) -> Iterator[tuple[Sequence[int], list[str]]]:
@@ -299,13 +294,17 @@ def read_columns(
     if quoted:  # the one reader's rows, BLOCK_ROWS at a time after an empty first block
         blocks = ((None, batch) for batch in chain([[]], iter(lambda: list(islice(rows, BLOCK_ROWS)), [])))
     for numbers, lines in blocks:
-        # Quote-free lines of ``width`` fields, none blank nor above the csv field limit: one comma split.
-        if (not quoted and lines and "" not in lines and max(map(len, lines)) <= csv.field_size_limit()
-                and set(map(str.count, lines, repeat(","))) == {width - 1}):
-            flat = ",".join(lines).split(",")
-        else:  # without quotes, csv.reader on this block alone gives the same cells: no row spans lines
-            numbers, flat = _flat(lines if quoted else _csv_rows(path, [(numbers, lines)]), width)
-        yield numbers, [[""] * len(numbers) if i is None else _stripped(flat[i::width])
+        # Quote-free lines are split once, with a "\n" field between two lines. Every line has ``width``
+        # fields when the count adds up and every (width + 1)th field is a "\n", which no line holds.
+        # Space, tab and \x1f are the only ASCII characters that str.strip() removes within a line.
+        joined = "" if quoted else ",\n,".join(lines)
+        strip = quoted or not joined.isascii() or any(map(joined.__contains__, " \t\x1f"))
+        cells, step, joined = joined.split(","), width + 1, None  # the text is not held while the block is used
+        if (quoted or len(cells) != len(lines) * step - 1 or cells[width::step].count("\n") != len(lines) - 1
+                or width == 1 and "" in lines or max(map(len, lines)) > csv.field_size_limit()):
+            # Without quotes, csv.reader on this block alone gives the same cells: no row spans lines.
+            (numbers, cells), step = _flat(lines if quoted else _csv_rows(path, [(numbers, lines)]), width), width
+        yield numbers, [[""] * len(numbers) if i is None else _stripped(cells[i::step]) if strip else cells[i::step]
                         for i in picks]  # a repeated column name reads its last column
 
 
@@ -346,6 +345,11 @@ def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert
     return values
 
 
+def _floats(cells: list[str]) -> np.ndarray:
+    """Each cell's float, NaN for a blank cell (read as "nan"); ValueError for a cell that float() refuses."""
+    return np.fromiter(map(float, map({"": "nan"}.get, cells, cells) if "" in cells else cells), float, len(cells))
+
+
 def _shared(texts: list[str], seen: dict[str, str]) -> list[str]:
     """``texts`` with each text replaced by the equal one first kept in ``seen``."""
     return list(map(seen.setdefault, texts, texts))
@@ -362,31 +366,37 @@ def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_met
 def _run_table(cells: list[list[str]], texts: dict[str, str], stamps: dict[str, str]) -> RunTable | None:
     """The RunTable of the runs columns, or None when some row fails ``_run_record``.
 
-    Converts and checks whole columns at once. Which rows fail, and why, is
-    left to ``_run_record``. Equal texts are one object, kept in ``texts`` or ``stamps``.
+    Converts and checks whole columns by C-level maps, the counts once per distinct text. Which rows fail,
+    and why, is left to ``_run_record``. Equal texts are one object, kept in ``texts`` or ``stamps``.
     """
     platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = cells
-    try:
-        # A blank energy or app metric is absent: NaN, and "" for the unit.
-        energy = np.array([float(text) if text else math.nan for text in energy_j], dtype=float)
-        metric = [_split_metric(text) if text else (math.nan, "") for text in app_metric]
-        nodes = np.array(list(map(int, nodes)), dtype=np.int64)
-        ranks = np.array(list(map(int, ranks)), dtype=np.int64)
-        time = np.array(list(map(float, time_s)), dtype=float)
-        for stamp in set(timestamp).difference(stamps, [""]):
-            _validate_iso8601(stamp)
-    except (ValueError, OverflowError):  # OverflowError: a count beyond int64
-        return None
-    metric_value = np.array([value for value, _ in metric], dtype=float)
     has_energy = np.fromiter(map(bool, energy_j), bool, len(energy_j))
     has_metric = np.fromiter(map(bool, app_metric), bool, len(app_metric))
+
+    def metrics():  # [value, ""] or [value, unit, ""] of each app metric, split as AppMetric.from_text splits
+        return map(operator.add, map(str.split, compress(app_metric, has_metric), repeat(None), repeat(1)),
+                   repeat([""]))  # a text of blanks is [""], which fails in float("")
+
+    metric_value, unit = np.full(len(app_metric), math.nan), np.full(len(app_metric), "", object)  # if absent
+    try:
+        energy, time = _floats(energy_j), _floats(time_s)  # NaN where the energy is absent
+        metric_value[has_metric] = np.fromiter(map(float, map(operator.itemgetter(0), metrics())), float)
+        counts = {text: int(text) for text in {*nodes, *ranks}}
+        nodes, ranks = (np.fromiter(map(counts.__getitem__, c), np.int64, len(c)) for c in (nodes, ranks))
+        list(map(datetime.fromisoformat, map(str.replace, set(timestamp).difference(stamps, [""]),
+                                                 repeat("Z"), repeat("+00:00"))))
+    except (ValueError, OverflowError):  # OverflowError: a count beyond int64
+        return None
     valid = ((nodes >= 1) & (ranks >= 1) & (time > 0) & (time < math.inf)
              & (~has_energy | (energy > 0) & (energy < math.inf))
              & (~has_metric | np.isfinite(metric_value)))
     if not valid.all():
         return None
+    rest = list(map(operator.itemgetter(1), metrics()))  # "" or the unit, with the blanks that end the cell
+    stripped = {text: texts.setdefault(text.strip(), text.strip()) for text in set(rest)}
+    unit[has_metric] = np.array(list(map(stripped.__getitem__, rest)), object)
     return RunTable(*(_shared(c, texts) for c in (platform, app, compiler)), nodes, ranks, time, energy,
-                    metric_value, _shared([unit for _, unit in metric], texts), _shared(timestamp, stamps))
+                    metric_value, unit.tolist(), _shared(timestamp, stamps))
 
 
 def parse_runs(source: str | Path) -> RunTable:
@@ -479,9 +489,8 @@ def parse_kernel_points(source: str | Path) -> KernelTable:
         # Whole columns at once, a blank as NaN; which rows fail, and why, is left to _kernel_point. As
         # there, the counters are read only in the rows without an intensity.
         derived = list(map(operator.not_, intensity))
-        value, gflops, fraction, flops, loads, stores = (
-            np.array([float(text) if text else math.nan for text in texts], float)
-            for texts in (intensity, measured, share, *(compress(c, derived) for c in (flops, loads, stores))))
+        value, gflops, fraction, flops, loads, stores = map(_floats, (
+            intensity, measured, share, *(list(compress(c, derived)) for c in (flops, loads, stores))))
         access_bytes = list(compress(access_bytes, derived))
         for text in set(access_bytes).difference(access):
             count = int(text or 8)

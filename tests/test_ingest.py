@@ -1,12 +1,15 @@
 import csv
 import json
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingest_reference as ref
 from perfchar import (
     AppMetric,
     RunRecord,
@@ -23,6 +26,7 @@ from perfchar.exceptions import (
     RowError,
     SchemaError,
 )
+from perfchar import ingest, report
 from perfchar.ingest import MAX_GBS, PairwiseBandwidthMatrix, build_pairwise_matrix, read_columns
 from test_grouping import stats_by_key
 
@@ -151,6 +155,12 @@ class TestParseRuns:
         path = write_runs(tmp_path, "p,a,c,1,1,10,,,yesterday")
         with pytest.raises(RowError):
             parse_runs(path)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11), reason="datetime.fromisoformat takes these from Python 3.11")
+    @pytest.mark.parametrize("stamp", ["2019-01-01T00:00:00.5+00:00", "20190101T000000", "2019-01-01T00:00:00.5Z"])
+    def test_timestamps_that_python_3_11_accepts(self, tmp_path, stamp):
+        (rec,) = parse_runs(write_runs(tmp_path, f"p,a,c,1,1,10,,,{stamp}"))
+        assert rec.timestamp == stamp
 
     def test_fixture_round_trip(self, tmp_path, fixtures_dir):
         records = parse_runs(fixtures_dir / "energy_node_runs.csv")
@@ -409,6 +419,34 @@ def plain_csv(draw):
     return header, "\n".join(lines) + "\n"
 
 
+EDGES = st.text(st.sampled_from([" ", "\t", "\x1f", "\xa0", "\u3000"]), max_size=2)
+
+
+@st.composite
+def edged_csv(draw):
+    """(header, text): quote-free rows of 1 to 4 columns, cells edged by blanks, among blank and comment
+    lines, with rows that are short, long, or a pair whose comma counts are off in opposite directions."""
+    header = ["x", "y", "z", "u"][:draw(st.integers(1, 4))]
+    width = len(header)
+
+    def row(fields):
+        return ",".join(draw(EDGES) + draw(st.sampled_from(["a", "1.5", "", "b c", "é"])) + draw(EDGES)
+                        for _ in range(fields))
+
+    lines = ["# leading note", ",".join(header)]
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["short", "long", "pair", "", "   ", "# note"]))
+        if kind == "pair" and width > 1:
+            lines += [row(width - 1), row(width + 1)][::draw(st.sampled_from([1, -1]))]
+        elif kind == "short":
+            lines.append(row(max(width - 1, 1)))
+        elif kind == "long":
+            lines.append(row(width + draw(st.integers(1, 3))))
+        else:
+            lines.append(row(width) if kind in ("row", "pair") else kind)
+    return header, "".join(line + draw(st.sampled_from(["\n"] * 4 + ["\r\n", "\x0b", "\u2028"])) for line in lines)
+
+
 class TestReadColumns:
     @settings(max_examples=200, deadline=None)
     @given(
@@ -443,6 +481,19 @@ class TestReadColumns:
             return
         lines, cells = read_all(path, columns, optional)
         assert list(zip(lines, map(list, zip(*cells)))) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(drawn=edged_csv())
+    def test_quote_free_text_matches_csv_reader_at_every_block_size(self, tmp_path_factory, drawn):
+        header, text = drawn
+        path = tmp_path_factory.mktemp("rows") / "rows.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        columns, optional = tuple(header[:1]), ("u", "y", "w")
+        expected = list(ref.read_rows(path, columns, optional))  # csv.reader, then str.strip on each cell
+        for block in (1, 2, 3, report.BLOCK_ROWS):
+            with mock.patch.object(ingest, "BLOCK_ROWS", block):
+                lines, cells = read_all(path, columns, optional)
+            assert list(zip(lines, map(list, zip(*cells)))) == expected, f"BLOCK_ROWS = {block}"
 
     def test_duplicate_column_reads_last(self, tmp_path):
         path = tmp_path / "dup.csv"

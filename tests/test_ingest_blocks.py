@@ -8,7 +8,6 @@ records, matrices, groups, points and error texts must all be equal.
 
 import json
 import tracemalloc
-from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -34,6 +33,7 @@ from test_ingest_columns import (
     run_row,
     runs_json,
     share_outcome,
+    table_cells,
 )
 
 BLOCK_SIZES = (1, 2, 3, report.BLOCK_ROWS)
@@ -51,12 +51,6 @@ def same_at_every_block_size(read):
         with mock.patch.object(ingest, "BLOCK_ROWS", block):
             assert read() == expected, f"BLOCK_ROWS = {block}"
     return expected
-
-
-def table_cells(table):
-    """Every column of a RunTable, arrays as their dtype and bytes."""
-    columns = (getattr(table, f.name) for f in fields(table))
-    return [(c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c for c in columns]
 
 
 def rebroken(draw, text):

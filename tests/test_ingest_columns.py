@@ -9,6 +9,7 @@ groups, kernel points and classifications.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -615,6 +616,58 @@ class TestPaddedCellsAgainstReference:
         # read_columns leaves a column unstripped when str.split() finds no blank in its text.
         chars = [chr(code) for code in range(sys.maxunicode + 1)]
         assert {c for c in chars if not c.strip()} == {c for c in chars if not c.split()}
+
+
+def table_cells(table):
+    """Every column of a RunTable, arrays as their dtype and bytes."""
+    columns = (getattr(table, f.name) for f in dataclasses.fields(table))
+    return [(c.dtype.str, c.tobytes()) if isinstance(c, np.ndarray) else c for c in columns]
+
+
+def run_table_outcome(path):
+    """The columns of the RunTable that parse_runs reads, or the error."""
+    try:
+        return table_cells(parse_runs(path))
+    except Exception as exc:  # the comparison is of which error, so every kind counts
+        return error(exc)
+
+
+# Metrics with and without a unit or a value; JSON cells are not stripped, and a JSON number is a cell.
+EDGE_METRICS = ["5", "5 MLUP/s", "266.7  GFlop/s", ""]
+JSON_EDGE_METRICS = [*EDGE_METRICS, "  5   MLUP per s  ", 5, 2.5]
+BAD_METRICS = ["abc MLUP/s", "inf MLUP/s"]
+JSON_BAD_METRICS = [*BAD_METRICS, "   "]
+EDGE_STAMPS = ["2018-11-01T00:00:00Z", "2018-11-01T01:00:00+01:00", "2018-11-01T00:00:00.250-05:30",
+               "2018-11-01 12:00:00.500000", ""]
+
+
+def edge_runs(tmp_path, metrics, stamps, suffix):
+    """A runs file of two rows per metric; node counts 1, 2, 4 and the ``stamps`` are taken in turn."""
+    rows = [dict(zip(RUNS_COLUMNS, ("p", "a", "c", (1, 2, 4)[i % 3], 64, 10.5 + i, 2e4, metric,
+                                    stamps[i % len(stamps)]))) for i, metric in enumerate(metrics * 2)]
+    path = tmp_path / f"runs{suffix}"
+    path.write_text(json.dumps(rows) if suffix == ".json" else "\n".join(
+        [",".join(RUNS_COLUMNS), *(",".join(map(str, row.values())) for row in rows)]) + "\n")
+    return path
+
+
+class TestRunsEdgeCellsAgainstReference:
+    """Edge cells give the reference's RunTable bit for bit, or its RowError text, at every block size."""
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_valid_cells(self, tmp_path, suffix):
+        path = edge_runs(tmp_path, JSON_EDGE_METRICS if suffix == ".json" else EDGE_METRICS, EDGE_STAMPS, suffix)
+        same_as_reference_at_every_block_size(lambda: run_table_outcome(path),
+                                              table_cells(ingest.RunTable.from_records(ref.parse_runs(path))))
+
+    @pytest.mark.parametrize("suffix", [".csv", ".json"])
+    def test_bad_cells(self, tmp_path, suffix):
+        # The bad timestamp is on every sixth row, so in many blocks.
+        metrics = [*EDGE_METRICS, *BAD_METRICS] if suffix == ".csv" else [*JSON_EDGE_METRICS, *JSON_BAD_METRICS]
+        path = edge_runs(tmp_path, metrics, [*EDGE_STAMPS, "2018-13-01T00:00:00Z"], suffix)
+        expected = outcome(ref.parse_runs, path)
+        assert expected[0] == "RowError"
+        same_as_reference_at_every_block_size(lambda: run_table_outcome(path), expected)
 
 
 INTENSITIES = st.one_of(st.floats(0, 1e4), st.floats(0, 1e308),
