@@ -13,17 +13,18 @@ JSON array of objects with the same field names:
 ``read_columns`` holds a file's text, one block of rows as cells, and what
 the parser has made of the blocks before. It splits a quote-free block once,
 a ``"\\n"`` field marking each line's end, and strips none of its cells when
-its text is ASCII without a space, tab or ``\\x1f``. Each parser converts and
-checks a block as whole columns, with no Python call per row;
-``_each_block`` hands a block's rows to the parser's per-row function only
-when that column check declines the block, to name each failing line and
-why. The pairwise parser codes each node name once, keeps or drops a block
-of one message size whole, divides a block in one unit by a scalar, and
-sorts its entries only when a directed pair repeats. Runs come back as a
-``RunTable``, which holds them as columns and builds a ``RunRecord`` only
-when a row is asked for. Energy is stored in joules; presentation layers
-convert to kJ. The app metric is a free ``value unit`` pair such
-as ``266.7 MLUP/s``.
+its text is ASCII without a space, tab or ``\\x1f``. A parser's converter is
+the only code that converts and checks its rows: a block as whole columns,
+with no Python call per row, raising ValueError at the first rule a row
+breaks. Its number rules, shared with the dataclasses, are range checks on
+each column's (least, greatest). ``_each_block`` halves a refused block
+until each failing row stands alone, to name its line and why. The pairwise
+parser codes each node name once, keeps or drops a block of one message size
+whole, divides a block in one unit by a scalar, and sorts its entries only
+when a directed pair repeats. Runs come back as a ``RunTable``, which holds
+them as columns and builds a ``RunRecord`` only when a row is asked for.
+Energy is stored in joules; presentation layers convert to kJ. The app
+metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .exceptions import (
     SchemaError,
 )
 from .report import BLOCK_ROWS, ranks
-from .roofline import CounterSample, KernelPoint, arithmetic_intensity
+from .roofline import check_bytes_moved, check_counters, check_point, span, span_of
 from .scalefit import PointGroups
 
 RUNS_COLUMNS = (
@@ -120,23 +121,31 @@ class RunRecord:
     timestamp: str = ""
 
     def __post_init__(self):
-        if self.nodes < 1:
-            raise ParameterError("nodes must be >= 1")
-        if self.ranks_per_node < 1:
-            raise ParameterError("ranks_per_node must be >= 1")
-        if max(self.nodes, self.ranks_per_node) >= 2**63:  # held in int64 columns
-            raise ParameterError("nodes and ranks_per_node must be < 2**63")
-        if not 0 < self.time < math.inf:
-            raise ParameterError("time must be finite and > 0")
-        if self.energy is not None and not 0 < self.energy < math.inf:
-            raise ParameterError("energy must be finite and > 0 when present")
-        if self.app_metric is not None and not math.isfinite(self.app_metric.value):
-            raise ParameterError("app_metric value must be finite")
-        if self.timestamp:
-            try:
-                datetime.fromisoformat(self.timestamp.replace("Z", "+00:00"))
-            except ValueError as exc:
-                raise ParameterError(f"timestamp {self.timestamp!r} is not ISO-8601") from exc
+        check_run((self.nodes, self.nodes), (self.ranks_per_node, self.ranks_per_node), (self.time, self.time),
+                  span_of(self.energy), span_of(self.app_metric and self.app_metric.value),
+                  [self.timestamp] if self.timestamp else [])
+
+
+def check_run(nodes, ranks_per_node, time, energy, metric_value, timestamps: list[str]) -> None:
+    """Raises ParameterError for the first RunRecord rule broken: by a number's (least, greatest)
+    span (see ``roofline.span``), then by a text of ``timestamps`` that ``datetime.fromisoformat`` refuses."""
+    if nodes[0] < 1:
+        raise ParameterError("nodes must be >= 1")
+    if ranks_per_node[0] < 1:
+        raise ParameterError("ranks_per_node must be >= 1")
+    if max(nodes[1], ranks_per_node[1]) >= 2**63:  # held in int64 columns
+        raise ParameterError("nodes and ranks_per_node must be < 2**63")
+    if not (0 < time[0] and time[1] < math.inf):
+        raise ParameterError("time must be finite and > 0")
+    if not (0 < energy[0] and energy[1] < math.inf):
+        raise ParameterError("energy must be finite and > 0 when present")
+    if not (-math.inf < metric_value[0] and metric_value[1] < math.inf):
+        raise ParameterError("app_metric value must be finite")
+    read = []  # the timestamps before the first that fails
+    try:
+        read.extend(map(datetime.fromisoformat, map(str.replace, timestamps, repeat("Z"), repeat("+00:00"))))
+    except ValueError as exc:
+        raise ParameterError(f"timestamp {timestamps[len(read)]!r} is not ISO-8601") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,35 +323,40 @@ def _stripped(cells: list[str]) -> list[str]:
     return cells if text and text.split(None, 1) == [text] else list(map(str.strip, cells))
 
 
-def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable,
-                make: Callable) -> list:
-    """``convert(cells)`` of every block; one RowError lists every failing row of every block in file order.
+def _each_block(blocks: Iterable[tuple[Sequence[int], list[list[str]]]], convert: Callable) -> list:
+    """The columns that ``convert(cells)`` gives for every block, each joined across the blocks.
 
-    ``convert`` declines a block by returning None or raising ValueError. Only
-    a declined block's rows go to ``make(*row)``, and each ValueError it raises
-    names a failing row. A declined block in which no row fails is a fault of
-    ``convert``, and raises a RuntimeError naming the block's first line.
+    ``convert`` refuses a block that holds a failing row by raising ValueError
+    (ParameterError is one). One RowError lists every failing row of every
+    block in file order, each with the error ``convert`` raises on it alone.
     """
-    values, failures = [], []
+    columns, failures = [], []
     for lines, cells in blocks:
         try:
-            value = convert(cells)
-        except ValueError:
-            value = None
-        if value is not None:
-            values.append(value)
-            continue
-        before = len(failures)
-        for line, row in zip(lines, zip(*cells)):
-            try:
-                make(*row)
-            except ValueError as exc:  # ParameterError is a ValueError
-                failures.append((line, str(exc)))
-        if len(failures) == before:
-            raise RuntimeError(f"line {lines[0]}: the column check declined a block whose rows all pass")
+            columns.append(convert(cells))
+        except ValueError as refusal:
+            failures += _failing_rows(convert, lines, cells, refusal)
     if failures:
         raise RowError(failures)
-    return values
+    return [np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(chain.from_iterable(parts))
+            for parts in zip(*columns)]
+
+
+def _failing_rows(convert: Callable, lines: Sequence[int], cells: list, refusal: ValueError) -> list:
+    """(line, reason) of each failing row of a block that ``convert`` refused with ``refusal``, found by
+    converting each half again and halving a refused half, down to single rows. A refused block whose
+    halves both pass is a fault of ``convert``: a RuntimeError names its first line."""
+    if len(lines) == 1:
+        return [(lines[0], str(refusal))]
+    failures, half = [], len(lines) // 2
+    for part in (slice(half), slice(half, None)):
+        try:
+            convert([column[part] for column in cells])
+        except ValueError as exc:
+            failures += _failing_rows(convert, lines[part], [column[part] for column in cells], exc)
+    if not failures:
+        raise RuntimeError(f"line {lines[0]}: the column check declined a block whose rows all pass")
+    return failures
 
 
 def _floats(cells: list[str]) -> np.ndarray:
@@ -355,19 +369,18 @@ def _shared(texts: list[str], seen: dict[str, str]) -> list[str]:
     return list(map(seen.setdefault, texts, texts))
 
 
-def _run_record(platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp):
-    """The RunRecord of one row of cells; raises ValueError for the first check it fails."""
-    energy = float(energy_j) if energy_j else None
-    metric = AppMetric.from_text(app_metric) if app_metric else None
-    return RunRecord(platform, app, compiler, int(nodes), int(ranks), float(time_s),
-                     energy, metric, timestamp)
+def _counts(cells: list[str]) -> tuple[dict[str, int], tuple]:
+    """Each distinct cell's int, and their (least, greatest) span; ValueError for a cell that int() refuses."""
+    counts = {text: int(text) for text in set(cells)}
+    return counts, (min(counts.values(), default=math.inf), max(counts.values(), default=-math.inf))
 
 
-def _run_table(cells: list[list[str]], texts: dict[str, str], stamps: dict[str, str]) -> RunTable | None:
-    """The RunTable of the runs columns, or None when some row fails ``_run_record``.
+def _run_table(cells: list[list[str]], texts: dict[str, str], stamps: dict[str, str]) -> tuple:
+    """The RunTable columns of a block of runs cells; raises ValueError for the first rule a row breaks.
 
-    Converts and checks whole columns by C-level maps, the counts once per distinct text. Which rows fail,
-    and why, is left to ``_run_record``. Equal texts are one object, kept in ``texts`` or ``stamps``.
+    Reads energy, app metric, nodes, ranks per node and time, in a row's order, by C-level maps (the counts
+    once per distinct text), then checks them and the timestamps not in ``stamps`` by ``check_run``. Equal
+    texts are one object, kept in ``texts`` or ``stamps``.
     """
     platform, app, compiler, nodes, ranks, time_s, energy_j, app_metric, timestamp = cells
     has_energy = np.fromiter(map(bool, energy_j), bool, len(energy_j))
@@ -378,48 +391,30 @@ def _run_table(cells: list[list[str]], texts: dict[str, str], stamps: dict[str, 
                    repeat([""]))  # a text of blanks is [""], which fails in float("")
 
     metric_value, unit = np.full(len(app_metric), math.nan), np.full(len(app_metric), "", object)  # if absent
-    try:
-        energy, time = _floats(energy_j), _floats(time_s)  # NaN where the energy is absent
-        metric_value[has_metric] = np.fromiter(map(float, map(operator.itemgetter(0), metrics())), float)
-        counts = {text: int(text) for text in {*nodes, *ranks}}
-        nodes, ranks = (np.fromiter(map(counts.__getitem__, c), np.int64, len(c)) for c in (nodes, ranks))
-        list(map(datetime.fromisoformat, map(str.replace, set(timestamp).difference(stamps, [""]),
-                                                 repeat("Z"), repeat("+00:00"))))
-    except (ValueError, OverflowError):  # OverflowError: a count beyond int64
-        return None
-    valid = ((nodes >= 1) & (ranks >= 1) & (time > 0) & (time < math.inf)
-             & (~has_energy | (energy > 0) & (energy < math.inf))
-             & (~has_metric | np.isfinite(metric_value)))
-    if not valid.all():
-        return None
+    energy = _floats(energy_j)  # NaN where the energy is absent
+    metric_value[has_metric] = np.fromiter(map(float, map(operator.itemgetter(0), metrics())), float)
+    (node_counts, node_span), (rank_counts, rank_span) = _counts(nodes), _counts(ranks)
+    time = np.fromiter(map(float, time_s), float, len(time_s))
+    check_run(node_span, rank_span, span(time), span(energy[has_energy]), span(metric_value[has_metric]),
+              list(set(timestamp).difference(stamps, [""])))
     rest = list(map(operator.itemgetter(1), metrics()))  # "" or the unit, with the blanks that end the cell
     stripped = {text: texts.setdefault(text.strip(), text.strip()) for text in set(rest)}
     unit[has_metric] = np.array(list(map(stripped.__getitem__, rest)), object)
-    return RunTable(*(_shared(c, texts) for c in (platform, app, compiler)), nodes, ranks, time, energy,
-                    metric_value, unit.tolist(), _shared(timestamp, stamps))
+    return (*(_shared(c, texts) for c in (platform, app, compiler)),
+            *(np.fromiter(map(c.__getitem__, column), np.int64, len(column))
+              for c, column in ((node_counts, nodes), (rank_counts, ranks))),
+            time, energy, metric_value, unit.tolist(), _shared(timestamp, stamps))
 
 
 def parse_runs(source: str | Path) -> RunTable:
     """Load and validate run records; raises RowError listing every bad line.
 
-    Each bad line is reported with the first check its row fails in
-    ``_run_record``: the cell conversions, then RunRecord's own checks.
+    Each bad line is reported with the first rule its row breaks: the cell
+    conversions, then RunRecord's own checks.
     """
     texts, stamps = {}, {}  # one object per distinct text of a text column, and per timestamp checked
-    tables = _each_block(read_columns(source, RUNS_COLUMNS), lambda cells: _run_table(cells, texts, stamps),
-                         _run_record)
-    columns = zip(*([getattr(table, f.name) for f in dataclass_fields(table)] for table in tables))
-    return RunTable(*(np.concatenate(parts) if isinstance(parts[0], np.ndarray) else
-                      list(chain.from_iterable(parts)) for parts in columns))
-
-
-def _share_point(*row: str) -> tuple[tuple[str, ...], tuple[float, float, float]]:
-    """(leading cells, (procs, lb_share_pct, com_share_pct)) of a share row; ValueError unless finite."""
-    *key, procs, lb, com = row
-    point = (float(procs), float(lb), float(com))
-    if not all(map(math.isfinite, point)):
-        raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
-    return tuple(key), point
+    return RunTable(*_each_block(read_columns(source, RUNS_COLUMNS),
+                                 lambda cells: _run_table(cells, texts, stamps)))
 
 
 def parse_share_groups(source: str | Path, fields: tuple[str, ...]) -> tuple[list[tuple[str, ...]], PointGroups]:
@@ -432,33 +427,19 @@ def parse_share_groups(source: str | Path, fields: tuple[str, ...]) -> tuple[lis
     """
     texts = {}  # one object per distinct key text
 
-    def convert(cells):  # whole columns at once; which rows fail, and why, is left to _share_point
+    def convert(cells):  # the key columns and the points; ValueError for the first rule a row breaks
         *key, procs, lb, com = cells
         points = np.column_stack([np.fromiter(map(float, column), float, len(column))
                                   for column in (procs, lb, com)])
-        if np.isfinite(points).all():
-            return [_shared(column, texts) for column in key], points
+        if not np.isfinite(points).all():
+            raise ValueError(f"{', '.join(SHARE_COLUMNS)} must be finite")
+        return *(_shared(column, texts) for column in key), points
 
-    blocks = _each_block(read_columns(source, (*fields, *SHARE_COLUMNS)), convert, _share_point)
-    points = np.concatenate([points for _, points in blocks] or [np.empty((0, len(SHARE_COLUMNS)))])
+    *columns, points = _each_block(read_columns(source, (*fields, *SHARE_COLUMNS)), convert)
     if not len(points):
         raise SchemaError(f"{source}: no share rows")
-    columns = [list(chain.from_iterable(parts)) for parts in zip(*(key for key, _ in blocks))]
     group, first = group_by(columns, len(points))
     return _group_keys(columns, first), PointGroups.of(group, points, len(first))
-
-
-def _kernel_point(label, intensity, flops, loads, stores, access_bytes, measured, share) -> KernelPoint:
-    """The KernelPoint of one row of cells; raises ValueError for the first check it fails."""
-    if intensity:
-        value = float(intensity)
-    elif flops or loads or stores:
-        sample = CounterSample(float(flops), float(loads), float(stores), int(access_bytes or 8))
-        value = arithmetic_intensity(sample)
-    else:
-        raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
-    return KernelPoint(label, value, float(measured) if measured else None,
-                       float(share) / 100.0 if share else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -482,36 +463,32 @@ def parse_kernel_points(source: str | Path) -> KernelTable:
     ``gflops`` and ``time_share_pct`` annotate the point. Raises RowError
     listing every line that is not a valid point.
     """
-    access = {}  # each access_bytes text's byte count, NaN when out of range
-
-    def convert(cells):
+    def convert(cells):  # the table's columns, a blank as NaN; ValueError for the first rule a row breaks
         label, intensity, flops, loads, stores, access_bytes, measured, share = cells
-        # Whole columns at once, a blank as NaN; which rows fail, and why, is left to _kernel_point. As
-        # there, the counters are read only in the rows without an intensity.
+        value = _floats(intensity)  # NaN in the rows without one, where the counters give it; only they are read
         derived = list(map(operator.not_, intensity))
-        value, gflops, fraction, flops, loads, stores = map(_floats, (
-            intensity, measured, share, *(list(compress(c, derived)) for c in (flops, loads, stores))))
-        access_bytes = list(compress(access_bytes, derived))
-        for text in set(access_bytes).difference(access):
-            count = int(text or 8)
-            access[text] = float(count) if 0 < count < 2**63 else math.nan
-        size = np.fromiter(map(access.__getitem__, access_bytes), float, len(access_bytes))
-        counts = (loads >= 0) & (loads < math.inf) & (stores >= 0) & (stores < math.inf)
+        flops, loads, stores, access_bytes = (list(compress(c, derived))
+                                              for c in (flops, loads, stores, access_bytes))
+        if not all(map(any, zip(flops, loads, stores))):
+            raise ValueError("a kernel point needs 'intensity' or 'flops,loads,stores'")
+        flops, loads, stores = (np.fromiter(map(float, c), float, len(c)) for c in (flops, loads, stores))
+        access_bytes = list(map({"": "8"}.get, access_bytes, access_bytes))
+        counts, access_span = _counts(access_bytes)
+        check_counters(span(flops), span(loads), span(stores), access_span)
+        size = np.fromiter(map(float, map(counts.__getitem__, access_bytes)), float, len(access_bytes))
         with np.errstate(over="ignore"):  # an overflow reads inf, as a Python float does
-            moved = np.add(loads, stores, out=np.full(len(size), math.nan), where=counts) * size
-            value[np.array(derived, bool)] = np.divide(flops, moved, out=np.full(len(size), math.nan),
-                                                       where=(flops >= 0) & (moved > 0) & (moved < math.inf))
-        fraction /= 100.0
-        if (np.isnan(gflops).sum() == measured.count("") and np.isnan(fraction).sum() == share.count("")
-                and ((value >= 0) & (value < math.inf)).all()
-                and not ((gflops < 0) | (gflops == math.inf) | (fraction < 0) | (fraction > 1)).any()):
-            return KernelTable(label, value, gflops, fraction)
+            moved = (loads + stores) * size
+            check_bytes_moved(span(moved))
+            value[np.array(derived, bool)] = flops / moved
+        gflops, fraction = _floats(measured), _floats(share) / 100.0
+        check_point(span(value), *(span(column[np.fromiter(map(bool, texts), bool, len(texts))])
+                                   for column, texts in ((gflops, measured), (fraction, share))))
+        return label, value, gflops, fraction
 
-    tables = _each_block(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), convert, _kernel_point)
-    if not sum(map(len, tables)):
+    table = KernelTable(*_each_block(read_columns(source, ("label",), optional=KERNEL_POINT_COLUMNS), convert))
+    if not len(table):
         raise SchemaError(f"{source}: no kernel points")
-    return KernelTable(list(chain.from_iterable(t.label for t in tables)),
-                       *map(np.concatenate, zip(*((t.intensity, t.measured_perf, t.time_share) for t in tables))))
+    return table
 
 
 def serialize_runs(records: Iterable[RunRecord]) -> str:
@@ -692,13 +669,6 @@ def _gbs_divisor(unit: str) -> float:
     return 1.0
 
 
-def _pairwise_row(a: str, b: str, msg_bytes: str, bandwidth: str, unit: str) -> tuple[int, str, str, float]:
-    """(message size, node_a, node_b, GB/s) of one row; raises ValueError for the first check it fails."""
-    size, gbs = int(msg_bytes), float(bandwidth) / _gbs_divisor(unit)
-    _check_pair(a, b, gbs)
-    return size, a, b, gbs
-
-
 def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None) -> PairwiseBandwidthMatrix:
     """Parse one matrix; a multi-size file needs an explicit message_size.
 
@@ -707,25 +677,24 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
     size_of, divisor = {}, {}  # each distinct msg_bytes and unit text's value
     code, numbers = {}, count()  # each node name's code: the number of the node cell it first appears in
 
-    def convert(cells):  # whole columns at once; which rows fail, and why, is left to _pairwise_row
+    def convert(cells):  # the kept rows' columns; ValueError for the first rule a row breaks
         node_a, node_b, msg_bytes, bandwidth, unit = cells
         sizes, units = set(msg_bytes), set(unit)
         size_of.update((text, int(text)) for text in sizes.difference(size_of))
+        gbs = np.fromiter(map(float, bandwidth), float, len(bandwidth))
         divisor.update((text, _gbs_divisor(text)) for text in units.difference(divisor))
         src, dst = (np.fromiter(map(code.setdefault, names, numbers), np.intp, len(names))
                     for names in (node_a, node_b))
-        gbs = np.fromiter(map(float, bandwidth), float, len(bandwidth))
         gbs /= (divisor[unit[0]] if len(units) == 1
                 else np.fromiter(map(divisor.__getitem__, unit), float, len(unit)))
-        if (src == dst).any() or not ((gbs > 0) & (gbs <= MAX_GBS)).all():
-            return None
+        for i in np.flatnonzero((src == dst) | ~((gbs > 0) & (gbs <= MAX_GBS)))[:1]:  # the first bad row raises
+            _check_pair(node_a[i], node_b[i], gbs[i])
         picked = {text for text in sizes if message_size in (None, size_of[text])}  # the kept rows' texts
         keep = (slice(None) if picked == sizes else slice(0) if not picked
                 else np.fromiter(map(picked.__contains__, msg_bytes), bool, len(msg_bytes)))
         return src[keep], dst[keep], gbs[keep]
 
-    blocks = read_columns(source, PAIRWISE_COLUMNS, optional=("unit",))
-    src, dst, gbs = map(np.concatenate, zip(*_each_block(blocks, convert, _pairwise_row)))
+    src, dst, gbs = _each_block(read_columns(source, PAIRWISE_COLUMNS, optional=("unit",)), convert)
     sizes = sorted(set(size_of.values()))
     if not sizes:
         raise SchemaError(f"{source}: no pairwise bandwidth rows")

@@ -4,9 +4,9 @@ A model is the single-ceiling kind: sustained performance is
 ``min(peak_flops, peak_bandwidth * intensity)`` and the ridge intensity
 separates the memory-bound regime from the compute-bound one.
 
-Kernel points are read as columns, row by row only in a block that holds a bad
-row, and classified as columns by ``classify_many``; ``classify`` is its
-one-point case.
+Kernel points are read and classified as columns. The ``check_*`` functions
+hold their rules, on (least, greatest) spans, for the dataclasses and the
+reader alike; ``classify`` is the one-point case of ``classify_many``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,20 @@ COMPUTE_BOUND = "compute-bound"
 
 #: Sampling density for emitted roofline curves (points per decade, log axis).
 CURVE_POINTS_PER_DECADE = 64
+
+
+def span(values: np.ndarray) -> tuple[float, float]:
+    """The (least, greatest) of ``values``: NaN in both when one is NaN, (inf, -inf) when there are none.
+
+    Every rule on a value is a range check that NaN breaks, so it holds for the
+    span exactly when it holds for each value, and always for no values.
+    """
+    return values.min(initial=math.inf), values.max(initial=-math.inf)
+
+
+def span_of(value: float | None) -> tuple[float, float]:
+    """The span of one value, or of none when it is None (absent)."""
+    return (math.inf, -math.inf) if value is None else (value, value)
 
 
 @dataclass(frozen=True)
@@ -59,12 +73,18 @@ class CounterSample:
     access_bytes: int = 8
 
     def __post_init__(self):
-        if self.flops < 0:
-            raise ParameterError("flops must be >= 0")
-        if not (0 <= self.loads < math.inf and 0 <= self.stores < math.inf):
-            raise ParameterError("loads and stores must be finite and >= 0")
-        if not 0 < self.access_bytes < 2**63:  # a larger int does not convert to float
-            raise ParameterError("access_bytes must be > 0 and < 2**63")
+        check_counters((self.flops, self.flops), (self.loads, self.loads), (self.stores, self.stores),
+                       (self.access_bytes, self.access_bytes))
+
+
+def check_counters(flops, loads, stores, access_bytes) -> None:
+    """Raises ParameterError for the first CounterSample rule that the (least, greatest) spans break."""
+    if flops[0] < 0:  # NaN passes here, and fails as the intensity
+        raise ParameterError("flops must be >= 0")
+    if not (0 <= loads[0] and loads[1] < math.inf and 0 <= stores[0] and stores[1] < math.inf):
+        raise ParameterError("loads and stores must be finite and >= 0")
+    if not (0 < access_bytes[0] and access_bytes[1] < 2**63):  # a larger int does not convert to float
+        raise ParameterError("access_bytes must be > 0 and < 2**63")
 
 
 @dataclass(frozen=True)
@@ -77,12 +97,17 @@ class KernelPoint:
     time_share: float | None = None  # fraction of total run time
 
     def __post_init__(self):
-        if not 0 <= self.intensity < math.inf:
-            raise ParameterError("intensity must be finite and >= 0")
-        if self.measured_perf is not None and not 0 <= self.measured_perf < math.inf:
-            raise ParameterError("measured_perf must be finite and >= 0 when present")
-        if self.time_share is not None and not 0 <= self.time_share <= 1:
-            raise ParameterError("time_share must be within [0, 1] when present")
+        check_point((self.intensity, self.intensity), span_of(self.measured_perf), span_of(self.time_share))
+
+
+def check_point(intensity, measured_perf, time_share) -> None:
+    """Raises ParameterError for the first KernelPoint rule that the (least, greatest) spans break."""
+    if not (0 <= intensity[0] and intensity[1] < math.inf):
+        raise ParameterError("intensity must be finite and >= 0")
+    if not (0 <= measured_perf[0] and measured_perf[1] < math.inf):
+        raise ParameterError("measured_perf must be finite and >= 0 when present")
+    if not (0 <= time_share[0] and time_share[1] <= 1):
+        raise ParameterError("time_share must be within [0, 1] when present")
 
 
 @dataclass(frozen=True)
@@ -111,11 +136,16 @@ def sustained_perf(model: RooflineModel, intensity: float) -> float:
 def arithmetic_intensity(sample: CounterSample) -> float:
     """Flops per byte moved: flops / ((loads + stores) * access_bytes)."""
     moved = (sample.loads + sample.stores) * sample.access_bytes
-    if moved <= 0:
-        raise ParameterError("intensity is undefined without memory accesses")
-    if moved == math.inf:
-        raise ParameterError("bytes moved, (loads + stores) * access_bytes, overflows")
+    check_bytes_moved((moved, moved))
     return sample.flops / moved
+
+
+def check_bytes_moved(moved) -> None:
+    """Raises ParameterError unless the (least, greatest) bytes moved are > 0 and finite."""
+    if moved[0] <= 0:
+        raise ParameterError("intensity is undefined without memory accesses")
+    if moved[1] == math.inf:
+        raise ParameterError("bytes moved, (loads + stores) * access_bytes, overflows")
 
 
 def classify_many(model: RooflineModel, labels: list[str], intensity: np.ndarray,

@@ -3,7 +3,9 @@
 ``read_columns`` hands its parsers about ``BLOCK_ROWS`` rows at a time. Drawn
 files are read with the smallest block size, a few small ones and the
 default, and compared with a read in one block: the line numbers, cells,
-records, matrices, groups, points and error texts must all be equal.
+records, matrices, groups, points and error texts must all be equal. Runs
+and kernel points are also compared with the row-at-a-time reference, as a
+reader checks a block's numbers on each column's (least, greatest).
 """
 
 import json
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ingest_reference as ref
 from perfchar import ingest, report
 from perfchar.exceptions import RowError
 from perfchar.ingest import (
@@ -30,6 +33,7 @@ from test_ingest_columns import (
     matrix_outcome,
     outcome,
     pairwise_csv,
+    reference_kernels,
     run_row,
     runs_json,
     share_outcome,
@@ -83,15 +87,20 @@ def shares_file(draw):
     return rebroken(draw, "\n".join(lines) + "\n")
 
 
-POINT_CELLS = st.sampled_from(["", "", "0.5", "12", "1e3", "-1", "inf", "x", '"2.5"'])
+# A block's rules are checked on each column's (least, greatest): NaN, -0.0 and the extreme floats and
+# counts are the edges of that check.
+POINT_CELLS = st.sampled_from(["", "", "0.5", "12", "1e3", "-1", "inf", "x", '"2.5"', "nan", "-0.0", "5e-324",
+                               "1e308"])
+ACCESS_CELLS = st.sampled_from(["", "0", "8", "9223372036854775808"])
 
 
 @st.composite
 def kernels_file(draw):
-    lines = ["label,intensity,flops,loads,stores,gflops"]
+    lines = ["label,intensity,flops,loads,stores,access_bytes,gflops,time_share_pct"]
     for i in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["row"] * 5 + ["# c", ""]))
-        cells = [f"k{i}", *(draw(POINT_CELLS) for _ in range(5))]
+        cells = [f"k{i}", *(draw(POINT_CELLS) for _ in range(4)), draw(ACCESS_CELLS),
+                 *(draw(POINT_CELLS) for _ in range(2))]
         lines.append(",".join(cells) if kind == "row" else kind)
     return rebroken(draw, "\n".join(lines) + "\n")
 
@@ -109,12 +118,14 @@ class TestEveryBlockSize:
         path = written(tmp_path_factory, text, "runs.csv")
         same_at_every_block_size(lambda: outcome(read_all, path, RUNS_COLUMNS, ("extra", "none")))
         same_at_every_block_size(lambda: outcome(lambda: table_cells(parse_runs(path))))
+        assert outcome(lambda: list(parse_runs(path))) == outcome(ref.parse_runs, path)
 
     @settings(max_examples=100, deadline=None)
     @given(text=runs_json())
     def test_runs_json(self, tmp_path_factory, text):
         path = written(tmp_path_factory, text, "runs.json")
         same_at_every_block_size(lambda: outcome(lambda: table_cells(parse_runs(path))))
+        assert outcome(lambda: list(parse_runs(path))) == outcome(ref.parse_runs, path)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -133,7 +144,8 @@ class TestEveryBlockSize:
     @given(text=kernels_file())
     def test_kernel_points(self, tmp_path_factory, text):
         path = written(tmp_path_factory, text, "kernels.csv")
-        same_at_every_block_size(lambda: kernel_outcome(parse_kernel_points, path))
+        assert same_at_every_block_size(lambda: kernel_outcome(parse_kernel_points, path)) == \
+            kernel_outcome(reference_kernels, path)
 
 
 RUNS_HEADER = ",".join(RUNS_COLUMNS)
@@ -160,20 +172,50 @@ def test_bad_rows_of_different_blocks_are_one_error_in_file_order(tmp_path):
                                        "line 7: time must be finite and > 0")
 
 
-@pytest.mark.parametrize("decline", [lambda: None, mock.Mock(side_effect=ValueError("declined"))])
-def test_a_declined_block_whose_rows_all_pass_is_an_error(decline):
+def test_a_declined_block_whose_rows_all_pass_is_an_error():
     blocks = [(range(2, 4), [["a", "b"], ["1", "2"]]), (range(5, 7), [["c", "d"], ["3", "4"]])]
-    convert = lambda cells: decline() if cells[0][0] == "c" else cells  # noqa: E731
+
+    def convert(cells):  # refuses the second block whole, and neither of its rows
+        if cells[0] == ["c", "d"]:
+            raise ValueError("declined")
+        return cells
+
     with pytest.raises(RuntimeError, match="^line 5: the column check declined a block whose rows all pass$"):
-        ingest._each_block(blocks, convert, lambda *row: row)
+        ingest._each_block(blocks, convert)
 
 
 def test_a_reader_never_drops_a_declined_block(tmp_path):
     path = tmp_path / "runs.csv"
     path.write_text("\n".join([RUNS_HEADER, "# note", "p,a,c,1,1,10.0,,,", "p,a,c,2,1,5.0,,,"]) + "\n")
-    with mock.patch.object(ingest, "_run_table", return_value=None):
+    run_table = ingest._run_table
+
+    def refuse_two_rows_or_more(cells, *rest):
+        if len(cells[0]) > 1:
+            raise ValueError("declined")
+        return run_table(cells, *rest)
+
+    with mock.patch.object(ingest, "_run_table", side_effect=refuse_two_rows_or_more):
         with pytest.raises(RuntimeError, match="^line 3: "):
             parse_runs(path)
+
+
+@pytest.mark.parametrize("bad, most", [([1000], 25), ([1, 4096], 47)])
+def test_halving_converts_a_block_about_twice_per_level_per_bad_row(bad, most):
+    # A refused block of 4,096 rows is halved down to each bad row: 12 levels, two conversions each.
+    lines = range(1, 4097)
+    cells = [[str(-line if line in bad else line) for line in lines]]
+    calls = []
+
+    def convert(cells):
+        calls.append(len(cells[0]))
+        if min(map(int, cells[0])) < 0:
+            raise ValueError("negative")
+        return cells
+
+    with pytest.raises(RowError) as info:
+        ingest._each_block([(lines, cells)], convert)
+    assert info.value.failures == tuple((line, "negative") for line in bad)
+    assert len(calls) <= most
 
 
 def test_equal_texts_are_one_object_across_blocks(tmp_path):

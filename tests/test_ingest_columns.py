@@ -67,7 +67,7 @@ def matrix_outcome(fn, *args, **kwargs):
 INT_CELLS = st.one_of(
     st.integers(-1, 130).map(str),
     st.sampled_from([" +5", "1_000", "٣", "0", "-3", "1.5", "", "abc", "1e2",
-                     "99999999999999999999"]),
+                     "99999999999999999999", "9223372036854775807", "9223372036854775808"]),
 )
 FLOAT_CELLS = st.one_of(
     st.floats(1e-3, 1e6).map(repr),
@@ -185,7 +185,7 @@ class TestRunsAgainstReference:
         path.write_text(",".join(RUNS_COLUMNS) + "\n"
                         "p,a,c,1,64,251.64,82200,266.7 MLUP/s,2018-11-01T01:00:00Z\n"
                         "p,a,c,2,64,130.5,,3 steps,\n# note\nq,b,c,4,1,1e-3,1.0,,2018-11-01\n")
-        with mock.patch.object(ingest, "_run_record", side_effect=AssertionError("per-row path taken")):
+        with mock.patch.object(ingest, "_failing_rows", side_effect=AssertionError("a block was halved")):
             got = outcome(lambda: list(parse_runs(path)))
         assert got == outcome(ref.parse_runs, path)
         assert got[0] == "ok"
@@ -313,7 +313,7 @@ class TestTwoSizePairwiseAgainstReference:
         path.write_text("node_a,node_b,msg_bytes,bandwidth_gbs,unit\n"
                         "n1,n2,4096,5.0,\nn2,n1,4096,5100,MB/s\n# note\nn1,n3,4096,4.5,GB/s\nn2,n3,4096,4, gbs \n"
                         + ("" if size is None else "n1,n2,65536,9.0,mbs\n"))
-        with mock.patch.object(ingest, "_pairwise_row", side_effect=AssertionError("per-row path taken")):
+        with mock.patch.object(ingest, "_failing_rows", side_effect=AssertionError("a block was halved")):
             got = matrix_outcome(parse_pairwise_bandwidth, path, message_size=size)
         assert got == matrix_outcome(ref.parse_pairwise_bandwidth, path, message_size=size)
         assert got[0] == "ok"
@@ -433,7 +433,7 @@ class TestSharesAgainstReference:
         path = tmp_path / "shares.csv"
         path.write_text("app,platform,procs,lb_share_pct,com_share_pct\n"
                         "a,p,4,-0.0,20\na,p,2,0.0,0\nb,p,2,5,5\na,p,2,0,-0.0\n# note\na,p,1,5,20\n")
-        with mock.patch.object(ingest, "_share_point", side_effect=AssertionError("per-row path taken")):
+        with mock.patch.object(ingest, "_failing_rows", side_effect=AssertionError("a block was halved")):
             got = share_outcome(parse_share_groups, path, ("app", "platform"))
         assert got == share_outcome(ref.parse_share_groups, path, ("app", "platform"))
         assert got[0] == "ok"
@@ -530,7 +530,7 @@ class TestKernelPointsAgainstReference:
     def test_valid_block_is_read_as_columns(self, text, tmp_path):
         path = tmp_path / "kernels.csv"
         path.write_text(text)
-        with mock.patch.object(ingest, "_kernel_point", side_effect=AssertionError("per-row path taken")):
+        with mock.patch.object(ingest, "_failing_rows", side_effect=AssertionError("a block was halved")):
             points = kernel_outcome(parse_kernel_points, path)
         assert points == kernel_outcome(reference_kernels, path)
         assert points[0] == "ok"
