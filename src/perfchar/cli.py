@@ -352,6 +352,11 @@ def _floats(values) -> np.ndarray:
     return np.array([np.nan if v is None else v for v in values], dtype=float)
 
 
+def _rounded(value: float, places: int) -> float:
+    """``value`` rounded to ``places`` decimals, a zero unsigned, so that ``.{places}f`` never writes "-0.000"."""
+    return round(value, places) + 0.0
+
+
 def _cmd_analyze_scaling(args) -> int:
     fields = tuple(f.strip() for f in args.group.split(",") if f.strip())
     if not fields:
@@ -375,7 +380,8 @@ def _cmd_analyze_scaling(args) -> int:
                 fits.append(fit)
                 critical.append([np.nan if c is None else c.units for c in (lb_only, lb_com)])
                 lines.append(
-                    f"{label}: lb = {fit.a:.3f}*p + {fit.b:.3f} (%), com = {fit.c:.3f} % "
+                    f"{label}: lb = {_rounded(fit.a, 3):.3f}*p + {_rounded(fit.b, 3):.3f} (%), "
+                    f"com = {_rounded(fit.c, 3):.3f} % "
                     + (f"(100% at p={lb_only.units:.1f} lb-only, {lb_com.units:.1f} lb+com)\n"
                        if lb_only and lb_com else "(no critical point)\n")
                 )
@@ -424,10 +430,8 @@ def _cmd_analyze_scaling(args) -> int:
             proj_columns = [[label for label in labels for _ in units], np.tile(units, len(fits)),
                             speedup.ravel(), efficiency.ravel()]
     for label, fit in zip(labels, fits):
-        if args.model == "amdahl":
-            print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}, b = {fit.b:.4f} +- {fit.sigma_b:.4f}")
-        else:
-            print(f"{label}: a = {fit.a:.4f} +- {fit.sigma_a:.4f}")
+        b = f", b = {_rounded(fit.b, 4):.4f} +- {_rounded(fit.sigma_b, 4):.4f}" if args.model == "amdahl" else ""
+        print(f"{label}: a = {_rounded(fit.a, 4):.4f} +- {_rounded(fit.sigma_a, 4):.4f}{b}")
     if failure is not None:
         raise failure
 

@@ -23,6 +23,7 @@ parser codes each node name once, keeps or drops a block of one message size
 whole, divides a block in one unit by a scalar, and sorts its entries only
 when a directed pair repeats. Runs come back as a ``RunTable``, which holds
 them as columns and builds a ``RunRecord`` only when a row is asked for.
+``RunTable.from_records`` and ``build_pairwise_matrix`` reuse the converters.
 Energy is stored in joules; presentation layers convert to kJ. The app
 metric is a free ``value unit`` pair such as ``266.7 MLUP/s``.
 """
@@ -103,7 +104,7 @@ class AppMetric:
         return self.unit.endswith("/s")
 
     def __str__(self) -> str:
-        return f"{self.value!r} {self.unit}".strip()
+        return f"{float(self.value)!r} {self.unit}".strip()
 
 
 @dataclass(frozen=True)
@@ -172,13 +173,8 @@ class RunTable(Sequence):
 
     @classmethod
     def from_records(cls, records: Iterable[RunRecord]) -> "RunTable":
-        """The table of ``records``."""
-        no_metric = AppMetric(math.nan, "")
-        rows = [(r.platform, r.app, r.compiler, r.nodes, r.ranks_per_node, r.time,
-                 math.nan if r.energy is None else r.energy, (r.app_metric or no_metric).value,
-                 (r.app_metric or no_metric).unit, r.timestamp) for r in records]
-        columns = [list(column) for column in zip(*rows)] or [[] for _ in range(10)]
-        return cls(*columns[:3], *map(np.array, columns[3:8]), *columns[8:])
+        """The table that ``parse_runs`` reads from ``serialize_runs(records)``, dtypes included."""
+        return cls(*_run_table(_record_cells(records), {}, {}))
 
     def __len__(self) -> int:
         return len(self.platform)
@@ -491,25 +487,21 @@ def parse_kernel_points(source: str | Path) -> KernelTable:
     return table
 
 
+def _record_cells(records: Iterable[RunRecord]) -> list[list[str]]:
+    """The runs-file cells of ``records``, a list per column; time, energy and metric value as their float's repr."""
+    records = list(records)
+    platform, app, compiler, nodes, ranks, time, energy, metric, timestamp = (
+        list(map(operator.attrgetter(f.name), records)) for f in dataclass_fields(RunRecord))
+    return [platform, app, compiler, list(map(str, nodes)), list(map(str, ranks)), list(map(repr, map(float, time))),
+            ["" if e is None else repr(float(e)) for e in energy], ["" if m is None else str(m) for m in metric],
+            timestamp]
+
+
 def serialize_runs(records: Iterable[RunRecord]) -> str:
     """Canonical CSV form of a record set; parse(serialize(x)) == x."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(RUNS_COLUMNS)
-    for r in records:
-        writer.writerow(
-            [
-                r.platform,
-                r.app,
-                r.compiler,
-                r.nodes,
-                r.ranks_per_node,
-                repr(r.time),
-                "" if r.energy is None else repr(r.energy),
-                "" if r.app_metric is None else str(r.app_metric),
-                r.timestamp,
-            ]
-        )
+    writer.writerows(chain([RUNS_COLUMNS], zip(*_record_cells(records))))
     return out.getvalue()
 
 
@@ -608,19 +600,20 @@ def _check_pair(a: str, b: str, bw: float) -> None:
         raise ParameterError(f"bandwidth for pair ({a}, {b}) must be at most {MAX_GBS!r} GB/s")
 
 
-def build_pairwise_matrix(
-    entries: Iterable[tuple[str, str, float]], message_size: int
-) -> PairwiseBandwidthMatrix:
-    """Assemble a symmetric matrix from directed (node_a, node_b, GB/s) entries."""
-    # One loop, not zip(*entries): holding a tuple per entry at once costs
-    # the garbage collector more than the loop costs.
-    code, src, dst, gbs = {}, [], [], []  # each node's code: its index in first-seen order
-    for a, b, bw in entries:
-        _check_pair(a, b, bw)
-        src.append(code.setdefault(a, len(code)))
-        dst.append(code.setdefault(b, len(code)))
-        gbs.append(bw)
-    return _matrix(code, *(np.array(c, np.intp) for c in (src, dst)), np.array(gbs, float), message_size)
+def build_pairwise_matrix(entries: Iterable[tuple[str, str, float]], message_size: int) -> PairwiseBandwidthMatrix:
+    """Assemble a symmetric matrix from directed (node_a, node_b, GB/s) entries, checked as the reader checks rows."""
+    node_a, node_b, bandwidth = list(zip(*entries)) or [()] * 3
+    code, gbs = {}, np.fromiter(bandwidth, float, len(bandwidth))
+    return _matrix(code, *_pair_codes(node_a, node_b, gbs, code, count()), gbs, message_size)
+
+
+def _pair_codes(node_a: Sequence, node_b: Sequence, gbs: np.ndarray, code: dict, numbers: Iterator[int]):
+    """Each entry's (node_a, node_b) codes, a name new to ``code`` kept with the next of ``numbers``; raises
+    _check_pair's error for the first entry that is a self-pair or whose GB/s ``gbs`` is outside (0, MAX_GBS]."""
+    src, dst = (np.fromiter(map(code.setdefault, names, numbers), np.intp, len(names)) for names in (node_a, node_b))
+    for i in np.flatnonzero((src == dst) | ~((gbs > 0) & (gbs <= MAX_GBS)))[:1]:  # the first bad entry raises
+        _check_pair(node_a[i], node_b[i], gbs[i])
+    return src, dst
 
 
 def _matrix(code: dict, src: np.ndarray, dst: np.ndarray, gbs: np.ndarray,
@@ -683,12 +676,9 @@ def parse_pairwise_bandwidth(source: str | Path, message_size: int | None = None
         size_of.update((text, int(text)) for text in sizes.difference(size_of))
         gbs = np.fromiter(map(float, bandwidth), float, len(bandwidth))
         divisor.update((text, _gbs_divisor(text)) for text in units.difference(divisor))
-        src, dst = (np.fromiter(map(code.setdefault, names, numbers), np.intp, len(names))
-                    for names in (node_a, node_b))
         gbs /= (divisor[unit[0]] if len(units) == 1
                 else np.fromiter(map(divisor.__getitem__, unit), float, len(unit)))
-        for i in np.flatnonzero((src == dst) | ~((gbs > 0) & (gbs <= MAX_GBS)))[:1]:  # the first bad row raises
-            _check_pair(node_a[i], node_b[i], gbs[i])
+        src, dst = _pair_codes(node_a, node_b, gbs, code, numbers)
         picked = {text for text in sizes if message_size in (None, size_of[text])}  # the kept rows' texts
         keep = (slice(None) if picked == sizes else slice(0) if not picked
                 else np.fromiter(map(picked.__contains__, msg_bytes), bool, len(msg_bytes)))

@@ -17,10 +17,11 @@ uncertainties (covariance at the optimum, scaled by reduced chi-square) are
 calibrated. The weak-scaling fit is linear and closed-form. The share fit's line is
 LAPACK's SVD least squares, one call per stack through numpy's private ``lstsq`` gufunc.
 
-Each ``*_many`` function fits many groups, those with the same number of
-points together as stacked arrays cut from one ``PointGroups``, and
-``project_many`` evaluates many fits; each group's result is bit-identical to
-fitting it alone, and the one-group functions are the batch of one.
+Each ``*_many`` function fits many groups, those with the same number of points
+together as stacked arrays cut from one ``PointGroups``, and ``project_many``
+evaluates many fits; each group's result is bit-identical to fitting it alone,
+and the one-group functions are the batch of one. ``_screen`` checks every
+model's points first: finite, enough distinct unit counts, none below 1.
 """
 
 from __future__ import annotations
@@ -267,7 +268,7 @@ def _one(results: list):
 def fit_amdahl(points: Iterable[tuple[float, float]]) -> AmdahlFit:
     """Fit the strong-scaling model to (p, speedup) points, residuals weighted by 1/s.
 
-    Raises UnderdeterminedError below three distinct p values, and
+    Raises UnderdeterminedError below three distinct unit counts, and
     InvalidDataError when the normal matrix is too ill-conditioned for
     finite uncertainties.
     """
@@ -288,24 +289,23 @@ def _stacks(groups, width: int) -> tuple[list, list[tuple[list[int], np.ndarray]
     return [None] * len(groups), stacks
 
 
-def _screen(index: list[int], results: list, points: np.ndarray, checks) -> list[int]:
+def _screen(index: list[int], results: list, points: np.ndarray, model: str, least: int, checks) -> list[int]:
     """Record each group's error from the first check it fails; return the positions that pass.
 
-    A point that is not finite fails first, then each (mask of failing groups,
-    position -> error) pair of ``checks`` in turn.
-    """
-    failed = np.zeros(len(index), dtype=bool)
-    finite = np.isfinite(points).all(axis=(1, 2))
-    for mask, error in [(~finite, lambda k: InvalidDataError("fit points must be finite")), *checks]:
+    A group fails first on a point that is not finite, then on fewer than ``least`` distinct unit counts (the
+    sorted first column), then on one below 1, then on each (failing groups' mask, position -> error) of ``checks``."""
+    p, failed = points[:, :, 0], np.zeros(len(index), dtype=bool)
+    for mask, error in [
+        (~np.isfinite(points).all(axis=(1, 2)), lambda k: InvalidDataError("fit points must be finite")),
+        (np.count_nonzero(p[:, 1:] != p[:, :-1], axis=1) + (p.shape[1] > 0) < least,
+         lambda k: UnderdeterminedError(f"{model} fit needs >= {least} distinct p values")),
+        (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+        *checks,
+    ]:
         for k in np.flatnonzero(mask & ~failed).tolist():
             results[index[k]] = error(k)
         failed |= mask
     return np.flatnonzero(~failed).tolist()
-
-
-def _distinct(p: np.ndarray) -> np.ndarray:
-    """Number of distinct values in each row of sorted unit counts."""
-    return np.count_nonzero(p[:, 1:] != p[:, :-1], axis=1) + (p.shape[1] > 0)
 
 
 def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[AmdahlFit | PerfcharError]:
@@ -313,10 +313,7 @@ def fit_amdahl_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[Amd
     results, stacks = _stacks(groups, 2)
     for index, ps in stacks:
         p, s = ps[:, :, 0].copy(), ps[:, :, 1].copy()
-        valid = _screen(index, results, ps, [
-            (_distinct(p) < 3,
-             lambda k: UnderdeterminedError("strong-scaling fit needs >= 3 distinct p values")),
-            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+        valid = _screen(index, results, ps, "strong-scaling", 3, [
             (np.any(s <= 0, axis=1), lambda k: ParameterError("speedups must be positive")),
         ])
         if not valid:
@@ -355,10 +352,7 @@ def fit_gustafson_many(groups: Iterable[Iterable[tuple[float, float]]]) -> list[
             a = np.array([min(max(v, 0.0), 1.0) for v in (sxs / sxx).tolist()])
             resid = np.sum((s - ((1.0 - a[:, None]) + a[:, None] * p)) ** 2, axis=1)
             sigma_a = np.sqrt((resid / (p.shape[1] - 1)) / sxx)
-        valid = _screen(index, results, ps, [
-            (_distinct(p) < 2,
-             lambda k: UnderdeterminedError("weak-scaling fit needs >= 2 distinct p values")),
-            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+        valid = _screen(index, results, ps, "weak-scaling", 2, [
             (~np.isfinite([sxx, sxs, resid, sigma_a]).all(axis=0), lambda k: InvalidDataError(
                 f"unit counts up to p = {float(p[k][-1])!r} overflow the weak-scaling fit")),
         ])
@@ -387,10 +381,7 @@ def fit_mpi_shares_many(
         with np.errstate(over="ignore", invalid="ignore"):  # a group that overflows fails below
             normal = design.transpose(0, 2, 1) @ design
             over = lb + com > 100.0
-        valid = _screen(index, results, pts, [
-            (_distinct(p) < 3,
-             lambda k: UnderdeterminedError("share fit needs >= 3 distinct p values")),
-            (np.any(p < 1, axis=1), lambda k: ParameterError("unit counts must be >= 1")),
+        valid = _screen(index, results, pts, "share", 3, [
             (np.any((lb < 0) | (lb > 100) | (com < 0) | (com > 100), axis=1),
              lambda k: InvalidDataError("shares must lie within [0, 100] percent")),
             (np.any(over, axis=1), lambda k: InvalidDataError(

@@ -132,6 +132,13 @@ class TestSpecShow:
         assert main(["spec", "show", str(spec)]) == 1
         assert capsys.readouterr() == ("", f"perfchar: error: InvalidSpecError: {message}\n")
 
+    def test_spec_that_is_not_an_object_is_one_error_line(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text("[]")
+        assert main(["spec", "show", str(spec)]) == 1
+        assert capsys.readouterr() == ("", "perfchar: error: InvalidSpecError: platform spec must be an object, "
+                                           "got list\n")
+
     def test_infinite_channel_peak_runs_no_triad(self, fixtures_dir, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(spec_text(fixtures_dir, channel_peak="Infinity"))
@@ -610,6 +617,18 @@ class TestAnalyzeScaling:
         assert (code, caught) == (1, [])
         assert err == "perfchar: error: InvalidDataError: shares must lie within [0, 100] percent\n"
 
+    def test_fitted_shares_out_of_range_come_after_the_groups_before_them(self, tmp_path, capsys):
+        shares = tmp_path / "shares.csv"
+        shares.write_text("platform,procs,lb_share_pct,com_share_pct\n"
+                          "a,1,5.0,20.0\na,2,6.0,20.0\na,4,7.0,20.0\nb,1,0,0\nb,2,0,0\nb,3,10,0\n")
+        code = main(["analyze", "scaling", "--model", "mpi-shares", "--group", "platform",
+                     "--in", str(shares), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr() == (
+            "a: lb = 0.643*p + 4.500 (%), com = 20.000 % (100% at p=148.6 lb-only, 117.4 lb+com)\n",
+            "perfchar: error: InvalidDataError: fitted shares leave [0, 100] percent at observed p\n")
+        assert not (tmp_path / "out").exists()
+
     def test_share_file_lacking_a_group_column_is_schema_error(self, fixtures_dir, tmp_path, capsys):
         code = main(["analyze", "scaling", "--model", "mpi-shares",
                      "--in", str(fixtures_dir / "mpi_shares.csv"),
@@ -743,11 +762,22 @@ class TestAnalyzeScaling:
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == (
-            "a1/tx2/gnu: a = 0.9600 +- 0.0000, b = -0.0000 +- 0.0000\n"
+            "a1/tx2/gnu: a = 0.9600 +- 0.0000, b = 0.0000 +- 0.0000\n"
             "a2/tx2/gnu: a = 0.9541 +- 0.0007, b = 0.0018 +- 0.0036\n"
         )
         assert captured.err.startswith("perfchar: error: UnderdeterminedError:")
         assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("model", ["amdahl", "gustafson", "mpi-shares"])
+def test_no_scaling_value_prints_as_negative_zero(model, fixtures_dir, tmp_path, capsys):
+    # A fitted value that rounds to zero prints as 0.0000 whatever its sign.
+    for path in sorted(fixtures_dir.glob("*.csv")):
+        for group in ("app,platform,compiler", "app"):
+            main(["analyze", "scaling", "--model", model, "--in", str(path), "--group", group,
+                  "--out-dir", str(tmp_path / "out")])
+            out = capsys.readouterr().out
+            assert not re.search(r"-0\.0+(?![0-9])", out), (path.name, group, out)
 
 
 SCALING_INPUTS = {

@@ -65,7 +65,7 @@ CASES = {
          "--out-dir", "{out}", "--gnuplot"],
         {
             "stdout":
-                "ad36032d949bbd2d7cf0891be1be0d08c343138877ee795d4cf11d9530a64af3",
+                "efead2123e52d8df001354283cb2ece9a19195d378dde1caeb88cb5fd501eb70",
             "scaling.gp":
                 "cea00822fa9dce2655fff2ef329c490e38b88f97ee6172d9a52d604385301f2a",
             "scaling_fits.csv":
@@ -75,13 +75,14 @@ CASES = {
         },
     ),
     # 40 groups of 3-8 points. This case and the one above were re-recorded when
-    # the strong-scaling fit became a grid-and-bisection search over a.
+    # the strong-scaling fit became a grid-and-bisection search over a, and their
+    # stdout again when a value that rounds to zero stopped printing as -0.0000.
     "scaling-amdahl-groups": (
         ["analyze", "scaling", "--model", "amdahl", "--in", "{fx}/amdahl_groups_runs.csv",
          "--out-dir", "{out}"],
         {
             "stdout":
-                "48fd9325f8a970f7107c981433a8b36bb0a73b08b0380f6c0075a463ad933a52",
+                "1304f74f4ed168936934e105677609ba8599267930ca27e3b648cfb533e9c9e3",
             "scaling_fits.csv":
                 "f57717cd8ff394d37bbe9ed80e874260ced34166682a6c5f602a9e52f90ac884",
             "scaling_projection.csv":

@@ -670,6 +670,50 @@ class TestRunsEdgeCellsAgainstReference:
         same_as_reference_at_every_block_size(lambda: run_table_outcome(path), expected)
 
 
+NUMBERS = st.floats(0, exclude_min=True, allow_infinity=False)  # subnormals included
+# Cells with ',' or '"' are quoted when written. No blank, which the reader strips at a cell's ends, and no '#',
+# which starts a comment line.
+TEXTS = st.text("abXY09-_./,\"", max_size=5)
+
+
+@st.composite
+def run_records(draw):
+    """A RunRecord whose numbers may be Python ints and floats or numpy scalars."""
+    def number(values, numpy_type):
+        return draw(st.one_of(values, values.map(numpy_type)))
+
+    counts = st.integers(1, 2**63 - 1)
+    metric = st.builds(ingest.AppMetric, st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                                   st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+                                                   st.integers(-10**6, 10**6)),
+                       st.sampled_from(["", "MLUP/s", "GFlop/s", "time steps"]))
+    return ingest.RunRecord(draw(TEXTS), draw(TEXTS), draw(TEXTS), number(counts, np.int64), number(counts, np.int64),
+                            number(st.one_of(NUMBERS, st.integers(1, 10**6)), np.float64),
+                            draw(st.one_of(st.none(), NUMBERS, NUMBERS.map(np.float64))), draw(st.none() | metric),
+                            draw(st.sampled_from(EDGE_STAMPS)))
+
+
+class TestRecordsAsRead:
+    """RunTable.from_records(records) is the table parse_runs reads from serialize_runs(records)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(run_records(), max_size=8))
+    def test_same_columns_and_dtypes(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("records") / "runs.csv"
+        path.write_text(ingest.serialize_runs(records), encoding="utf-8")
+        assert table_cells(ingest.RunTable.from_records(records)) == table_cells(parse_runs(path))
+
+    def test_no_records(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text(ingest.serialize_runs([]), encoding="utf-8")
+        assert table_cells(ingest.RunTable.from_records([])) == table_cells(parse_runs(path))
+
+    def test_a_numpy_float_is_written_as_its_float(self):
+        record = ingest.RunRecord("tx2", "lbc", "gnu", 1, 64, np.float64(1.5), np.float64(2.0),
+                                  ingest.AppMetric(np.float64(5.0), "MLUP/s"))
+        assert ingest.serialize_runs([record]).splitlines()[1] == "tx2,lbc,gnu,1,64,1.5,2.0,5.0 MLUP/s,"
+
+
 INTENSITIES = st.one_of(st.floats(0, 1e4), st.floats(0, 1e308),
                         st.sampled_from([0.0, -0.0, 5e-324, 1e-320, 1e308]))
 # Measurements so small that the headroom overflows are drawn often, so that one list holds several.

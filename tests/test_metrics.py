@@ -7,7 +7,7 @@ from perfchar import (
     compare_platforms,
     energy_metrics,
 )
-from perfchar.exceptions import EmptyComparisonError
+from perfchar.exceptions import EmptyComparisonError, ParameterError
 
 
 def record(platform, app, compiler, time, energy=None, rate=None):
@@ -98,6 +98,11 @@ class TestComparePlatforms:
         records = [record("p1", "app1", "gnu", 10.0), record("p2", "app2", "gnu", 10.0)]
         with pytest.raises(EmptyComparisonError):
             compare_platforms(RunTable.from_records(records))
+
+    def test_unknown_metric_rejected(self):
+        records = [record("p1", "app", "gnu", 10.0), record("p2", "app", "gnu", 12.0)]
+        with pytest.raises(ParameterError, match="^metric must be 'time' or 'rate', got 'x'$"):
+            compare_platforms(RunTable.from_records(records), metric="x")
 
     def test_rate_metric_ranks_higher_better(self):
         records = [

@@ -223,6 +223,11 @@ class TestMpiShares:
         with pytest.raises(InvalidDataError):
             fit_mpi_shares([(1, -1.0, 20.0), (2, 5.0, 20.0), (4, 6.0, 20.0)])
 
+    def test_fitted_line_outside_the_percent_range_is_invalid_data(self):
+        # Every share lies in [0, 100], but the fitted load-balance line is below 0 at p = 1.
+        with pytest.raises(InvalidDataError, match=r"^fitted shares leave \[0, 100\] percent at observed p$"):
+            fit_mpi_shares([(1, 0.0, 0.0), (2, 0.0, 0.0), (3, 10.0, 0.0)])
+
     def test_variance_of_minus_inf_is_invalid_data(self):
         # Sums of p**2 would underflow to 0, and inv() give a variance of -inf; a unit count below 1 fails first.
         points = [(1e-200, 10.0, 5.0), (2e-200, 20.0, 5.0), (3e-200, 31.0, 6.0)]
