@@ -122,6 +122,9 @@ class RunRecord:
     timestamp: str = ""
 
     def __post_init__(self):
+        for name in ("nodes", "ranks_per_node"):  # numpy integers pass; bool, float and str do not
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), (int, np.integer)):
+                raise ParameterError(f"{name} must be an integer")
         check_run((self.nodes, self.nodes), (self.ranks_per_node, self.ranks_per_node), (self.time, self.time),
                   span_of(self.energy), span_of(self.app_metric and self.app_metric.value),
                   [self.timestamp] if self.timestamp else [])
@@ -357,6 +360,8 @@ def _failing_rows(convert: Callable, lines: Sequence[int], cells: list, refusal:
 
 def _floats(cells: list[str]) -> np.ndarray:
     """Each cell's float, NaN for a blank cell (read as "nan"); ValueError for a cell that float() refuses."""
+    if "" in cells and not any(cells):  # an absent column, or one of only blanks
+        return np.full(len(cells), math.nan)
     return np.fromiter(map(float, map({"": "nan"}.get, cells, cells) if "" in cells else cells), float, len(cells))
 
 

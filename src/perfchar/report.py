@@ -66,7 +66,10 @@ def _keys_and_cells(column) -> tuple[np.ndarray, np.ndarray | list[str]]:
             return key, column
         return key, list(map(("false", "true").__getitem__, column.tolist()))
     column = list(column)
-    key, position = ranks(column)  # the check runs once per distinct string
+    key, position = ranks(column)
+    distinct = "".join(position)  # one scan of the distinct strings settles a column that nothing quotes
+    if not any(map(distinct.__contains__, ',"\r\n#')):
+        return key, column
     quoted = {value: '"' + value.replace('"', '""') + '"' for value in position if _NEEDS_QUOTES.search(value)}
     return key, list(map(quoted.get, column, column)) if quoted else column
 
@@ -76,10 +79,12 @@ def _text(cells: np.ndarray | list[str], order: np.ndarray) -> list[str]:
     if isinstance(cells, list):
         return list(map(cells.__getitem__, order.tolist()))
     cells = cells[order]
+    if cells.dtype.kind != "f" or not (blank := np.isnan(cells)).any():
+        return list(map(repr, cells.tolist()))
+    if blank.all():
+        return [""] * len(cells)
     text = list(map(repr, cells.tolist()))
-    for i in np.flatnonzero(np.isnan(cells)).tolist():
-        text[i] = ""
-    return text
+    return list(map({"nan": ""}.get, text, text))  # repr gives "nan" for every NaN, a negative one too
 
 
 def emit_plot_data(columns: Sequence, path: str | Path, header: Sequence[str]) -> Path:

@@ -179,6 +179,21 @@ CASES = {
                 "8a5a22845bd3d571ce1fe01831e021c29d095b64ace9f0abce3011e4b4c86124",
         },
     ),
+    # Counter totals only, as the benchmark's roofline inputs are: the optional
+    # gflops and time_share_pct columns are absent, so two written columns are
+    # all blank. Recorded before the writer decided quoting and blanks per column.
+    "roofline-counters-only": (
+        ["analyze", "roofline", "--flops-gflops", "1500.0", "--bandwidth-gbs", "200.0",
+         "--points", "{fx}/kernel_counters_only.csv", "--out-dir", "{out}"],
+        {
+            "stdout":
+                "a7ebd37fb4e1679cd2b0243c75c43d84b9e5c67803d12b65f85dfc5fb404bce3",
+            "roofline_curve.csv":
+                "70ef84ac92e2a9d58f16ecbc8c0f279e3b5d6bf0b6e9c0d3277649c926df2864",
+            "roofline_points.csv":
+                "5fbc2a1cdd1fc544102c6762a177988af9bd86110c1a9186c6aef1cd39bbed42",
+        },
+    ),
 }
 
 

@@ -130,6 +130,17 @@ class TestParseRuns:
         with pytest.raises(ParameterError):
             record(**fields)
 
+    @pytest.mark.parametrize("field", ["nodes", "ranks_per_node"])
+    @pytest.mark.parametrize("count", [2.5, True, np.bool_(True), "2"])
+    def test_count_that_is_not_an_integer_rejected(self, field, count):
+        with pytest.raises(ParameterError, match=f"^{field} must be an integer$"):
+            record(**{field: count})
+
+    def test_numpy_integer_count_accepted(self):
+        rec = record(nodes=np.int64(2), ranks_per_node=np.int32(4))
+        assert (rec.nodes, rec.ranks_per_node) == (2, 4)
+        assert RunTable.from_records([rec]).nodes.tolist() == [2]
+
     def test_blank_json_app_metric_is_row_error(self, tmp_path):
         entry = {"platform": "p", "app": "a", "compiler": "c", "nodes": 1,
                  "ranks_per_node": 1, "time_s": 10.0, "energy_j": None,

@@ -766,3 +766,28 @@ MIXED_NETWORK = (
 def test_mixed_network_outputs_match_recorded_digests(fixtures_dir, tmp_path):
     argv, expected = MIXED_NETWORK
     assert digests(argv, fixtures_dir, tmp_path) == expected
+
+
+def per_cell_floats(cells):
+    """The float of each cell, NaN for a blank one: the reference for ``ingest._floats``."""
+    return np.array([math.nan if cell == "" else float(cell) for cell in cells], float)
+
+
+FLOAT_CELLS = st.sampled_from(["", "nan", "-nan", "-0.0", "0.0", "1e309", "-1e309", "1.5", "5e-324"])
+
+
+class TestFloatsAgainstPerCell:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.lists(FLOAT_CELLS, max_size=12), st.integers(0, 12).map(lambda n: [""] * n)))
+    def test_same_bits(self, cells):
+        floats = ingest._floats(cells)
+        assert floats.dtype == np.float64
+        assert floats.view(np.uint64).tolist() == per_cell_floats(cells).view(np.uint64).tolist()
+
+    @pytest.mark.parametrize("cells", [[" "], ["", " "], [" ", ""]])
+    def test_blank_only_cell_is_the_error_of_float(self, cells):
+        with pytest.raises(ValueError) as expected:
+            float(" ")
+        with pytest.raises(ValueError) as info:
+            ingest._floats(cells)
+        assert str(info.value) == str(expected.value)

@@ -195,6 +195,39 @@ class TestEmitMatchesReference:
         assert path.read_bytes() == reference_plot_data(rows, header).encode()
 
 
+class TestOneQuotedValuePerColumn:
+    """Long label columns in which one distinct value needs quotes, and float columns with 0, 1 or all NaN."""
+
+    ROWS = 5000
+    # Each needs quotes; "a#b" holds a character that does, but needs none.
+    SPECIAL = [",x", '"x', "\rx", "\nx", "#x", " \t#x", "a#b"]
+
+    @classmethod
+    def table(cls, where: str):
+        rng = np.random.default_rng(7)
+        columns = []
+        for special in cls.SPECIAL:
+            # Plain labels below "\x02" or above "~" put the special value first, in the middle or last.
+            below = {"first": 0, "middle": cls.ROWS // 2, "last": cls.ROWS}[where]
+            labels = [f"\x01{i:05d}" if i < below else f"~{i:05d}" for i in range(cls.ROWS)]
+            labels[:: cls.ROWS // 10] = [special] * 10
+            columns.append([labels[i] for i in rng.permutation(cls.ROWS)])
+        one_nan = rng.normal(size=cls.ROWS)
+        one_nan[rng.integers(cls.ROWS)] = math.nan
+        columns += [rng.normal(size=cls.ROWS), one_nan, np.full(cls.ROWS, -math.nan)]
+        rows = list(zip(*columns[:-3], *(["" if v != v else v for v in c] for c in columns[-3:])))
+        return columns, rows
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    @pytest.mark.parametrize("block", [1, 2, report.BLOCK_ROWS])
+    def test_bytes_equal_row_at_a_time_emission(self, tmp_path, where, block):
+        columns, rows = self.table(where)
+        header = [f"c{i}" for i in range(len(columns))]
+        with mock.patch.object(report, "BLOCK_ROWS", block):
+            path = emit_plot_data(columns, tmp_path / "out.csv", header)
+        assert path.read_bytes() == reference_plot_data(rows, header).encode()
+
+
 class TestAtomicWrite:
     def test_writes_and_overwrites(self, tmp_path):
         target = tmp_path / "file.txt"
